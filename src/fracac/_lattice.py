@@ -13,16 +13,21 @@ midpoint sum has a symbol c|xi|^s + O((h xi)^2), and adjusting the first
 shell cancels the quadratic defect, leaving O((h xi)^{4-s}).  The
 correction is found once per (dimension, order) by matching the lattice
 symbol to an exact power law at two reference frequencies.
+
+Every linear convolution against a fixed kernel (the free-space operator
+for n >= 2 and the exterior moments) goes through one engine,
+`FFTConvolver`, which transforms its kernel once.  Operators live in one
+registry bounded to 64 entries with least-recently-used eviction.
 """
 
 from __future__ import annotations
 
 import os
+from collections import OrderedDict
 from functools import lru_cache
 
 import numpy as np
 from scipy import fft as sfft
-from scipy import signal
 from scipy.special import gamma as gamma_fn
 
 from .errors import ConfigurationError
@@ -157,12 +162,11 @@ def continuum_symbol_constant(n: int, s: float) -> float:
 # pair weight tables
 # ---------------------------------------------------------------------------
 
-def _offset_radii(n: int, count: int, h: float):
-    """|z| over the offset cube {-count..count}^n * h, plus the offset meshes."""
+def _offset_radii(n: int, count: int, h: float) -> np.ndarray:
+    """|z| over the offset cube {-count..count}^n * h."""
     rng = h * np.arange(-count, count + 1, dtype=float)
     meshes = np.meshgrid(*([rng] * n), indexing="ij")
-    r2 = sum(m * m for m in meshes)
-    return np.sqrt(r2), meshes
+    return np.sqrt(sum(m * m for m in meshes))
 
 
 def kernel_on_radii(spec, r: np.ndarray, n: int) -> np.ndarray:
@@ -180,6 +184,16 @@ def kernel_on_radii(spec, r: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def far_kernel_mass(spec, n: int, rho: float) -> float:
+    """integral over |z| > rho of K(z) dz: closed form for the fractional kind,
+    log-grid quadrature of the radial profile otherwise."""
+    if spec.kind == "fractional":
+        return spec.scale * (2.0 - spec.s) * sphere_area(n) * rho ** (-spec.s) / spec.s
+    rr = np.geomspace(rho, rho * 1e6, 2000)
+    dens = spec.scale * np.asarray(spec.profile(rr), dtype=float)
+    return sphere_area(n) * np.trapezoid(dens * rr ** (n - 1), rr)
+
+
 def pair_weight_table(grid: Grid, spec) -> np.ndarray:
     """w(z) = h^n K(z) over all offsets reachable within the box, w(0) = 0.
 
@@ -189,7 +203,7 @@ def pair_weight_table(grid: Grid, spec) -> np.ndarray:
     """
     n, h = grid.n, grid.h
     p = grid.nodes_per_axis
-    r, _ = _offset_radii(n, p - 1, h)
+    r = _offset_radii(n, p - 1, h)
     w = h ** n * kernel_on_radii(spec, r, n)
     w[np.abs(r - h) < 1e-12 * h] *= 1.0 + shell_correction(n, spec.s)
     return w
@@ -237,14 +251,7 @@ def periodized_weight_row(grid: Grid, spec) -> np.ndarray:
 
     # far images approximated by the integral of the kernel density:
     # sum over |m| > M of K(z + mL) ~ (1/L^n) integral over |y| > (M+1/2)L of K
-    rho_far = (m_img + 0.5) * L
-    if spec.kind == "fractional":
-        far_mass = spec.scale * (2.0 - spec.s) * sphere_area(n) * rho_far ** (-spec.s) / spec.s
-    else:
-        rr = np.geomspace(rho_far, rho_far * 1e6, 2000)
-        dens = spec.scale * np.asarray(spec.profile(rr), dtype=float)
-        far_mass = sphere_area(n) * np.trapezoid(dens * rr ** (n - 1), rr)
-    row += h ** n * far_mass / L ** n
+    row += h ** n * far_kernel_mass(spec, n, (m_img + 0.5) * L) / L ** n
 
     row[tuple([0] * n)] = 0.0  # images of the diagonal carry zero difference
     # calibrated correction on the base-image nearest shell
@@ -258,11 +265,23 @@ def periodized_weight_row(grid: Grid, spec) -> np.ndarray:
 # exterior tail moments
 # ---------------------------------------------------------------------------
 
-def _axis_cell_bounds(grid: Grid) -> tuple[float, float]:
+def axis_cell_bounds(grid: Grid) -> tuple[float, float]:
+    """Outer edges of the first and last cell along an axis."""
     m, h = grid.half_count, grid.h
     if grid.centered:
         return (-m * h - h / 2.0, m * h + h / 2.0)
     return (-m * h - h / 2.0, (m - 1) * h + h / 2.0)
+
+
+def exterior_asymptote(grid: Grid) -> tuple[float, float]:
+    """Limits (lo, hi) of a 1D field exterior: the declared asymptote, else
+    the exterior sampled at 1e9 box radii on either side."""
+    b = grid.boundary
+    if b.asymptote is not None:
+        return b.asymptote
+    far = 1e9 * max(1.0, grid.box_radius)
+    return (float(np.ravel(b(np.array([[-far]])))[0]),
+            float(np.ravel(b(np.array([[far]])))[0]))
 
 
 def _moments_1d(grid: Grid, spec) -> dict:
@@ -287,7 +306,7 @@ def _moments_1d(grid: Grid, spec) -> dict:
             d = np.asarray(d, dtype=float)
             return np.interp(np.log(d), np.log(tab_r), tab_prim)
 
-    lo, hi = _axis_cell_bounds(grid)
+    lo, hi = axis_cell_bounds(grid)
     x = grid.axis_coords()
     t0_r = prim(hi - x)
     t0_l = prim(x - lo)
@@ -298,12 +317,7 @@ def _moments_1d(grid: Grid, spec) -> dict:
         corr1_r = corr1_l = corr2_r = corr2_l = 0.0
         a_lo, a_hi = g_lo, g_hi
     elif isinstance(b, FieldExterior):
-        if b.asymptote is not None:
-            a_lo, a_hi = b.asymptote
-        else:
-            far = 1e9 * max(1.0, grid.box_radius)
-            a_lo = float(np.ravel(b(np.array([[-far]])))[0])
-            a_hi = float(np.ravel(b(np.array([[far]])))[0])
+        a_lo, a_hi = exterior_asymptote(grid)
         # graded correction integrals for the non-constant part of the exterior
         span = np.geomspace(grid.h / 8.0, 2e5 * grid.box_radius, 3000)
         xr = hi + span
@@ -360,28 +374,21 @@ def _moments_nd(grid: Grid, spec, factor: int = 4) -> dict:
         u_ext_flat = b(pts[ext_mask.ravel()])
         u_ext[ext_mask] = u_ext_flat
 
-    kern_r, _ = _offset_radii(n, 2 * mm, h)
-    kern = h ** n * kernel_on_radii(spec, kern_r, n)
-
-    with sfft.set_workers(fft_workers()):
-        conv = lambda f: signal.fftconvolve(f, kern, mode="same")
-        t0_big = conv(ext_mask.astype(float))
-        t1_big = conv(u_ext * ext_mask)
-        t2_big = conv(u_ext ** 2 * ext_mask)
+    # the kernel table is the largest array here: release it (and its radii)
+    # as soon as its spectrum exists
+    kern = h ** n * kernel_on_radii(spec, _offset_radii(n, 2 * mm, h), n)
+    conv = FFTConvolver(kern, u_ext.shape)
+    del kern
 
     sl = tuple(slice(mm - m, mm + m + extra) for _ in range(n))
-    t0 = t0_big[sl].copy()
-    t1 = t1_big[sl].copy()
-    t2 = t2_big[sl].copy()
+    t0 = conv(ext_mask.astype(float))[sl].copy()
+    t1 = conv(u_ext * ext_mask)[sl].copy()
+    t2 = conv(u_ext ** 2 * ext_mask)[sl].copy()
+    del conv
 
     # isotropic remainder beyond the enlarged lattice
     rho = (factor - 0.5) * grid.box_radius
-    if spec.kind == "fractional":
-        rem = spec.scale * (2.0 - spec.s) * sphere_area(n) * rho ** (-spec.s) / spec.s
-    else:
-        rr = np.geomspace(rho, rho * 1e6, 2000)
-        dens = spec.scale * np.asarray(spec.profile(rr), dtype=float)
-        rem = sphere_area(n) * np.trapezoid(dens * rr ** (n - 1), rr)
+    rem = far_kernel_mass(spec, n, rho)
     ring = ext_mask & (np.sqrt(sum(mesh ** 2 for mesh in meshes)) > rho - grid.box_radius)
     if ring.any():
         u_far = float(np.mean(u_ext[ring]))
@@ -407,17 +414,31 @@ def exterior_moments(grid: Grid, spec) -> dict:
     return _moments_nd(grid, spec)
 
 
-def zero_exterior_t0(grid: Grid, spec) -> np.ndarray:
-    """t0 alone, for quadratic forms of compactly supported perturbations.
+# ---------------------------------------------------------------------------
+# the convolution engine
+# ---------------------------------------------------------------------------
 
-    Works on any grid: for periodic grids the relevant exterior is the
-    complement of the box in free space (perturbations extend by zero).
+class FFTConvolver:
+    """Linear "same"-mode convolution of fields of one shape with a fixed kernel.
+
+    Pads to the same fast FFT lengths and crops the same centred window as
+    scipy's `fftconvolve(f, kernel, mode="same")`, so results agree
+    with it bit for bit; the kernel is transformed once, not per call.
     """
-    if isinstance(grid.boundary, Periodic):
-        free = Grid(grid.n, grid.h, grid.box_radius,
-                    ConstantExterior([(0.0, 0.0)] * grid.n), grid.centered)
-        return exterior_moments(free, spec)["t0"]
-    return exterior_moments(grid, spec)["t0"]
+
+    def __init__(self, kernel: np.ndarray, shape: tuple):
+        full = [a + b - 1 for a, b in zip(shape, kernel.shape)]
+        self.fshape = [sfft.next_fast_len(k, real=True) for k in full]
+        self.crop = tuple(slice((k - a) // 2, (k - a) // 2 + a)
+                          for k, a in zip(full, shape))
+        with sfft.set_workers(fft_workers()):
+            self.spectrum = sfft.rfftn(kernel, self.fshape)
+
+    def __call__(self, f: np.ndarray) -> np.ndarray:
+        with sfft.set_workers(fft_workers()):
+            sp = sfft.rfftn(f, self.fshape)
+            sp *= self.spectrum
+            return sfft.irfftn(sp, self.fshape)[self.crop].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +448,10 @@ def zero_exterior_t0(grid: Grid, spec) -> np.ndarray:
 class DiscreteOperator:
     """Pair weights, tail moments, and fast applications for one (grid, kernel).
 
-    All heavy tables are built lazily and cached on the instance; a keyed
-    registry lets the free functions reuse instances across calls.
+    All heavy tables are built lazily and cached on the instance: the
+    free-space convolution engine for n >= 2 and, on periodic grids, the
+    spectrum of the periodized row.  Instances are shared through the
+    bounded LRU registry behind `get_operator`.
     """
 
     def __init__(self, grid: Grid, spec):
@@ -443,9 +466,10 @@ class DiscreteOperator:
         self.grid = grid
         self.spec = spec
         self._weights = None
+        self._engine = None
         self._row = None
+        self._row_spectrum = None
         self._moments = None
-        self._t0_zero = None
         self._colsum = None
 
     # -- tables -------------------------------------------------------------
@@ -463,21 +487,17 @@ class DiscreteOperator:
         return self._row
 
     @property
+    def row_spectrum(self) -> np.ndarray:
+        if self._row_spectrum is None:
+            with sfft.set_workers(fft_workers()):
+                self._row_spectrum = sfft.fftn(self.row)
+        return self._row_spectrum
+
+    @property
     def moments(self) -> dict:
         if self._moments is None:
             self._moments = exterior_moments(self.grid, self.spec)
         return self._moments
-
-    @property
-    def t0_zero_exterior(self) -> np.ndarray:
-        if self._t0_zero is None:
-            if isinstance(self.grid.boundary, Periodic):
-                self._t0_zero = zero_exterior_t0(self.grid, self.spec)
-            else:
-                t0 = self.moments["t0"]
-                self._t0_zero = t0 if t0.shape == self.grid.shape else \
-                    np.broadcast_to(t0, self.grid.shape)
-        return self._t0_zero
 
     # -- convolution primitives ---------------------------------------------
 
@@ -489,13 +509,14 @@ class DiscreteOperator:
             w = self.weights
             out = np.correlate(np.pad(f, (p - 1, p - 1)), w[::-1], mode="valid")
             return out
-        with sfft.set_workers(fft_workers()):
-            return signal.fftconvolve(f, self.weights, mode="same")
+        if self._engine is None:
+            self._engine = FFTConvolver(self.weights, self.grid.shape)
+        return self._engine(f)
 
     def conv_periodic(self, f: np.ndarray) -> np.ndarray:
         """Circular correlation with the periodized row."""
         with sfft.set_workers(fft_workers()):
-            return sfft.ifftn(sfft.fftn(f) * sfft.fftn(self.row)).real
+            return sfft.ifftn(sfft.fftn(f) * self.row_spectrum).real
 
     def conv(self, f: np.ndarray) -> np.ndarray:
         if isinstance(self.grid.boundary, Periodic):
@@ -520,9 +541,7 @@ class DiscreteOperator:
 
     def symbol(self) -> np.ndarray:
         """Exact eigenvalues of the periodic operator on DFT modes (>= 0)."""
-        with sfft.set_workers(fft_workers()):
-            lam = self.colsum - sfft.fftn(self.row).real
-        return np.maximum(lam, 0.0)
+        return np.maximum(self.colsum - self.row_spectrum.real, 0.0)
 
     def dense_matrix(self) -> np.ndarray:
         """Full operator matrix including tails; 1D exterior grids only."""
@@ -570,17 +589,14 @@ class DiscreteOperator:
         """Half the full-space pair sum of a compactly supported perturbation.
 
         The perturbation extends by zero outside the box, so the exterior
-        enters only through t0.
+        enters only through t0; on periodic grids this is the form of the
+        free twin (zero extension, not periodic wrap).
         """
         g = self.grid
         if isinstance(g.boundary, Periodic):
-            # zero extension, not periodic wrap: use free-space weights
-            free_op = _free_twin(self)
-            pair = 2.0 * float((xi * xi * free_op.colsum - xi * free_op.conv(xi)).sum())
-            t0 = self.t0_zero_exterior
-        else:
-            pair = 2.0 * float((xi * xi * self.colsum - xi * self.conv(xi)).sum())
-            t0 = np.broadcast_to(self.moments["t0"], g.shape)
+            return _free_twin(self).quadratic_form(xi)
+        pair = 2.0 * float((xi * xi * self.colsum - xi * self.conv(xi)).sum())
+        t0 = np.broadcast_to(self.moments["t0"], g.shape)
         tail = float((xi * xi * t0).sum())
         return 0.5 * g.cell_volume() * (pair + 2.0 * tail)
 
@@ -588,39 +604,35 @@ class DiscreteOperator:
         """(L_free + diag) xi with zero extension outside the box."""
         g = self.grid
         if isinstance(g.boundary, Periodic):
-            free_op = _free_twin(self)
-            lin = xi * (free_op.colsum + self.t0_zero_exterior) - free_op.conv(xi)
-        else:
-            t0 = np.broadcast_to(self.moments["t0"], g.shape)
-            lin = xi * (self.colsum + t0) - self.conv(xi)
+            return _free_twin(self).stability_apply(xi, diag)
+        t0 = np.broadcast_to(self.moments["t0"], g.shape)
+        lin = xi * (self.colsum + t0) - self.conv(xi)
         return lin + diag * xi
 
 
-_registry: dict = {}
-_free_registry: dict = {}
+_registry: OrderedDict = OrderedDict()
 
 
 def get_operator(grid: Grid, spec) -> DiscreteOperator:
+    """The shared operator for (grid, kernel).
+
+    The registry keeps the 64 most recently used operators; past that bound
+    the least recently used one is evicted.
+    """
     key = (grid.key(), spec.key())
     op = _registry.get(key)
     if op is None:
-        op = DiscreteOperator(grid, spec)
+        op = _registry[key] = DiscreteOperator(grid, spec)
         if len(_registry) > 64:
-            _registry.clear()
-        _registry[key] = op
+            _registry.popitem(last=False)
+    else:
+        _registry.move_to_end(key)
     return op
 
 
 def _free_twin(op: DiscreteOperator) -> DiscreteOperator:
     """Same weights on the same node set but with free (zero) exterior."""
     g = op.grid
-    key = (g.key(), op.spec.key())
-    twin = _free_registry.get(key)
-    if twin is None:
-        free_grid = Grid(g.n, g.h, g.box_radius,
-                         ConstantExterior([(0.0, 0.0)] * g.n), g.centered)
-        twin = DiscreteOperator(free_grid, op.spec)
-        if len(_free_registry) > 64:
-            _free_registry.clear()
-        _free_registry[key] = twin
-    return twin
+    free_grid = Grid(g.n, g.h, g.box_radius,
+                     ConstantExterior([(0.0, 0.0)] * g.n), g.centered)
+    return get_operator(free_grid, op.spec)

@@ -30,6 +30,7 @@ from .kernels import KernelSpec
 __all__ = [
     "Potential",
     "EnergyBreakdown",
+    "EnergyEstimate",
     "VariationMap",
     "sobolev_energy",
     "potential_energy",
@@ -148,6 +149,21 @@ def audit_potential(W: Potential, samples: int = 4001):
 # energies
 # ---------------------------------------------------------------------------
 
+class EnergyEstimate(float):
+    """An energy value that carries its standard error.
+
+    The error is 0.0 for exact evaluations and positive for sampled ones;
+    the value itself behaves as a plain float.
+    """
+
+    __slots__ = ("stderr",)
+
+    def __new__(cls, value: float, stderr: float = 0.0):
+        obj = super().__new__(cls, value)
+        obj.stderr = float(stderr)
+        return obj
+
+
 @dataclass
 class EnergyBreakdown:
     sobolev: float
@@ -177,27 +193,28 @@ def _classical_sobolev(u: ScalarField, region: BallRegion) -> float:
 
 
 def sobolev_energy(u: ScalarField, region: BallRegion, spec: KernelSpec,
-                   seed: int = 0, pairs_per_stratum: int = 20000):
+                   seed: int = 0, pairs_per_stratum: int = 20000) -> EnergyEstimate:
     """Interaction energy over pairs meeting the region, with exterior tails.
 
-    Dimensions 1 and 2 are exact pair sums (evaluated through FFT
-    correlations, exact to round-off); dimension 3 is stratified-subsampled
-    by pair distance and returns (value, stderr).  The classical kind is
-    the local Dirichlet energy over the region.
+    Returns an `EnergyEstimate` in every dimension.  Dimensions 1 and 2 are
+    exact pair sums (evaluated through FFT correlations, exact to
+    round-off) with stderr 0.0; dimension 3 is stratified-subsampled by
+    pair distance and carries the estimator's stderr.  The classical kind
+    is the local Dirichlet energy over the region, also with stderr 0.0.
     """
     g = u.grid
     if not isinstance(g.boundary, Periodic):
         region.check_inside(g)
     if spec.kind == "classical":
-        return _classical_sobolev(u, region)
+        return EnergyEstimate(_classical_sobolev(u, region))
     if g.n == 3:
         return _sobolev_subsampled(u, region, spec, seed, pairs_per_stratum)
     op = get_operator(g, spec)
-    return op.sobolev_energy(u.values, region.mask(g))
+    return EnergyEstimate(op.sobolev_energy(u.values, region.mask(g)))
 
 
 def _sobolev_subsampled(u: ScalarField, region: BallRegion, spec: KernelSpec,
-                        seed: int, pairs_per_stratum: int):
+                        seed: int, pairs_per_stratum: int) -> EnergyEstimate:
     """Stratified estimator of the pair sum in 3D, with reported stderr."""
     g = u.grid
     op = get_operator(g, spec)
@@ -257,7 +274,7 @@ def _sobolev_subsampled(u: ScalarField, region: BallRegion, spec: KernelSpec,
         uu = vals
         tail = (uu * uu * mom["t0"] - 2.0 * uu * mom["t1"] + mom["t2"])[mask].sum()
         e += 0.5 * g.cell_volume() * tail
-    return e, err
+    return EnergyEstimate(e, err)
 
 
 def potential_energy(u: ScalarField, region: BallRegion, W: Potential,
@@ -277,11 +294,8 @@ def potential_energy(u: ScalarField, region: BallRegion, W: Potential,
 def energy_breakdown(u: ScalarField, region: BallRegion, spec: KernelSpec,
                      W: Potential, epsilon: float = 1.0) -> EnergyBreakdown:
     sob = sobolev_energy(u, region, spec)
-    stderr = 0.0
-    if isinstance(sob, tuple):
-        sob, stderr = sob
     pot = potential_energy(u, region, W, epsilon, spec.s)
-    return EnergyBreakdown(sob, pot, region, epsilon, stderr)
+    return EnergyBreakdown(float(sob), pot, region, epsilon, sob.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +349,6 @@ def perimeter_identity_residual(E: IndicatorSet, region: BallRegion, s: float) -
     p = fractional_perimeter(E, region, s)
     v = E.sign_field()
     e = sobolev_energy(v, region, KernelSpec.perimeter(s))
-    if isinstance(e, tuple):
-        e = e[0]
     denom = max(abs(p), 1e-300)
     return abs(p - 0.5 * e) / denom
 
@@ -410,10 +422,8 @@ def translation_comparison(u: ScalarField, vmap: VariationMap, spec: KernelSpec,
     minus = domain_variation(u, VariationMap(vmap.direction, -vmap.t))
 
     def tot(f):
-        e = sobolev_energy(f, region, spec)
-        if isinstance(e, tuple):
-            e = e[0]
-        return e, potential_energy(f, region, W, epsilon, spec.s)
+        return (sobolev_energy(f, region, spec),
+                potential_energy(f, region, W, epsilon, spec.s))
 
     s0, p0 = tot(u)
     sp, pp = tot(plus)

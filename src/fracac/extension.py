@@ -17,7 +17,7 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.special import betainc, gamma as gamma_fn
 
-from ._lattice import fft_workers
+from ._lattice import axis_cell_bounds, exterior_asymptote, fft_workers
 from .energies import Potential
 from .errors import ConfigurationError
 from .fields import (
@@ -87,14 +87,6 @@ class ExtensionField:
     resolution_flag: bool = False
     _corner_cache: dict = dfield(default_factory=dict, repr=False)
 
-    @property
-    def weight_exponent(self) -> float:
-        return 1.0 - self.s
-
-    @property
-    def d_s(self) -> float:
-        return extension_constant(self.s)
-
 
 @dataclass
 class MonotonicityTrace:
@@ -161,22 +153,13 @@ class _Exterior1DTail:
     def __init__(self, u: ScalarField, s: float):
         g = u.grid
         b = g.boundary
-        m, h = g.half_count, g.h
-        if g.centered:
-            self.b_lo, self.b_hi = -m * h - h / 2.0, m * h + h / 2.0
-        else:
-            self.b_lo, self.b_hi = -m * h - h / 2.0, (m - 1) * h + h / 2.0
+        self.b_lo, self.b_hi = axis_cell_bounds(g)
         self.s = s
         if isinstance(b, ConstantExterior):
             self.g_lo, self.g_hi = b.sides[0]
             self.field_corr = None
         elif isinstance(b, FieldExterior):
-            if b.asymptote is not None:
-                self.g_lo, self.g_hi = b.asymptote
-            else:
-                far = 1e9
-                self.g_lo = float(b(np.array([[-far]])))
-                self.g_hi = float(b(np.array([[far]])))
+            self.g_lo, self.g_hi = exterior_asymptote(g)
             span = np.geomspace(1e-3, 2e4, 1200)
             self.t_hi = self.b_hi + span
             self.t_lo = self.b_lo - span

@@ -99,15 +99,13 @@ class FieldExterior:
     """Exterior values given by a callable on points of R^n.
 
     ``asymptote`` optionally names the limiting values (lo, hi) of the
-    exterior field along ``direction`` far from the box; tail integrals use
-    it to split off a closed-form part.
+    exterior field far from the box; tail integrals use it to split off a
+    closed-form part.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray],
-                 direction: Optional[np.ndarray] = None,
                  asymptote: Optional[tuple[float, float]] = None):
         self.fn = fn
-        self.direction = None if direction is None else np.asarray(direction, dtype=float)
         self.asymptote = asymptote
 
     token = "exterior_field"
@@ -329,10 +327,7 @@ def rescale_blowdown(u: ScalarField, R: float) -> ScalarField:
         new_boundary = FieldExterior(lambda p, _u=u, _R=R: evaluate_field(_u, np.atleast_2d(p) * _R))
         src = g.boundary
         if isinstance(src, FieldExterior):
-            new_boundary.direction = src.direction
             new_boundary.asymptote = src.asymptote
-        elif isinstance(src, ConstantExterior):
-            new_boundary.asymptote = None
     new_grid = Grid(g.n, g.h, g.box_radius, new_boundary, g.centered)
     return ScalarField(new_grid, vals, u.range_hint)
 
@@ -349,6 +344,39 @@ def l1_distance(f: ScalarField, g: ScalarField, region: BallRegion) -> float:
     return float(f.grid.cell_volume() * np.abs(f.values - g.values)[mask].sum())
 
 
+def exterior_neighbors(u: ScalarField) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per axis, the values (plus, minus) at x + h e_axis and x - h e_axis.
+
+    For exterior grids: legs that leave the box take the boundary model's
+    value there, so every node has a full stencil.
+    """
+    g = u.grid
+    vals = u.values
+    pts = g.coords().reshape(g.shape + (g.n,))
+    out = []
+    for ax in range(g.n):
+        plus = np.empty_like(vals)
+        minus = np.empty_like(vals)
+        sl_core = [slice(None)] * g.n
+        sl_core[ax] = slice(0, -1)
+        sl_shift = [slice(None)] * g.n
+        sl_shift[ax] = slice(1, None)
+        plus[tuple(sl_core)] = vals[tuple(sl_shift)]
+        minus[tuple(sl_shift)] = vals[tuple(sl_core)]
+        face_hi = [slice(None)] * g.n
+        face_hi[ax] = slice(-1, None)
+        face_lo = [slice(None)] * g.n
+        face_lo[ax] = slice(0, 1)
+        p_hi = pts[tuple(face_hi)].reshape(-1, g.n).copy()
+        p_hi[:, ax] += g.h
+        p_lo = pts[tuple(face_lo)].reshape(-1, g.n).copy()
+        p_lo[:, ax] -= g.h
+        plus[tuple(face_hi)] = g.boundary(p_hi).reshape(plus[tuple(face_hi)].shape)
+        minus[tuple(face_lo)] = g.boundary(p_lo).reshape(minus[tuple(face_lo)].shape)
+        out.append((plus, minus))
+    return out
+
+
 def gradient_components(u: ScalarField) -> list[np.ndarray]:
     """Central-difference gradient components at every node.
 
@@ -356,36 +384,12 @@ def gradient_components(u: ScalarField) -> list[np.ndarray]:
     boundary model beyond the last node, so every node has a full stencil.
     """
     g = u.grid
-    vals = u.values
-    comps = []
-    for axis in range(g.n):
-        if isinstance(g.boundary, Periodic):
-            plus = np.roll(vals, -1, axis=axis)
-            minus = np.roll(vals, 1, axis=axis)
-        else:
-            plus = np.empty_like(vals)
-            minus = np.empty_like(vals)
-            sl_in = [slice(None)] * g.n
-            sl_lo = [slice(None)] * g.n
-            sl_hi = [slice(None)] * g.n
-            sl_in[axis] = slice(1, None)
-            plus[tuple(sl_lo[:axis] + [slice(0, -1)] + sl_lo[axis + 1:])] = vals[tuple(sl_in)]
-            sl_in[axis] = slice(0, -1)
-            minus[tuple(sl_hi[:axis] + [slice(1, None)] + sl_hi[axis + 1:])] = vals[tuple(sl_in)]
-            # boundary stencil legs from the exterior model
-            pts = g.coords().reshape(g.shape + (g.n,))
-            face_hi = [slice(None)] * g.n
-            face_hi[axis] = slice(-1, None)
-            face_lo = [slice(None)] * g.n
-            face_lo[axis] = slice(0, 1)
-            p_hi = pts[tuple(face_hi)].reshape(-1, g.n).copy()
-            p_hi[:, axis] += g.h
-            p_lo = pts[tuple(face_lo)].reshape(-1, g.n).copy()
-            p_lo[:, axis] -= g.h
-            plus[tuple(face_hi)] = g.boundary(p_hi).reshape(plus[tuple(face_hi)].shape)
-            minus[tuple(face_lo)] = g.boundary(p_lo).reshape(minus[tuple(face_lo)].shape)
-        comps.append((plus - minus) / (2.0 * g.h))
-    return comps
+    if isinstance(g.boundary, Periodic):
+        legs = [(np.roll(u.values, -1, axis=ax), np.roll(u.values, 1, axis=ax))
+                for ax in range(g.n)]
+    else:
+        legs = exterior_neighbors(u)
+    return [(plus - minus) / (2.0 * g.h) for plus, minus in legs]
 
 
 def gradient_magnitude(u: ScalarField) -> np.ndarray:
@@ -447,7 +451,6 @@ def embed_profile(profile: ScalarField, direction, grid: Grid) -> ScalarField:
     vals = evaluate_field(profile, t[:, None]).reshape(grid.shape)
     ext = FieldExterior(
         lambda p, _prof=profile, _e=e: evaluate_field(_prof, (np.atleast_2d(p) @ _e)[:, None]),
-        direction=e,
         asymptote=_profile_asymptote(profile),
     )
     new_grid = Grid(grid.n, grid.h, grid.box_radius, ext, grid.centered)

@@ -23,14 +23,20 @@ import numpy as np
 from scipy import fft as sfft
 
 from ._lattice import (
-    DiscreteOperator,
     continuum_symbol_constant,
     fft_workers,
     get_operator,
     symbol_constant,
 )
 from .errors import ConfigurationError, SingularityError
-from .fields import ConstantExterior, FieldExterior, Grid, Periodic, ScalarField
+from .fields import (
+    ConstantExterior,
+    FieldExterior,
+    Grid,
+    Periodic,
+    ScalarField,
+    exterior_neighbors,
+)
 
 __all__ = [
     "KernelSpec",
@@ -180,26 +186,7 @@ def apply_laplacian(u: ScalarField) -> ScalarField:
         for ax in range(g.n):
             out += 2.0 * vals - np.roll(vals, 1, axis=ax) - np.roll(vals, -1, axis=ax)
         return ScalarField(g, out / g.h ** 2)
-    pts = g.coords().reshape(g.shape + (g.n,))
-    for ax in range(g.n):
-        plus = np.empty_like(vals)
-        minus = np.empty_like(vals)
-        sl_core = [slice(None)] * g.n
-        sl_core[ax] = slice(0, -1)
-        sl_shift = [slice(None)] * g.n
-        sl_shift[ax] = slice(1, None)
-        plus[tuple(sl_core)] = vals[tuple(sl_shift)]
-        minus[tuple(sl_shift)] = vals[tuple(sl_core)]
-        face_hi = [slice(None)] * g.n
-        face_hi[ax] = slice(-1, None)
-        face_lo = [slice(None)] * g.n
-        face_lo[ax] = slice(0, 1)
-        p_hi = pts[tuple(face_hi)].reshape(-1, g.n).copy()
-        p_hi[:, ax] += g.h
-        p_lo = pts[tuple(face_lo)].reshape(-1, g.n).copy()
-        p_lo[:, ax] -= g.h
-        plus[tuple(face_hi)] = g.boundary(p_hi).reshape(plus[tuple(face_hi)].shape)
-        minus[tuple(face_lo)] = g.boundary(p_lo).reshape(minus[tuple(face_lo)].shape)
+    for plus, minus in exterior_neighbors(u):
         out += 2.0 * vals - plus - minus
     return ScalarField(g, out / g.h ** 2)
 
@@ -257,8 +244,3 @@ def kernel_bounds_audit(spec: KernelSpec, n: int, radii=None) -> dict:
         "derivative_ok": deriv_ok,
         "passed": lower_ok and upper_ok and deriv_ok,
     }
-
-
-def discrete_operator(grid: Grid, spec: KernelSpec) -> DiscreteOperator:
-    """Shared access to the cached operator bundle (advanced use)."""
-    return get_operator(grid, spec)

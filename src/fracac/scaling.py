@@ -140,20 +140,11 @@ def bv_scaling(u: ScalarField, radii: Sequence[float]):
 
 
 def sobolev_scaling(u: ScalarField, radii: Sequence[float], spec: KernelSpec):
-    vals = []
-    errs = []
-    for R in radii:
-        e = sobolev_energy(u, _region(u, R), spec)
-        if isinstance(e, tuple):
-            vals.append(e[0])
-            errs.append(e[1])
-        else:
-            vals.append(e)
-            errs.append(0.0)
-    exp = ScalingExperiment("sobolev", np.asarray(radii, dtype=float),
-                            np.array(vals), np.array(errs))
+    energies = [sobolev_energy(u, _region(u, R), spec) for R in radii]
+    exp = ScalingExperiment("sobolev", np.asarray(radii, dtype=float), energies,
+                            [e.stderr for e in energies])
     if np.all(exp.values == 0.0):
-        return exp, FitResult(0.0, 0.0, 1.0, (0, len(vals)), degenerate=True)
+        return exp, FitResult(0.0, 0.0, 1.0, (0, len(energies)), degenerate=True)
     return exp, fit_loglog(exp)
 
 
@@ -162,8 +153,6 @@ def full_energy_scaling(u: ScalarField, radii: Sequence[float], spec: KernelSpec
     vals = []
     for R in radii:
         e = sobolev_energy(u, _region(u, R), spec)
-        if isinstance(e, tuple):
-            e = e[0]
         e += potential_energy(u, _region(u, R), W, epsilon, spec.s)
         vals.append(e)
     exp = ScalingExperiment("full_energy", np.asarray(radii, dtype=float), np.array(vals))
@@ -192,10 +181,7 @@ def potential_vs_sobolev(u: ScalarField, radii: Sequence[float], R0: float,
             denom = sob + R ** (u.grid.n - 1)
         else:
             pot = potential_energy(u, _region(u, R - R0), W)
-            sob = sobolev_energy(u, _region(u, R), spec)
-            if isinstance(sob, tuple):
-                sob = sob[0]
-            denom = sob
+            denom = sobolev_energy(u, _region(u, R), spec)
         if denom == 0.0:
             return {"degenerate": True, "ratios": None}
         ratios.append(pot / denom)

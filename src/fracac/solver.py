@@ -283,10 +283,7 @@ def euler_lagrange_consistency(u: ScalarField, xi: ScalarField, spec: KernelSpec
 
     def energy(v):
         f = u.copy_with(v)
-        e = sobolev_energy(f, region, spec)
-        if isinstance(e, tuple):
-            e = e[0]
-        return e + potential_energy(f, region, W, epsilon, spec.s)
+        return sobolev_energy(f, region, spec) + potential_energy(f, region, W, epsilon, spec.s)
 
     d_fd = (energy(u.values + tau * xi.values) - energy(u.values - tau * xi.values)) / (2.0 * tau)
     op = get_operator(g, spec)

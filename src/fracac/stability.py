@@ -15,7 +15,7 @@ from scipy import ndimage
 from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse.linalg import LinearOperator, lobpcg
 
-from ._lattice import get_operator, _free_twin
+from ._lattice import _free_twin, get_operator
 from .energies import Potential, fractional_perimeter
 from .errors import ConfigurationError, FlowError
 from .fields import (
@@ -27,7 +27,7 @@ from .fields import (
     gradient_components,
 )
 from .kernels import KernelSpec
-from .solver import residual_field
+from .solver import _pot_weight, residual_field
 
 __all__ = [
     "StabilityReport",
@@ -55,7 +55,6 @@ class VectorFieldSpec:
 
     components: Callable[[np.ndarray], np.ndarray]
     support_radius: float
-    time_dependent: bool = False
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
@@ -63,10 +62,6 @@ class VectorFieldSpec:
         r = np.linalg.norm(pts, axis=1)
         out[r > self.support_radius] = 0.0
         return out
-
-
-def _pot_weight(epsilon, s):
-    return epsilon ** (-s)
 
 
 def second_variation(u: ScalarField, xi: ScalarField, spec: KernelSpec,
@@ -151,7 +146,13 @@ def min_rayleigh(u: ScalarField, region: BallRegion, spec: KernelSpec,
                            matvec=lambda v: apply_restricted(np.asarray(v).ravel()))
     rng = np.random.default_rng(0)
     X = rng.normal(size=(ndof, 3))
-    vals, vecs = lobpcg(linop, X, largest=False, maxiter=iterations, tol=1e-8)
+    tol = 1e-8
+    vals, vecs, history = lobpcg(linop, X, largest=False, maxiter=iterations, tol=tol,
+                                 retResidualNormsHistory=True)
+    # scipy 1.17 records 3 residual rows besides one per iteration, so an
+    # exhausted budget gives maxiter + 3 rows; the last row is the final one
+    done = min(len(history) - 3, iterations)
+    converged = bool(np.all(np.asarray(history[-1]) <= tol))
     order = np.argsort(vals)
     v = vecs[:, order[0]]
     witness_vals = np.zeros(g.node_count)
@@ -159,7 +160,7 @@ def min_rayleigh(u: ScalarField, region: BallRegion, spec: KernelSpec,
     witness = ScalarField(g, witness_vals.reshape(g.shape))
     lam_cert = second_variation(u, witness, spec, W, epsilon) / \
         (g.cell_volume() * float((witness.values ** 2).sum()))
-    return StabilityReport(lam_cert, witness, iterations, region)
+    return StabilityReport(lam_cert, witness, done, region, converged)
 
 
 def _smooth_cut(r: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from fracac import (
     sobolev_energy,
     translation_comparison,
 )
-from fracac.energies import energy_breakdown, cutoff_profile
+from fracac.energies import EnergyEstimate, energy_breakdown, cutoff_profile
 from fracac.errors import ConfigurationError
 from fracac.fields import gradient_l1_norm
 
@@ -223,7 +223,8 @@ def test_sobolev_3d_subsample_matches_brute_force():
     u = ScalarField(g, rng.normal(size=g.shape))
     region = BallRegion((0.0, 0.0, 0.0), 0.75)
     spec = KernelSpec.fractional(0.5)
-    est, err = sobolev_energy(u, region, spec, seed=1, pairs_per_stratum=60000)
+    est = sobolev_energy(u, region, spec, seed=1, pairs_per_stratum=60000)
+    err = est.stderr
 
     # brute force over all ordered pairs with >= 1 endpoint in the region
     from fracac._lattice import get_operator
@@ -245,6 +246,24 @@ def test_sobolev_3d_subsample_matches_brute_force():
     tail = (uu ** 2 * mom["t0"] - 2 * uu * mom["t1"] + mom["t2"])[region.mask(g)].sum()
     brute += 0.5 * g.cell_volume() * float(tail)
     assert abs(est - brute) <= max(4.0 * err, 0.02 * brute)
+
+
+def test_sobolev_energy_same_type_in_every_dimension():
+    """One float type everywhere; only the sampled 3D route has a stderr."""
+    rng = np.random.default_rng(4)
+    spec = KernelSpec.fractional(0.5)
+    out = {}
+    for n in (1, 2, 3):
+        g = Grid(n, 0.25, 1.0, ConstantExterior([(0.0, 0.0)] * n))
+        u = ScalarField(g, rng.normal(size=g.shape))
+        region = BallRegion((0.0,) * n, 0.75)
+        out[n] = sobolev_energy(u, region, spec, pairs_per_stratum=2000)
+        if n == 1:
+            out["classical"] = sobolev_energy(u, region, KernelSpec.classical())
+    assert {type(e) for e in out.values()} == {EnergyEstimate}
+    assert all(isinstance(e, float) for e in out.values())
+    assert out[1].stderr == out[2].stderr == out["classical"].stderr == 0.0
+    assert out[3].stderr > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ from fracac import (
     make_grid,
     monotonicity_trace,
     neumann_trace_residual,
+    rescale_blowdown,
+    solve_layer_1d,
 )
 from fracac.errors import ConfigurationError
 
@@ -241,3 +243,12 @@ def test_layer_phi_monotone_across_orders(s, quartic):
     U = extend(phi, s, y_max=18.0)
     tr = monotonicity_trace(U, [2.0, 4.0, 8.0, 16.0], quartic)
     assert tr.violations == []
+
+
+def test_extend_field_exterior_without_asymptote():
+    """A zoomed layer has a field exterior with no declared asymptote; its
+    limits are probed far from the box and the levels stay in [-1, 1]."""
+    zoomed = rescale_blowdown(solve_layer_1d(0.5, 20, 0.1), 2.0)
+    assert zoomed.grid.boundary.asymptote is None
+    U = extend(zoomed, 0.5, y_max=4.0)
+    assert np.all(U.values >= -1.0) and np.all(U.values <= 1.0)

@@ -18,7 +18,15 @@ from fracac import (
 )
 from fracac.errors import ConfigurationError, SingularityError
 from fracac.kernels import kernel_bounds_audit
-from fracac._lattice import shell_correction, symbol_constant, continuum_symbol_constant
+from fracac import _lattice
+from fracac._lattice import (
+    FFTConvolver,
+    _free_twin,
+    continuum_symbol_constant,
+    get_operator,
+    shell_correction,
+    symbol_constant,
+)
 
 from conftest import mode_field
 
@@ -228,3 +236,48 @@ def test_quadrature_3d_constant_and_linearity_smoke():
     rhs = apply_quadrature(u, spec).values + apply_quadrature(v, spec).values
     scale = float(np.max(np.abs(lhs)))
     assert np.allclose(lhs, rhs, atol=1e-11 * scale)
+
+
+# ---------------------------------------------------------------------------
+# convolution engine and operator registry
+# ---------------------------------------------------------------------------
+
+def test_free_convolution_matches_fftconvolve_bitwise():
+    """The engine pads and crops like scipy's fftconvolve, so the free-space
+    operator and the enlarged exterior-moment kernel agree bit for bit."""
+    from scipy import signal
+    rng = np.random.default_rng(11)
+    g = Grid(2, 0.25, 4.0, ConstantExterior([(-1.0, 1.0)] * 2))
+    op = get_operator(g, KernelSpec.fractional(0.5))
+    f = rng.normal(size=g.shape)
+    assert np.array_equal(op.conv_free(f), signal.fftconvolve(f, op.weights, mode="same"))
+    big = rng.normal(size=(65, 65))
+    field = rng.normal(size=(32, 32))
+    assert np.array_equal(FFTConvolver(big, field.shape)(field),
+                          signal.fftconvolve(field, big, mode="same"))
+
+
+def test_periodic_free_twin_is_the_registry_operator():
+    spec = KernelSpec.fractional(0.5)
+    periodic = make_grid(2, 2.0, 0.25)
+    free = Grid(2, 0.25, 2.0, ConstantExterior([(0.0, 0.0)] * 2))
+    assert _free_twin(get_operator(periodic, spec)) is get_operator(free, spec)
+
+
+def test_operator_registry_evicts_least_recently_used():
+    """Past 64 operators only the least recently used one is dropped."""
+    saved = _lattice._registry.copy()
+    _lattice._registry.clear()
+    try:
+        spec = KernelSpec.fractional(0.5)
+        grids = [Grid(1, 1.0, float(k + 1)) for k in range(65)]
+        keep = get_operator(grids[0], spec)
+        for g in grids[1:]:
+            get_operator(g, spec)
+            assert get_operator(grids[0], spec) is keep
+        assert len(_lattice._registry) == 64
+        assert (grids[1].key(), spec.key()) not in _lattice._registry
+        assert get_operator(grids[0], spec) is keep
+    finally:
+        _lattice._registry.clear()
+        _lattice._registry.update(saved)

@@ -225,8 +225,7 @@ def test_seminorm_gradient_interpolation_frozen_constant(layer_s05):
 
 def test_blowdown_exact_sign_field_zero_distances():
     from fracac import FieldExterior, blowdown_convergence
-    ext = FieldExterior(lambda p: np.sign(p[:, 0] + 1e-300),
-                        direction=np.array([1.0, 0.0]), asymptote=(-1.0, 1.0))
+    ext = FieldExterior(lambda p: np.sign(p[:, 0] + 1e-300), asymptote=(-1.0, 1.0))
     g = Grid(2, 0.125, 4.0, ext)
     pts = g.coords()
     u = ScalarField(g, np.sign(pts[:, 0] + 1e-300).reshape(g.shape))

@@ -15,6 +15,7 @@ from fracac import (
     VectorFieldSpec,
     flow_map,
     gradient_test_inequality,
+    make_grid,
     min_rayleigh,
     perimeter_stability_quotients,
     second_variation,
@@ -108,6 +109,18 @@ def test_min_rayleigh_monotone_in_region(quartic, layer_s05, spec1_unit):
             for R in (8.0, 12.0, 16.0)]
     assert vals[0] >= vals[1] - 1e-10
     assert vals[1] >= vals[2] - 1e-10
+
+
+@pytest.mark.filterwarnings("ignore:Exited")
+def test_min_rayleigh_2d_reports_real_convergence(quartic):
+    g = make_grid(2, 4.0, 0.25)
+    u = ScalarField(g, np.tanh(g.coords()[:, 0]).reshape(g.shape))
+    spec = KernelSpec.fractional_unit(0.5, 2)
+    region = BallRegion((0.0, 0.0), 2.0)
+    short = min_rayleigh(u, region, spec, quartic, iterations=2)
+    assert short.converged is False and short.iterations <= 2
+    full = min_rayleigh(u, region, spec, quartic)
+    assert full.converged is True and full.iterations < 300
 
 
 def test_stable_solution_nonnegative_on_sampled_perturbations(quartic, layer_s05, spec1_unit):
