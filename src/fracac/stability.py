@@ -147,12 +147,18 @@ def min_rayleigh(u: ScalarField, region: BallRegion, spec: KernelSpec,
     rng = np.random.default_rng(0)
     X = rng.normal(size=(ndof, 3))
     tol = 1e-8
-    vals, vecs, history = lobpcg(linop, X, largest=False, maxiter=iterations, tol=tol,
-                                 retResidualNormsHistory=True)
-    # scipy 1.17 records 3 residual rows besides one per iteration, so an
-    # exhausted budget gives maxiter + 3 rows; the last row is the final one
-    done = min(len(history) - 3, iterations)
-    converged = bool(np.all(np.asarray(history[-1]) <= tol))
+    res = lobpcg(linop, X, largest=False, maxiter=iterations, tol=tol,
+                 retResidualNormsHistory=True)
+    if len(res) == 2:
+        # below 5 dofs per block vector scipy solves densely and keeps no history
+        (vals, vecs), done, converged = res, 0, True
+    else:
+        vals, vecs, history = res
+        # the history holds the residuals of iterates 0..k, k being the block
+        # update that lobpcg returns (at most maxiter + 1), then one row of
+        # post-processed residuals; so k = len(history) - 2
+        done = min(len(history) - 2, iterations)
+        converged = bool(np.all(np.asarray(history[-1]) <= tol))
     order = np.argsort(vals)
     v = vecs[:, order[0]]
     witness_vals = np.zeros(g.node_count)

@@ -123,6 +123,29 @@ def test_min_rayleigh_2d_reports_real_convergence(quartic):
     assert full.converged is True and full.iterations < 300
 
 
+@pytest.mark.filterwarnings("ignore:The problem size")
+def test_min_rayleigh_2d_small_region_dense_oracle(quartic):
+    # 5 nodes: fewer than lobpcg needs for 3 block vectors, so it solves densely
+    g = make_grid(2, 4.0, 0.25)
+    u = ScalarField(g, np.tanh(g.coords()[:, 0]).reshape(g.shape))
+    spec = KernelSpec.fractional_unit(0.5, 2)
+    region = BallRegion((0.0, 0.0), 0.3)
+    idx = np.flatnonzero(region.mask(g).ravel())
+    assert len(idx) == 5
+    rep = min_rayleigh(u, region, spec, quartic)
+    assert rep.converged is True and rep.iterations == 0
+
+    op = get_operator(g, spec)
+    diag = quartic.wpp(u.values)
+    cols = []
+    for i in idx:
+        e = np.zeros(g.node_count)
+        e[i] = 1.0
+        cols.append(op.stability_apply(e.reshape(g.shape), diag).ravel()[idx])
+    lam = np.linalg.eigvalsh(np.array(cols).T)[0]
+    assert rep.min_rayleigh == pytest.approx(lam, rel=1e-9, abs=1e-9)
+
+
 def test_stable_solution_nonnegative_on_sampled_perturbations(quartic, layer_s05, spec1_unit):
     rng = np.random.default_rng(5)
     rep = min_rayleigh(layer_s05, BallRegion((0.0,), 20.0), spec1_unit, quartic)
