@@ -2,10 +2,11 @@
 Neumann trace check, and the scale-normalized energy monotonicity quantity.
 
 The extension U of a boundary field u solves div(y^{1-s} grad U) = 0 with
-U(.,0) = u.  It is built level by level as a convolution with the kernel
-y^s / (|z|^2 + y^2)^{(n+s)/2}, normalized numerically on each level so
-constants extend to constants exactly (which also fixes the kernel's
-absolute constant in the discrete setting).
+U(.,0) = u (Caffarelli-Silvestre), in closed form on both routes: periodic
+levels are the exact extension of the trigonometric interpolant of u (a
+Bessel multiplier per Fourier mode); 1D exterior levels and gradients are
+exact for the piecewise-constant interpolant, through the kernel
+y^s / (z^2 + y^2)^{(1+s)/2}.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy import fft as sfft
-from scipy.special import betainc, gamma as gamma_fn
+from scipy.special import betainc, gamma as gamma_fn, kv
 
 from ._lattice import axis_cell_bounds, exterior_asymptote, fft_workers
 from .energies import Potential
@@ -46,19 +47,34 @@ def extension_constant(s: float) -> float:
     return 2.0 ** (s - 1.0) * gamma_fn(s / 2.0) / gamma_fn(1.0 - s / 2.0)
 
 
-def default_levels(h: float, y_max: float, ratio: float = 1.15) -> np.ndarray:
-    """Geometric grading toward 0: smallest level h/4, growing by `ratio`."""
-    y_min = h / 4.0
-    k = int(np.ceil(np.log(y_max / y_min) / np.log(ratio)))
-    return np.concatenate([[0.0], y_min * ratio ** np.arange(k + 1)])
+def _levels(s: float, h: float, y_max: float, levels) -> np.ndarray:
+    """Validated level heights led by y = 0, shared by every backend.  The
+    default grades geometrically from h/4 by a ratio 1.15 to at least y_max."""
+    if not (0.0 < s < 1.0):
+        raise ConfigurationError("extension order must lie in (0, 1)")
+    if levels is None:
+        if not y_max > 0.0:
+            raise ConfigurationError("y_max must be positive")
+        k = int(np.ceil(np.log(y_max / (h / 4.0)) / np.log(1.15)))
+        levels = h / 4.0 * 1.15 ** np.arange(k + 1)
+    ylev = np.asarray(levels, dtype=float).ravel()
+    pos = ylev[1:] if ylev.size and ylev[0] == 0.0 else ylev
+    if pos.size < 2 or not (np.all(pos > 0.0) and np.all(np.diff(pos) > 0.0)):
+        raise ConfigurationError("levels need two or more positive, increasing heights")
+    return np.concatenate([[0.0], pos])
 
 
 def _kernel_total_mass(s: float) -> float:
     return np.sqrt(np.pi) * gamma_fn(s / 2.0) / gamma_fn((1.0 + s) / 2.0)
 
 
+def _kernel_density(eta: np.ndarray, s: float) -> np.ndarray:
+    """q(eta) = (1 + eta^2)^{-(1+s)/2}, the 1D kernel in the variable z/y."""
+    return (1.0 + eta * eta) ** (-(1.0 + s) / 2.0)
+
+
 def _kernel_cdf_tail(eta: np.ndarray, s: float) -> np.ndarray:
-    """integral_eta^inf (1 + t^2)^{-(1+s)/2} dt (vectorized, any sign of eta).
+    """Q(eta) = integral_eta^inf q(t) dt (vectorized, any sign of eta).
 
     Written through the regularized incomplete beta function, which keeps
     cell-exact kernel weights cheap.
@@ -70,20 +86,27 @@ def _kernel_cdf_tail(eta: np.ndarray, s: float) -> np.ndarray:
     return np.where(eta >= 0.0, upper, total - upper)
 
 
+def _xi_squared(g: Grid) -> np.ndarray:
+    """|xi|^2 over the FFT modes of a periodic grid (shape g.shape)."""
+    freqs = 2.0 * np.pi * sfft.fftfreq(g.nodes_per_axis, d=g.h)
+    return sum(m * m for m in np.meshgrid(*([freqs] * g.n), indexing="ij"))
+
+
 @dataclass
 class ExtensionField:
     """U(x, y) on base-grid nodes times graded levels (level 0 is y = 0).
 
-    `point_eval(x, y)` evaluates U anywhere in the open half space when the
-    construction route supports it; the energy quadrature uses it to
-    resolve the corner of non-smooth boundary data.
+    `grad_eval(px, py) -> (Ux, Uy)` is the exact gradient anywhere in the
+    open half space when the construction route has a closed form for it;
+    the energy quadrature uses it to resolve the corner of non-smooth
+    boundary data.
     """
 
     base: ScalarField
     s: float
     y_levels: np.ndarray
     values: np.ndarray          # shape (levels,) + base.grid.shape
-    point_eval: Optional[Callable] = None
+    grad_eval: Optional[Callable] = None
     resolution_flag: bool = False
     _corner_cache: dict = dfield(default_factory=dict, repr=False)
 
@@ -108,42 +131,20 @@ class MonotonicityTrace:
 # ---------------------------------------------------------------------------
 
 def _extend_periodic(u: ScalarField, s: float, ylev: np.ndarray) -> np.ndarray:
-    """Level-wise convolution with the image-folded kernel, via FFT.
-
-    In 1D the torus row uses cell-exact kernel masses (CDF differences), so
-    levels below the grid spacing remain meaningful; in 2D the cells are
-    midpoint-sampled with images.
-    """
-    g = u.grid
-    L = g.period
-    p = g.nodes_per_axis
-    k = np.arange(p, dtype=float) * g.h
-    k = np.where(k > L / 2.0, k - L, k)
-    meshes = np.meshgrid(*([k] * g.n), indexing="ij")
-    m_img = 40
-    img = L * np.arange(-m_img, m_img + 1, dtype=float)
-    rho_far = (m_img + 0.5) * L
-    out = np.empty((len(ylev),) + g.shape)
+    """Each level is ifftn(fftn(u) * phi(|xi| y)) in any dimension, with the
+    Bessel multiplier phi(t) = 2^{1-s/2} / Gamma(s/2) * t^{s/2} K_{s/2}(t):
+    phi(0) = 1 keeps the mean, and phi = 0 where K_{s/2} underflows."""
+    sig = s / 2.0
+    xi = np.sqrt(_xi_squared(u.grid))
+    xi.flat[0] = 1.0                # |xi| = 0 only at the mean mode, reset below
+    out = np.empty((len(ylev),) + u.grid.shape)
     out[0] = u.values
     with sfft.set_workers(fft_workers()):
         fu = sfft.fftn(u.values)
         for j, y in enumerate(ylev[1:], start=1):
-            if g.n == 1:
-                z = meshes[0][..., None] + img[None, :]
-                row = (_kernel_cdf_tail((z - g.h / 2.0) / y, s)
-                       - _kernel_cdf_tail((z + g.h / 2.0) / y, s)).sum(axis=-1)
-                # kernel mass decays only like (y/rho)^s: fold the images
-                # beyond the truncation in as a uniform correction
-                row += 2.0 * _kernel_cdf_tail(rho_far / y, s) / p
-            else:
-                ix, iy = np.meshgrid(img, img, indexing="ij")
-                zx = meshes[0][..., None] + ix.ravel()[None, None, :]
-                zy = meshes[1][..., None] + iy.ravel()[None, None, :]
-                row = g.cell_volume() * (
-                    y ** s / (zx ** 2 + zy ** 2 + y ** 2) ** ((g.n + s) / 2.0)).sum(axis=-1)
-                row += 2.0 * np.pi * y ** s * rho_far ** (-s) / s / p ** 2
-            row /= row.sum()        # constants preserved exactly
-            out[j] = sfft.ifftn(fu * sfft.fftn(row)).real
+            phi = 2.0 ** (1.0 - sig) / gamma_fn(sig) * (xi * y) ** sig * kv(sig, xi * y)
+            phi.flat[0] = 1.0
+            out[j] = sfft.ifftn(fu * phi).real
     return out
 
 
@@ -155,32 +156,40 @@ class _Exterior1DTail:
         b = g.boundary
         self.b_lo, self.b_hi = axis_cell_bounds(g)
         self.s = s
+        self.field_sides = ()       # per side: sign, nodes t, exterior minus its limit
         if isinstance(b, ConstantExterior):
             self.g_lo, self.g_hi = b.sides[0]
-            self.field_corr = None
         elif isinstance(b, FieldExterior):
             self.g_lo, self.g_hi = exterior_asymptote(g)
             span = np.geomspace(1e-3, 2e4, 1200)
-            self.t_hi = self.b_hi + span
-            self.t_lo = self.b_lo - span
-            self.p_hi = b(self.t_hi[:, None]) - self.g_hi
-            self.p_lo = b(self.t_lo[:, None]) - self.g_lo
-            self.field_corr = True
+            t_hi, t_lo = self.b_hi + span, self.b_lo - span
+            self.field_sides = ((1.0, t_hi, b(t_hi[:, None]) - self.g_hi),
+                                (-1.0, t_lo, b(t_lo[:, None]) - self.g_lo))
         else:
             raise ConfigurationError("unsupported exterior for the extension")
 
-    def masses_and_values(self, x: np.ndarray, y: float):
-        """Return (tail mass, tail integral of u_ext) beyond each boundary."""
+    def values(self, x: np.ndarray, y: float) -> np.ndarray:
+        """Tail integral of u_ext against the kernel beyond each boundary."""
         s = self.s
-        m_hi = _kernel_cdf_tail((self.b_hi - x) / y, s)
-        m_lo = _kernel_cdf_tail((x - self.b_lo) / y, s)
-        v = self.g_hi * m_hi + self.g_lo * m_lo
-        if self.field_corr:
-            ker_hi = y ** s / ((x[:, None] - self.t_hi[None, :]) ** 2 + y ** 2) ** ((1 + s) / 2.0)
-            ker_lo = y ** s / ((x[:, None] - self.t_lo[None, :]) ** 2 + y ** 2) ** ((1 + s) / 2.0)
-            v = v + np.trapezoid(ker_hi * self.p_hi[None, :], self.t_hi, axis=1)
-            v = v - np.trapezoid(ker_lo * self.p_lo[None, :], self.t_lo, axis=1)
-        return m_hi + m_lo, v
+        v = (self.g_hi * _kernel_cdf_tail((self.b_hi - x) / y, s)
+             + self.g_lo * _kernel_cdf_tail((x - self.b_lo) / y, s))
+        for sgn, t, p in self.field_sides:
+            ker = y ** s / ((x[:, None] - t[None, :]) ** 2 + y ** 2) ** ((1 + s) / 2.0)
+            v = v + sgn * np.trapezoid(ker * p[None, :], t, axis=1)
+        return v
+
+    def field_gradient(self, x: np.ndarray, y: float):
+        """(d/dx, d/dy) of the field-exterior sums in `values(x, y)`, with the
+        kernel differentiated inside the trapezoid sums."""
+        s = self.s
+        vx = vy = 0.0
+        for sgn, t, p in self.field_sides:
+            d = x[:, None] - t[None, :]
+            r2 = d * d + y * y
+            ker = sgn * p[None, :] * y ** s / r2 ** ((1 + s) / 2.0)
+            vx = vx + np.trapezoid(-(1 + s) * d / r2 * ker, t, axis=1)
+            vy = vy + np.trapezoid((s / y - (1 + s) * y / r2) * ker, t, axis=1)
+        return vx, vy
 
 
 def _extend_exterior_1d(u: ScalarField, s: float, ylev: np.ndarray):
@@ -189,7 +198,10 @@ def _extend_exterior_1d(u: ScalarField, s: float, ylev: np.ndarray):
     Cell weights are CDF differences of the kernel, so each level is the
     exact continuum convolution of the piecewise-constant interpolant of u;
     levels below the grid spacing stay meaningful, which the Neumann trace
-    extraction relies on.
+    extraction relies on.  `grad_eval` differentiates the same masses: the
+    mass Q((e - x)/y) beyond an edge e has gradient (q, eta q)/y, so grad U is
+    q and eta q at the edges weighted by the jumps of the interpolant, the
+    exterior limits included.
     """
     g = u.grid
     x = g.axis_coords()
@@ -205,48 +217,49 @@ def _extend_exterior_1d(u: ScalarField, s: float, ylev: np.ndarray):
         qe = _kernel_cdf_tail(k_edges / y, s)
         row = qe[:-1] - qe[1:]            # mass of each offset cell, symmetric
         conv = np.convolve(u.values, row, mode="full")[N - 1:2 * N - 1]
-        mass_t, val_t = tails.masses_and_values(x, y)
-        out[j] = (conv + val_t) / total   # cells + tails tile R exactly
+        out[j] = (conv + tails.values(x, y)) / total   # cells + tails tile R exactly
 
-    def eval_points(px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    edges = np.concatenate([x - g.h / 2.0, [x[-1] + g.h / 2.0]])
+    jumps = np.diff(u.values, prepend=tails.g_lo, append=tails.g_hi)
+
+    def grad_eval(px, py):
         px = np.asarray(px, dtype=float).ravel()
         py = np.asarray(py, dtype=float).ravel()
-        res = np.empty(px.shape)
-        edges = np.concatenate([x - g.h / 2.0, [x[-1] + g.h / 2.0]])
-        for y in np.unique(py):
+        ux, uy = np.empty(px.shape), np.empty(px.shape)
+        for y in np.unique(py):            # one height at a time bounds memory
             sel = py == y
-            qe = _kernel_cdf_tail((edges[None, :] - px[sel][:, None]) / y, s)
-            wts = qe[:, :-1] - qe[:, 1:]
-            mass_t, val_t = tails.masses_and_values(px[sel], y)
-            res[sel] = (wts @ u.values + val_t) / total
-        return res
+            eta = (edges[None, :] - px[sel][:, None]) / y
+            q = _kernel_density(eta, s)
+            tx, ty = tails.field_gradient(px[sel], y)
+            ux[sel] = (q @ jumps / y + tx) / total
+            uy[sel] = ((eta * q) @ jumps / y + ty) / total
+        return ux, uy
 
-    return out, eval_points
+    return out, grad_eval
 
 
 def extend(u: ScalarField, s: float, y_max: float,
            levels: Optional[np.ndarray] = None) -> ExtensionField:
     """Bounded weighted-harmonic extension of u, level by level.
 
-    Each level's kernel is normalized to unit discrete mass, so constants
-    extend exactly and the maximum principle holds by construction.  The
-    resolution flag is raised when the mean disagreement between the two
-    smallest levels and the boundary data exceeds 1% of the data range.
+    Periodic grids (n <= 2) extend the trigonometric interpolant of u
+    exactly; 1D exterior grids extend the piecewise-constant interpolant
+    exactly, with a positive unit-mass kernel (so a maximum principle).
+    `levels`, with or without the leading 0, needs at least two positive,
+    strictly increasing heights.  The resolution flag is raised when the
+    mean disagreement between the two smallest levels and the boundary
+    data exceeds 1% of the data range.
     """
-    if not (0.0 < s < 1.0):
-        raise ConfigurationError("extension order must lie in (0, 1)")
     g = u.grid
-    ylev = default_levels(g.h, y_max) if levels is None else np.asarray(levels, dtype=float)
-    if ylev[0] != 0.0:
-        ylev = np.concatenate([[0.0], ylev])
+    ylev = _levels(s, g.h, y_max, levels)
 
-    point_eval = None
+    grad_eval = None
     if isinstance(g.boundary, Periodic):
         if g.n > 2:
             raise ConfigurationError("periodic extension supports n <= 2")
         vals = _extend_periodic(u, s, ylev)
     elif g.n == 1:
-        vals, point_eval = _extend_exterior_1d(u, s, ylev)
+        vals, grad_eval = _extend_exterior_1d(u, s, ylev)
     else:
         raise ConfigurationError("exterior-model extension is 1D-base only")
 
@@ -254,7 +267,7 @@ def extend(u: ScalarField, s: float, y_max: float,
     mean_gap = max(float(np.mean(np.abs(vals[1] - u.values))),
                    float(np.mean(np.abs(vals[2] - u.values))))
     flag = mean_gap > 0.01 * rng_u
-    return ExtensionField(u, float(s), ylev, vals, point_eval, flag)
+    return ExtensionField(u, float(s), ylev, vals, grad_eval, flag)
 
 
 def extend_by_weighted_solve(u: ScalarField, s: float, y_max: float,
@@ -263,14 +276,13 @@ def extend_by_weighted_solve(u: ScalarField, s: float, y_max: float,
 
     Periodic grids only.  Each Fourier mode m(y) satisfies
     (y^{1-s} m')' = y^{1-s} |xi|^2 m with m(0) = 1 and decay at the far
-    top (imposed at 4 * y_max).
+    top (imposed at 4 * y_max).  It shares no discretization with the
+    Bessel multiplier of `extend`, which makes it an independent check.
     """
     g = u.grid
     if not isinstance(g.boundary, Periodic):
         raise ConfigurationError("the weighted solve backend needs a periodic grid")
-    ylev = default_levels(g.h, y_max) if levels is None else np.asarray(levels, dtype=float)
-    if ylev[0] != 0.0:
-        ylev = np.concatenate([[0.0], ylev])
+    ylev = _levels(s, g.h, y_max, levels)
     # extend the mesh well above y_max so the top Dirichlet 0 is harmless
     pad = [ylev[-1]]
     while pad[-1] < 4.0 * y_max:
@@ -278,10 +290,7 @@ def extend_by_weighted_solve(u: ScalarField, s: float, y_max: float,
     yy = np.concatenate([ylev, pad[1:]])
     K = len(yy)
 
-    freqs = [2.0 * np.pi * sfft.fftfreq(g.nodes_per_axis, d=g.h) for _ in range(g.n)]
-    mesh = np.meshgrid(*freqs, indexing="ij")
-    xi2 = sum(m * m for m in mesh).ravel()
-
+    xi2 = _xi_squared(g).ravel()
     with sfft.set_workers(fft_workers()):
         fu = sfft.fftn(u.values).ravel()
 
@@ -290,34 +299,25 @@ def extend_by_weighted_solve(u: ScalarField, s: float, y_max: float,
     # boundary behavior is represented without resolution loss
     yhalf = 0.5 * (yy[1:] + yy[:-1])
     a = s / (yy[1:] ** s - yy[:-1] ** s)     # exact two-point flux coefficients
-    cellw = np.empty(K)
-    cellw[1:-1] = (yhalf[1:] ** (2.0 - s) - yhalf[:-1] ** (2.0 - s)) / (2.0 - s)
+    cellw = (yhalf[1:] ** (2.0 - s) - yhalf[:-1] ** (2.0 - s)) / (2.0 - s)
 
+    # one Thomas sweep for all modes at once (rows: interior nodes, columns:
+    # modes); the right-hand side is a[0] * fu on the first interior row
     n_int = K - 2
-    modes = np.empty((K, xi2.size), dtype=complex)
+    diag = (a[:-1] + a[1:])[:, None] + xi2[None, :] * cellw[:, None]
+    lower = -a[1:-1]
+    cp = np.empty((n_int - 1, xi2.size))
+    modes = np.zeros((K, xi2.size), dtype=complex)
     modes[0] = fu
-    modes[-1] = 0.0
-    diag_base = a[:-1] + a[1:]
-    for idx in range(xi2.size):
-        q2 = xi2[idx]
-        diag = diag_base + q2 * cellw[1:-1]
-        lower = -a[1:-1]
-        rhs = np.zeros(n_int, dtype=complex)
-        rhs[0] = a[0] * fu[idx]
-        # Thomas solve
-        cp = np.empty(n_int)
-        dp = np.empty(n_int, dtype=complex)
-        cp[0] = lower[0] / diag[0] if n_int > 1 else 0.0
-        dp[0] = rhs[0] / diag[0]
-        for i in range(1, n_int):
-            denom = diag[i] - lower[i - 1] * cp[i - 1]
-            cp[i] = lower[i] / denom if i < n_int - 1 else 0.0
-            dp[i] = (rhs[i] - lower[i - 1] * dp[i - 1]) / denom
-        sol = np.empty(n_int, dtype=complex)
-        sol[-1] = dp[-1]
-        for i in range(n_int - 2, -1, -1):
-            sol[i] = dp[i] - cp[i] * sol[i + 1]
-        modes[1:-1, idx] = sol
+    dp = modes[1:-1]                # forward sweep, then back substitution in place
+    denom = diag[0]
+    dp[0] = a[0] * fu / denom
+    for i in range(1, n_int):
+        cp[i - 1] = lower[i - 1] / denom
+        denom = diag[i] - lower[i - 1] * cp[i - 1]
+        dp[i] = -(lower[i - 1] * dp[i - 1]) / denom
+    for i in range(n_int - 2, -1, -1):
+        dp[i] -= cp[i] * dp[i + 1]
 
     vals = np.empty((len(ylev),) + g.shape)
     with sfft.set_workers(fft_workers()):
@@ -330,24 +330,26 @@ def halfspace_extension(s: float, grid: Grid, y_max: float) -> ExtensionField:
     """Exact degree-zero extension of the half-line sign field.
 
     Built from the continuum kernel integral of the exact indicator, so the
-    values are homogeneous to round-off; `point_eval` is analytic.
+    values are homogeneous to round-off; `grad_eval` is analytic:
+    grad U = (2 q(x/y) / (M y)) * (1, -x/y) with M the kernel's total mass.
     """
     if grid.n != 1:
         raise ConfigurationError("the exact cone extension is 1D-base only")
-    total = np.sqrt(np.pi) * gamma_fn(s / 2.0) / gamma_fn((1.0 + s) / 2.0)
+    total = _kernel_total_mass(s)
 
-    def u_exact(px, py):
-        return 1.0 - 2.0 * _kernel_cdf_tail(px / py, s) / total
+    def grad_eval(px, py):
+        eta = np.asarray(px, dtype=float) / py
+        ux = 2.0 * _kernel_density(eta, s) / (total * py)
+        return ux, -eta * ux
 
     x = grid.axis_coords()
-    ylev = default_levels(grid.h, y_max)
+    ylev = _levels(s, grid.h, y_max, None)
     vals = np.empty((len(ylev), x.size))
     vals[0] = np.sign(x)
     for j, y in enumerate(ylev[1:], start=1):
-        vals[j] = u_exact(x, y)
+        vals[j] = 1.0 - 2.0 * _kernel_cdf_tail(x / y, s) / total
     base = ScalarField(grid, np.sign(x))
-    return ExtensionField(base, float(s), ylev, vals,
-                          point_eval=lambda px, py: u_exact(px, py))
+    return ExtensionField(base, float(s), ylev, vals, grad_eval)
 
 
 # ---------------------------------------------------------------------------
@@ -356,30 +358,21 @@ def halfspace_extension(s: float, grid: Grid, y_max: float) -> ExtensionField:
 
 def _corner_patch_energy(U: ExtensionField, x_c: float, y_c: float,
                          nx: int = 64, ny: int = 64) -> float:
-    """Graded tensor quadrature of y^{1-s} |grad U|^2 over the corner box.
+    """Graded tensor quadrature of y^{1-s} |grad U|^2 over the corner box
+    [-x_c, x_c] x [0, y_c].
 
-    Uses point evaluation with central differences whose step shrinks with
-    the distance to the corner, resolving boundary-data singularities the
-    uniform slab mesh cannot see.
+    The exact gradient is read at the midpoints of a mesh that grades
+    geometrically toward the corner, resolving boundary-data singularities
+    the uniform slab mesh cannot see.
     """
-    s = U.s
-    ev = U.point_eval
     xe = np.geomspace(1e-7, x_c, nx + 1)
     ye = np.geomspace(1e-7, y_c, ny + 1)
     xm, dx = 0.5 * (xe[1:] + xe[:-1]), np.diff(xe)
     ym, dy = 0.5 * (ye[1:] + ye[:-1]), np.diff(ye)
-    total = 0.0
-    for sgn in (-1.0, 1.0):
-        X, Y = np.meshgrid(sgn * xm, ym, indexing="ij")
-        DX, DY = np.meshgrid(dx, dy, indexing="ij")
-        d = 1e-4 * np.minimum(np.abs(X) + Y, 1.0) + 1e-9
-        Xf, Yf, Df = X.ravel(), Y.ravel(), d.ravel()
-        ux = (ev(Xf + Df, Yf) - ev(Xf - Df, Yf)) / (2.0 * Df)
-        ylo = np.maximum(Yf - Df, 1e-12)
-        uy = (ev(Xf, Yf + Df) - ev(Xf, ylo)) / (Yf + Df - ylo)
-        dens = (Y.ravel() ** (1.0 - s) * (ux ** 2 + uy ** 2)).reshape(X.shape)
-        total += float((dens * DX * DY).sum())
-    return total
+    X, Y = np.meshgrid(np.concatenate([-xm, xm]), ym, indexing="ij")
+    ux, uy = U.grad_eval(X.ravel(), Y.ravel())
+    dens = Y.ravel() ** (1.0 - U.s) * (ux ** 2 + uy ** 2)
+    return float(dens @ np.outer(np.concatenate([dx, dx]), dy).ravel())
 
 
 def _dirichlet_slabs(U: ExtensionField, R: float, skip_corner) -> float:
@@ -420,7 +413,7 @@ def extension_energy(U: ExtensionField, R: float, W: Potential,
     s = U.s
     skip = None
     corner = 0.0
-    if U.point_eval is not None:
+    if U.grad_eval is not None:
         kc = int(np.searchsorted(U.y_levels, 0.5))
         y_c = U.y_levels[kc]
         x_c = (round(0.5 / g.h) + 0.5) * g.h
@@ -479,7 +472,7 @@ def monotonicity_trace(U: ExtensionField, radii, W: Potential,
     n = g.n
     s = U.s
     phi = np.array([extension_energy(U, R, W, epsilon) * R ** (s - n) for R in radii])
-    coarse = ExtensionField(U.base, U.s, U.y_levels[::2], U.values[::2], U.point_eval,
+    coarse = ExtensionField(U.base, U.s, U.y_levels[::2], U.values[::2], U.grad_eval,
                             _corner_cache=U._corner_cache)
     phi_c = np.array([extension_energy(coarse, R, W, epsilon) * R ** (s - n) for R in radii])
     err = np.abs(phi - phi_c) + 1e-9 * np.abs(phi)

@@ -128,3 +128,13 @@ def test_fitted_slope_reproducible_from_serialized_trace(tmp_path):
         exp = ScalingExperiment(name, rows[:, 0], rows[:, 1], rows[:, 2])
         refit = fit_loglog(exp)
         assert refit.slope == check["value"]
+
+
+def test_cli_monotonicity_byte_identical_on_rerun(tmp_path):
+    out = tmp_path / "o"
+    runs = []
+    for _ in range(2):
+        assert cli("monotonicity", "--output-dir", str(out)).returncode == 0
+        runs.append({p.name: p.read_bytes() for p in (out / "monotonicity").iterdir()
+                     if p.name != "timings.txt"})
+    assert runs[0] == runs[1] and len(runs[0]) >= 5
