@@ -84,7 +84,17 @@ from .scaling import (
     potential_vs_sobolev,
     sobolev_scaling,
 )
-from .cli import RunConfig, RunReport, report_merge, run
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_CLI_NAMES = ("RunConfig", "RunReport", "report_merge", "run")
+
+
+def __getattr__(name):
+    # the CLI loads on first use, so `python -m fracac.cli` runs a fresh module
+    if name in _CLI_NAMES:
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_CLI_NAMES)
 __version__ = "0.1.0"

@@ -15,8 +15,10 @@ correction is found once per (dimension, order) by matching the lattice
 symbol to an exact power law at two reference frequencies.
 
 Every linear convolution against a fixed kernel (the free-space operator
-for n >= 2 and the exterior moments) goes through one engine,
-`FFTConvolver`, which transforms its kernel once.  Operators live in one
+for n >= 2 and the exterior moments) goes through one overlap-save engine,
+`FFTConvolver`.  It keeps only the kernel offsets that its output window can
+reach, transforms them once, and pads each axis to the window plus the field
+(N + P - 1), not to the full linear length N + K - 1.  Operators live in one
 registry bounded to 64 entries with least-recently-used eviction.
 """
 
@@ -374,16 +376,18 @@ def _moments_nd(grid: Grid, spec, factor: int = 4) -> dict:
         u_ext_flat = b(pts[ext_mask.ravel()])
         u_ext[ext_mask] = u_ext_flat
 
-    # the kernel table is the largest array here: release it (and its radii)
-    # as soon as its spectrum exists
-    kern = h ** n * kernel_on_radii(spec, _offset_radii(n, 2 * mm, h), n)
-    conv = FFTConvolver(kern, u_ext.shape)
+    # only the box is read, so the kernel reaches offsets up to mm + m + extra - 1;
+    # the table is the largest array here: release it once its spectrum exists
+    kern = h ** n * kernel_on_radii(spec, _offset_radii(n, mm + m + extra - 1, h), n)
+    conv = FFTConvolver(kern, u_ext.shape, (slice(mm - m, mm + m + extra),) * n)
     del kern
 
-    sl = tuple(slice(mm - m, mm + m + extra) for _ in range(n))
-    t0 = conv(ext_mask.astype(float))[sl].copy()
-    t1 = conv(u_ext * ext_mask)[sl].copy()
-    t2 = conv(u_ext ** 2 * ext_mask)[sl].copy()
+    t0 = conv(ext_mask.astype(float))
+    if u_ext.any():
+        t1 = conv(u_ext * ext_mask)
+        t2 = conv(u_ext ** 2 * ext_mask)
+    else:  # a zero exterior convolves to exact zeros
+        t1, t2 = np.zeros_like(t0), np.zeros_like(t0)
     del conv
 
     # isotropic remainder beyond the enlarged lattice
@@ -419,20 +423,31 @@ def exterior_moments(grid: Grid, spec) -> dict:
 # ---------------------------------------------------------------------------
 
 class FFTConvolver:
-    """Linear "same"-mode convolution of fields of one shape with a fixed kernel.
+    """Linear convolution sum_j f[j] k[x - j] of fields of one shape with a
+    fixed centred kernel (odd length, offset 0 in the middle), read on an
+    output window: a slice of P nodes per axis, by default the whole field
+    ("same" mode).
 
-    Pads to the same fast FFT lengths and crops the same centred window as
-    scipy's `fftconvolve(f, kernel, mode="same")`, so results agree
-    with it bit for bit; the kernel is transformed once, not per call.
+    Overlap-save on one block (Oppenheim & Schafer, Discrete-Time Signal
+    Processing, sec. 8.7): only the N + P - 1 kernel offsets the window can
+    reach are kept and transformed once at next_fast_len(N + P - 1); the
+    circular product is free of wrap-around on [N - 1, N - 1 + P).
     """
 
-    def __init__(self, kernel: np.ndarray, shape: tuple):
-        full = [a + b - 1 for a, b in zip(shape, kernel.shape)]
-        self.fshape = [sfft.next_fast_len(k, real=True) for k in full]
-        self.crop = tuple(slice((k - a) // 2, (k - a) // 2 + a)
-                          for k, a in zip(full, shape))
+    def __init__(self, kernel: np.ndarray, shape: tuple, window: tuple | None = None):
+        window = window or tuple(slice(0, a) for a in shape)
+        reach, crop, self.fshape = [], [], []
+        for k, a, win in zip(kernel.shape, shape, window):
+            lo, hi, _ = win.indices(a)
+            c = k // 2
+            if c + lo - a + 1 < 0 or c + hi > k:
+                raise ValueError("kernel does not reach the output window")
+            reach.append(slice(c + lo - a + 1, c + hi))
+            crop.append(slice(a - 1, a - 1 + hi - lo))
+            self.fshape.append(sfft.next_fast_len(a + hi - lo - 1, real=True))
+        self.crop = tuple(crop)
         with sfft.set_workers(fft_workers()):
-            self.spectrum = sfft.rfftn(kernel, self.fshape)
+            self.spectrum = sfft.rfftn(kernel[tuple(reach)], self.fshape)
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
         with sfft.set_workers(fft_workers()):
@@ -471,6 +486,7 @@ class DiscreteOperator:
         self._row_spectrum = None
         self._moments = None
         self._colsum = None
+        self._box_memo = None
 
     # -- tables -------------------------------------------------------------
 
@@ -560,12 +576,20 @@ class DiscreteOperator:
                          mask_b: np.ndarray) -> float:
         """sum over x in A, xbar in B of |u(x) - u(xbar)|^2 w(x - xbar)."""
         u = values
-        cb = mask_b.astype(float)
-        c1 = self.conv(cb)
-        cu = self.conv(u * cb)
-        cuu = self.conv(u * u * cb)
+        if mask_b.all():
+            c1, (cu, cuu) = self.colsum, self._box_convs(u)
+        else:
+            cb = mask_b.astype(float)
+            c1, cu, cuu = self.conv(cb), self.conv(u * cb), self.conv(u * u * cb)
         inner = u * u * c1 + cuu - 2.0 * u * cu
         return float(inner[mask_a].sum())
+
+    def _box_convs(self, values: np.ndarray) -> tuple:
+        """conv(u) and conv(u^2) over the whole box, kept for the last field
+        (compared by value) so that a radius sweep computes them once."""
+        if self._box_memo is None or not np.array_equal(self._box_memo[0], values):
+            self._box_memo = (values.copy(), self.conv(values), self.conv(values * values))
+        return self._box_memo[1:]
 
     def sobolev_energy(self, values: np.ndarray, region_mask: np.ndarray,
                        include_tails: bool = True) -> float:

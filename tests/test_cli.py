@@ -16,6 +16,13 @@ def cli(*args):
                           capture_output=True, text=True)
 
 
+def test_cli_module_starts_when_runtime_warnings_are_errors():
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                          "-m", "fracac.cli", "--help"], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert "usage: fracac" in out.stdout
+
+
 def test_config_validation_rejects_bad_grid():
     with pytest.raises(ConfigurationError):
         RunConfig("layer", {"h": 0.3, "box_radius": 1.0})

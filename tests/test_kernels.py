@@ -242,19 +242,97 @@ def test_quadrature_3d_constant_and_linearity_smoke():
 # convolution engine and operator registry
 # ---------------------------------------------------------------------------
 
-def test_free_convolution_matches_fftconvolve_bitwise():
-    """The engine pads and crops like scipy's fftconvolve, so the free-space
-    operator and the enlarged exterior-moment kernel agree bit for bit."""
-    from scipy import signal
+def _direct_convolution(f, kernel, window):
+    """sum_j f[j] kernel[c + x - j] at every node x of the window, one node
+    pair at a time (c is the kernel's centre)."""
+    c = [k // 2 for k in kernel.shape]
+    starts = [w.start for w in window]
+    out = np.zeros([w.stop - w.start for w in window])
+    for i in np.ndindex(out.shape):
+        for j in np.ndindex(f.shape):
+            at = tuple(ck + sk + ik - jk for ck, sk, ik, jk in zip(c, starts, i, j))
+            out[i] += f[j] * kernel[at]
+    return out
+
+
+def test_free_convolution_matches_direct_sum():
+    """The free-space operator against a direct double loop; the engine pads
+    each axis to next_fast_len(2p - 1), the window plus the field."""
+    from scipy.fft import next_fast_len
     rng = np.random.default_rng(11)
-    g = Grid(2, 0.25, 4.0, ConstantExterior([(-1.0, 1.0)] * 2))
+    g = Grid(2, 0.25, 1.0, ConstantExterior([(-1.0, 1.0)] * 2))
     op = get_operator(g, KernelSpec.fractional(0.5))
     f = rng.normal(size=g.shape)
-    assert np.array_equal(op.conv_free(f), signal.fftconvolve(f, op.weights, mode="same"))
-    big = rng.normal(size=(65, 65))
-    field = rng.normal(size=(32, 32))
-    assert np.array_equal(FFTConvolver(big, field.shape)(field),
-                          signal.fftconvolve(field, big, mode="same"))
+    got = op.conv_free(f)
+    p = g.nodes_per_axis
+    assert op._engine.fshape == [next_fast_len(2 * p - 1, real=True)] * 2
+    want = _direct_convolution(f, op.weights, (slice(0, p),) * 2)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("centered", [False, True])
+def test_windowed_convolution_matches_direct_sum(centered):
+    """An enlarged kernel read on a box window (P < N), the way the exterior
+    moments use the engine; the kernel is odd, asymmetric and wider than
+    the N + P - 1 offsets the window reaches."""
+    from scipy.fft import next_fast_len
+    rng = np.random.default_rng(12)
+    m, mm, extra = 2, 8, int(centered)
+    size, window = 2 * mm + extra, (slice(mm - m, mm + m + extra),) * 2
+    kernel = rng.normal(size=(4 * mm + 1, 4 * mm - 1))
+    field = rng.normal(size=(size, size))
+    engine = FFTConvolver(kernel, field.shape, window)
+    assert engine.fshape == [next_fast_len(size + 2 * m + extra - 1, real=True)] * 2
+    got = engine(field)
+    want = _direct_convolution(field, kernel, window)
+    assert got.shape == (2 * m + extra,) * 2
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    with pytest.raises(ValueError):
+        FFTConvolver(kernel[:5, :5], field.shape, window)
+
+
+def test_zero_exterior_moments_equal_the_convolved_ones(monkeypatch):
+    """A zero exterior skips the t1 and t2 convolutions; the moments are the
+    ones convolving its zero fields gives, and t0 is unaffected."""
+    calls = []
+    call = FFTConvolver.__call__
+    monkeypatch.setattr(FFTConvolver, "__call__",
+                        lambda self, f: calls.append(self) or call(self, f))
+    spec = KernelSpec.fractional(0.5)
+    zero = _lattice.exterior_moments(Grid(2, 0.25, 1.0, ConstantExterior([(0.0, 0.0)] * 2)), spec)
+    unit = _lattice.exterior_moments(Grid(2, 0.25, 1.0, ConstantExterior([(1.0, 1.0)] * 2)), spec)
+    assert len(calls) == 1 + 3
+    convolved = call(calls[0], np.zeros((32, 32)))
+    for key in ("t1", "t2"):
+        assert np.array_equal(zero[key], convolved)
+        assert np.array_equal(unit[key], unit["t0"])
+    assert np.array_equal(zero["t0"], unit["t0"])
+
+
+@pytest.mark.parametrize("boundary", [ConstantExterior([(-1.0, 1.0)] * 2), None])
+def test_sobolev_energy_reuses_box_convolutions_bit_identically(monkeypatch, boundary):
+    """A radius sweep on one field computes conv(u) and conv(u^2) once; each
+    energy equals the uncached six-convolution pair sum bit for bit, and an
+    in-place change of the field is seen."""
+    g = Grid(2, 0.25, 2.0, boundary) if boundary else make_grid(2, 2.0, 0.25)
+    op = get_operator(g, KernelSpec.fractional(0.5))
+    op.colsum  # noqa: B018 - built once, before counting
+    calls = []
+    conv = op.conv
+    monkeypatch.setattr(op, "conv", lambda f: calls.append(1) or conv(f))
+    u = np.random.default_rng(13).normal(size=g.shape)
+    r = np.sqrt(sum(c * c for c in np.meshgrid(*[g.axis_coords()] * 2, indexing="ij")))
+    ones = np.ones(g.shape)
+    for sweep, radius in enumerate((0.5, 1.0, 1.5, 1.5)):
+        if sweep == 3:
+            u[0, 0] += 0.5
+        mask = r < radius
+        before = len(calls)
+        got = op.sobolev_energy(u, mask, include_tails=False)
+        assert len(calls) - before == (3 if sweep in (1, 2) else 5)
+        inner = u * u * conv(ones) + conv(u * u * ones) - 2.0 * u * conv(u * ones)
+        total = float(inner[mask].sum()) + op.sobolev_pair_sum(u, mask, ~mask)
+        assert got == 0.25 * g.cell_volume() * total
 
 
 def test_periodic_free_twin_is_the_registry_operator():
