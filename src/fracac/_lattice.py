@@ -15,11 +15,12 @@ correction is found once per (dimension, order) by matching the lattice
 symbol to an exact power law at two reference frequencies.
 
 Every linear convolution against a fixed kernel (the free-space operator
-for n >= 2 and the exterior moments) goes through one overlap-save engine,
-`FFTConvolver`.  It keeps only the kernel offsets that its output window can
-reach, transforms them once, and pads each axis to the window plus the field
-(N + P - 1), not to the full linear length N + K - 1.  Operators live in one
-registry bounded to 64 entries with least-recently-used eviction.
+in every dimension and the exterior moments) goes through one overlap-save
+engine, `FFTConvolver`.  It keeps only the kernel offsets that its output
+window can reach, transforms them once, and pads each axis to the window
+plus the field (N + P - 1), not to the full linear length N + K - 1.
+Operators live in one registry bounded to 64 entries with least-recently-used
+eviction.
 """
 
 from __future__ import annotations
@@ -48,6 +49,12 @@ def fft_workers() -> int:
 def sphere_area(n: int) -> float:
     """Surface measure of the unit sphere S^{n-1}."""
     return 2.0 * np.pi ** (n / 2.0) / gamma_fn(n / 2.0)
+
+
+def _xi_squared(g: Grid) -> np.ndarray:
+    """|xi|^2 over the FFT modes of a periodic grid (shape g.shape)."""
+    freqs = _TWO_PI * sfft.fftfreq(g.nodes_per_axis, d=g.h)
+    return sum(m * m for m in np.meshgrid(*([freqs] * g.n), indexing="ij"))
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +471,9 @@ class DiscreteOperator:
     """Pair weights, tail moments, and fast applications for one (grid, kernel).
 
     All heavy tables are built lazily and cached on the instance: the
-    free-space convolution engine for n >= 2 and, on periodic grids, the
-    spectrum of the periodized row.  Instances are shared through the
-    bounded LRU registry behind `get_operator`.
+    free-space convolution engine and, on periodic grids, the spectrum of
+    the periodized row.  Instances are shared through the bounded LRU
+    registry behind `get_operator`.
     """
 
     def __init__(self, grid: Grid, spec):
@@ -519,12 +526,6 @@ class DiscreteOperator:
 
     def conv_free(self, f: np.ndarray) -> np.ndarray:
         """sum_{xbar in box} w(x - xbar) f(xbar) at every box node."""
-        if self.grid.n == 1:
-            # direct correlation through a Toeplitz product
-            p = self.grid.nodes_per_axis
-            w = self.weights
-            out = np.correlate(np.pad(f, (p - 1, p - 1)), w[::-1], mode="valid")
-            return out
         if self._engine is None:
             self._engine = FFTConvolver(self.weights, self.grid.shape)
         return self._engine(f)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.special import betainc, gamma as gamma_fn, kv
 
-from ._lattice import axis_cell_bounds, exterior_asymptote, fft_workers
+from ._lattice import _xi_squared, axis_cell_bounds, exterior_asymptote, fft_workers
 from .energies import Potential
 from .errors import ConfigurationError
 from .fields import (
@@ -84,12 +84,6 @@ def _kernel_cdf_tail(eta: np.ndarray, s: float) -> np.ndarray:
     a = np.abs(eta)
     upper = 0.5 * total * betainc(s / 2.0, 0.5, 1.0 / (1.0 + a * a))
     return np.where(eta >= 0.0, upper, total - upper)
-
-
-def _xi_squared(g: Grid) -> np.ndarray:
-    """|xi|^2 over the FFT modes of a periodic grid (shape g.shape)."""
-    freqs = 2.0 * np.pi * sfft.fftfreq(g.nodes_per_axis, d=g.h)
-    return sum(m * m for m in np.meshgrid(*([freqs] * g.n), indexing="ij"))
 
 
 @dataclass

@@ -23,6 +23,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from ._lattice import (
+    _xi_squared,
     continuum_symbol_constant,
     fft_workers,
     get_operator,
@@ -155,11 +156,7 @@ def apply_quadrature(u: ScalarField, spec: KernelSpec) -> ScalarField:
 def spectral_multiplier(grid: Grid, s: float) -> np.ndarray:
     """c(n,s)|xi|^s on the DFT modes of a periodic grid."""
     c = symbol_constant(grid.n, s)
-    freqs = [2.0 * np.pi * sfft.fftfreq(grid.nodes_per_axis, d=grid.h)
-             for _ in range(grid.n)]
-    mesh = np.meshgrid(*freqs, indexing="ij")
-    xi = np.sqrt(sum(m * m for m in mesh))
-    return c * xi ** s
+    return c * np.sqrt(_xi_squared(grid)) ** s
 
 
 def apply_spectral(u: ScalarField, s: float) -> ScalarField:

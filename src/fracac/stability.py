@@ -12,17 +12,15 @@ from typing import Callable
 
 import numpy as np
 from scipy import ndimage
-from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse.linalg import LinearOperator, lobpcg
 
-from ._lattice import _free_twin, get_operator
+from ._lattice import get_operator
 from .energies import Potential, fractional_perimeter
 from .errors import ConfigurationError, FlowError
 from .fields import (
     BallRegion,
     Grid,
     IndicatorSet,
-    Periodic,
     ScalarField,
     gradient_components,
 )
@@ -46,7 +44,7 @@ class StabilityReport:
     witness: ScalarField
     iterations: int
     region: BallRegion
-    converged: bool = True
+    converged: bool
 
 
 @dataclass
@@ -76,63 +74,23 @@ def second_variation(u: ScalarField, xi: ScalarField, spec: KernelSpec,
     return pair + pot
 
 
-def _stability_matrix_1d(u: ScalarField, region_idx, spec, W, epsilon):
-    g = u.grid
-    op = get_operator(g, spec)
-    if isinstance(g.boundary, Periodic):
-        op = _free_twin(op)
-    A = op.dense_matrix()
-    pw = _pot_weight(epsilon, spec.s)
-    A = A + np.diag(pw * W.wpp(u.values))
-    sub = A[np.ix_(region_idx, region_idx)]
-    return 0.5 * (sub + sub.T)
-
-
 def min_rayleigh(u: ScalarField, region: BallRegion, spec: KernelSpec,
                  W: Potential, epsilon: float = 1.0,
                  iterations: int = 300) -> StabilityReport:
     """Approximate minimum of Q(xi)/||xi||^2 over xi supported in the region.
 
     The returned value is recomputed from the witness, so it is always a
-    certified upper bound for the true minimum.  1D grids run shifted
-    inverse-power iteration on the dense restricted matrix; 2D grids run
-    a matrix-free block eigensolver.
+    certified upper bound for the true minimum.  Every dimension runs one
+    matrix-free block eigensolver (LOBPCG) on `stability_apply`, whose
+    periodic grids use the free twin; `iterations` counts its block updates
+    and `converged` is read from its final residuals.
     """
     g = u.grid
     mask = region.mask(g)
     if not mask.any():
         raise ConfigurationError("region contains no nodes")
-    pw = _pot_weight(epsilon, spec.s)
-
-    if g.n == 1:
-        idx = np.flatnonzero(mask.ravel())
-        A = _stability_matrix_1d(u, idx, spec, W, epsilon)
-        # Gershgorin lower bound gives a safe inverse-power shift
-        off = np.sum(np.abs(A), axis=1) - np.abs(np.diag(A))
-        sigma = float(np.min(np.diag(A) - off)) - 0.5
-        lu = lu_factor(A - sigma * np.eye(len(A)))
-        rng = np.random.default_rng(0)
-        v = rng.normal(size=len(A))
-        v /= np.linalg.norm(v)
-        lam_old = np.inf
-        it = 0
-        for it in range(1, iterations + 1):
-            v = lu_solve(lu, v)
-            v /= np.linalg.norm(v)
-            lam = float(v @ (A @ v))
-            if abs(lam - lam_old) < 1e-13 * max(1.0, abs(lam)):
-                break
-            lam_old = lam
-        witness_vals = np.zeros(g.node_count)
-        witness_vals[idx] = v
-        witness = ScalarField(g, witness_vals.reshape(g.shape))
-        lam_cert = second_variation(u, witness, spec, W, epsilon) / \
-            (g.cell_volume() * float((witness.values ** 2).sum()))
-        return StabilityReport(lam_cert, witness, it, region,
-                               converged=it < iterations)
-
     op = get_operator(g, spec)
-    diag = pw * W.wpp(u.values)
+    diag = _pot_weight(epsilon, spec.s) * W.wpp(u.values)
     flat_mask = mask.ravel()
     ndof = int(flat_mask.sum())
 

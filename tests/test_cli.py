@@ -137,11 +137,16 @@ def test_fitted_slope_reproducible_from_serialized_trace(tmp_path):
         assert refit.slope == check["value"]
 
 
-def test_cli_monotonicity_byte_identical_on_rerun(tmp_path):
+@pytest.mark.parametrize("experiment,outputs", [
+    ("monotonicity", {"checks.csv", "report.json", "monotonicity.csv",
+                      "monotonicity.svg", "monotonicity_halfspace.csv"}),
+    ("stability", {"checks.csv", "report.json", "stability.json", "witness.txt"}),
+], ids=["monotonicity", "stability"])
+def test_cli_byte_identical_on_rerun(experiment, outputs, tmp_path):
     out = tmp_path / "o"
     runs = []
     for _ in range(2):
-        assert cli("monotonicity", "--output-dir", str(out)).returncode == 0
-        runs.append({p.name: p.read_bytes() for p in (out / "monotonicity").iterdir()
+        assert cli(experiment, "--output-dir", str(out)).returncode == 0
+        runs.append({p.name: p.read_bytes() for p in (out / experiment).iterdir()
                      if p.name != "timings.txt"})
-    assert runs[0] == runs[1] and len(runs[0]) >= 5
+    assert runs[0] == runs[1] and set(runs[0]) == outputs

@@ -255,18 +255,19 @@ def _direct_convolution(f, kernel, window):
     return out
 
 
-def test_free_convolution_matches_direct_sum():
+@pytest.mark.parametrize("n", [1, 2])
+def test_free_convolution_matches_direct_sum(n):
     """The free-space operator against a direct double loop; the engine pads
     each axis to next_fast_len(2p - 1), the window plus the field."""
     from scipy.fft import next_fast_len
     rng = np.random.default_rng(11)
-    g = Grid(2, 0.25, 1.0, ConstantExterior([(-1.0, 1.0)] * 2))
+    g = Grid(n, 0.25, 1.0, ConstantExterior([(-1.0, 1.0)] * n))
     op = get_operator(g, KernelSpec.fractional(0.5))
     f = rng.normal(size=g.shape)
     got = op.conv_free(f)
     p = g.nodes_per_axis
-    assert op._engine.fshape == [next_fast_len(2 * p - 1, real=True)] * 2
-    want = _direct_convolution(f, op.weights, (slice(0, p),) * 2)
+    assert op._engine.fshape == [next_fast_len(2 * p - 1, real=True)] * n
+    want = _direct_convolution(f, op.weights, (slice(0, p),) * n)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 

@@ -22,7 +22,7 @@ from fracac import (
 )
 from fracac.cli import radial_bump_vector_field
 from fracac.errors import ConfigurationError
-from fracac._lattice import get_operator
+from fracac._lattice import _free_twin, get_operator
 
 
 def compact_field(grid, rng, radius):
@@ -93,6 +93,15 @@ def test_min_rayleigh_middle_well_unstable_with_dense_oracle(quartic):
     lam = np.linalg.eigvalsh(A[np.ix_(idx, idx)])[0]
     assert rep.min_rayleigh == pytest.approx(lam, abs=1e-8)
 
+    # a periodic grid perturbs with zero extension: the free twin's matrix
+    gp = make_grid(1, 8.0, 0.25)
+    up = ScalarField(gp, np.zeros(gp.shape))
+    rep = min_rayleigh(up, region, spec, quartic)
+    A = _free_twin(get_operator(gp, spec)).dense_matrix() + np.diag(quartic.wpp(up.values))
+    idx = np.flatnonzero(region.mask(gp).ravel())
+    lam = np.linalg.eigvalsh(A[np.ix_(idx, idx)])[0]
+    assert rep.min_rayleigh == pytest.approx(lam, abs=1e-8)
+
 
 def test_min_rayleigh_witness_reproducible(quartic, layer_s05, spec1_unit):
     rep = min_rayleigh(layer_s05, BallRegion((0.0,), 20.0), spec1_unit, quartic)
@@ -112,11 +121,12 @@ def test_min_rayleigh_monotone_in_region(quartic, layer_s05, spec1_unit):
 
 
 @pytest.mark.filterwarnings("ignore:Exited")
-def test_min_rayleigh_2d_reports_real_convergence(quartic):
-    g = make_grid(2, 4.0, 0.25)
+@pytest.mark.parametrize("n", [1, 2])
+def test_min_rayleigh_reports_real_convergence(n, quartic):
+    g = make_grid(n, 4.0, 0.25)
     u = ScalarField(g, np.tanh(g.coords()[:, 0]).reshape(g.shape))
-    spec = KernelSpec.fractional_unit(0.5, 2)
-    region = BallRegion((0.0, 0.0), 2.0)
+    spec = KernelSpec.fractional_unit(0.5, n)
+    region = BallRegion((0.0,) * n, 2.0)
     short = min_rayleigh(u, region, spec, quartic, iterations=2)
     assert short.converged is False and short.iterations <= 2
     full = min_rayleigh(u, region, spec, quartic)
