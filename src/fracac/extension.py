@@ -103,6 +103,7 @@ class ExtensionField:
     grad_eval: Optional[Callable] = None
     resolution_flag: bool = False
     _corner_cache: dict = dfield(default_factory=dict, repr=False)
+    _slab_cache: Optional[list] = dfield(default=None, repr=False)
 
 
 @dataclass
@@ -369,27 +370,37 @@ def _corner_patch_energy(U: ExtensionField, x_c: float, y_c: float,
     return float(dens @ np.outer(np.concatenate([dx, dx]), dy).ravel())
 
 
+def _slab_densities(U: ExtensionField) -> list:
+    """Per slab (mid height, top level, y-weight, |grad U|^2 on the base
+    nodes); they depend on U alone, so they are computed once per field."""
+    if U._slab_cache is None:
+        s = U.s
+        ylev = U.y_levels
+        vals = U.values
+        x = U.base.grid.axis_coords()
+        slabs = []
+        for k in range(len(ylev) - 1):
+            y0, y1 = ylev[k], ylev[k + 1]
+            wgt = (y1 ** (2.0 - s) - y0 ** (2.0 - s)) / (2.0 - s)
+            du_dy = (vals[k + 1] - vals[k]) / (y1 - y0)
+            umid = 0.5 * (vals[k + 1] + vals[k])
+            du_dx = np.gradient(umid, x)
+            slabs.append((0.5 * (y0 + y1), y1, wgt, du_dy ** 2 + du_dx ** 2))
+        U._slab_cache = slabs
+    return U._slab_cache
+
+
 def _dirichlet_slabs(U: ExtensionField, R: float, skip_corner) -> float:
     """Slab-by-slab weighted Dirichlet energy inside the half-ball."""
     g = U.base.grid
-    s = U.s
-    ylev = U.y_levels
-    vals = U.values
     if g.n != 1:
         raise ConfigurationError("half-ball energies are 1D-base only")
     x = g.axis_coords()
     h = g.h
     total = 0.0
-    for k in range(len(ylev) - 1):
-        y0, y1 = ylev[k], ylev[k + 1]
-        ymid = 0.5 * (y0 + y1)
+    for ymid, y1, wgt, dens in _slab_densities(U):
         if ymid > R:
             break
-        wgt = (y1 ** (2.0 - s) - y0 ** (2.0 - s)) / (2.0 - s)
-        du_dy = (vals[k + 1] - vals[k]) / (y1 - y0)
-        umid = 0.5 * (vals[k + 1] + vals[k])
-        du_dx = np.gradient(umid, x)
-        dens = du_dy ** 2 + du_dx ** 2
         sel = x ** 2 + ymid ** 2 <= R ** 2
         if skip_corner is not None and y1 <= skip_corner[1] + 1e-12:
             sel &= np.abs(x) > skip_corner[0]

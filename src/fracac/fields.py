@@ -14,7 +14,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import ndimage
-from scipy.spatial import cKDTree
 
 from .errors import (
     ConfigurationError,
@@ -431,6 +430,7 @@ def hausdorff_distance(A: IndicatorSet, B: IndicatorSet, region: BallRegion) -> 
     pb = pts[B.membership.ravel() & mask]
     if len(pa) == 0 or len(pb) == 0:
         return float("inf")
+    from scipy.spatial import cKDTree    # lazy: keeps scipy.spatial out of `import fracac`
     ta, tb = cKDTree(pa), cKDTree(pb)
     d_ab = tb.query(pa)[0].max()
     d_ba = ta.query(pb)[0].max()

@@ -239,6 +239,45 @@ def test_layer_phi_nondecreasing(layer_s05, quartic):
     assert np.all(np.diff(tr.phi_values) > 0)
 
 
+def test_monotonicity_trace_identical_with_and_without_slab_cache(layer_s05, quartic,
+                                                                 monkeypatch):
+    """The cached per-slab densities give the same bits as recomputing every
+    slab on each `extension_energy` call."""
+    from fracac import extension
+
+    def uncached(U, R, skip_corner):
+        g = U.base.grid
+        s, ylev, vals = U.s, U.y_levels, U.values
+        x = g.axis_coords()
+        total = 0.0
+        for k in range(len(ylev) - 1):
+            y0, y1 = ylev[k], ylev[k + 1]
+            ymid = 0.5 * (y0 + y1)
+            if ymid > R:
+                break
+            wgt = (y1 ** (2.0 - s) - y0 ** (2.0 - s)) / (2.0 - s)
+            du_dy = (vals[k + 1] - vals[k]) / (y1 - y0)
+            umid = 0.5 * (vals[k + 1] + vals[k])
+            dens = du_dy ** 2 + np.gradient(umid, x) ** 2
+            sel = x ** 2 + ymid ** 2 <= R ** 2
+            if skip_corner is not None and y1 <= skip_corner[1] + 1e-12:
+                sel &= np.abs(x) > skip_corner[0]
+            total += wgt * g.h * float(dens[sel].sum())
+        return total
+
+    radii = [2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0]
+    for U in (extend(layer_s05, 0.5, y_max=18.0),
+              halfspace_extension(0.5, layer_s05.grid, 18.0)):
+        cold = monotonicity_trace(U, radii, quartic)
+        warm = monotonicity_trace(U, radii, quartic)
+        with monkeypatch.context() as m:
+            m.setattr(extension, "_dirichlet_slabs", uncached)
+            ref = monotonicity_trace(U, radii, quartic)
+        for tr in (cold, warm):
+            assert np.array_equal(tr.phi_values, ref.phi_values)
+            assert np.array_equal(tr.error_bars, ref.error_bars)
+
+
 def test_non_critical_data_reports_hypothesis_flag(quartic):
     g = Grid(1, 0.1, 20.0, ConstantExterior([(0.0, 0.0)]))
     rng = np.random.default_rng(0)

@@ -1,5 +1,8 @@
 """Grid construction, field metrics, rescaling, level sets, serialization."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -196,6 +199,13 @@ def test_level_set_layer_crossing(layer_s05):
     x0 = x[ls.membership.ravel()].min()
     lip = np.max(np.abs(np.diff(layer_s05.values))) / layer_s05.grid.h
     assert abs(np.interp(x0, x, layer_s05.values)) <= lip * layer_s05.grid.h
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    code = "import sys, fracac; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_hausdorff_identity_translation_and_empty():

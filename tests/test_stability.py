@@ -21,8 +21,9 @@ from fracac import (
     second_variation,
 )
 from fracac.cli import radial_bump_vector_field
-from fracac.errors import ConfigurationError
+from fracac.errors import ConfigurationError, FlowError
 from fracac._lattice import _free_twin, get_operator
+from fracac.stability import _rk4_backward
 
 
 def compact_field(grid, rng, radius):
@@ -269,14 +270,85 @@ def test_halfplane_quotients_nonnegative_within_bars():
 
 def test_flow_map_degeneracy_guard():
     """Smooth flows are diffeomorphisms, but an under-resolved discrete
-    integration can fold; the sampled-Jacobian guard catches it."""
-    from fracac.errors import FlowError
+    integration can fold; the sampled-Jacobian guard catches it along
+    either axis, and reads only the diagonal of the probed Jacobian."""
     E = halfplane_set()
-    X = VectorFieldSpec(lambda p: np.stack(
-        [30.0 * np.sin(8.0 * p[:, 0]), np.zeros(len(p))], axis=1),
-        support_radius=3.0)
-    with pytest.raises(FlowError):
-        flow_map(E, X, 0.4)
+    for ax in (0, 1):
+        def fold(p, ax=ax):
+            out = np.zeros_like(p)
+            out[:, ax] = 30.0 * np.sin(8.0 * p[:, ax])
+            return out
+        with pytest.raises(FlowError):
+            flow_map(E, VectorFieldSpec(fold, support_radius=3.0), 0.4)
+    # a shear folds nothing, though its off-diagonal Jacobian entry (2) tops
+    # the diagonal (1) and the other one is 0
+    shear = VectorFieldSpec(lambda p: np.stack([-20.0 * p[:, 1], np.zeros(len(p))], axis=1),
+                            support_radius=np.inf)
+    flow_map(E, shear, 0.1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("t", [0.3, -0.3])
+def test_rk4_backward_matches_full_array_reference(n, t):
+    """Integrating only the rows inside the support ball changes no bit
+    against RK4 on every row, for points inside, on the sphere and outside."""
+    radius = 0.75
+
+    def comps(p):
+        return np.cos(3.0 * p[:, ::-1]) + 0.5 * p
+
+    X = VectorFieldSpec(comps, support_radius=radius)
+
+    def reference(pts, steps):
+        y = pts.copy()
+        dt = t / steps
+        for _ in range(steps):
+            k1 = -X(y)
+            k2 = -X(y + 0.5 * dt * k1)
+            k3 = -X(y + 0.5 * dt * k2)
+            k4 = -X(y + dt * k3)
+            y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        return y
+
+    rng = np.random.default_rng(n)
+    on_sphere = np.concatenate([radius * np.eye(n), -radius * np.eye(n)])
+    assert np.all(np.linalg.norm(on_sphere, axis=1) == radius)
+    pts = np.concatenate([rng.uniform(-1.2, 1.2, (200, n)), on_sphere])
+    r = np.linalg.norm(pts, axis=1)
+    assert (r < radius).any() and (r > radius).any()
+    for steps in (4, 8):
+        assert np.array_equal(_rk4_backward(pts, X, t, steps), reference(pts, steps))
+
+    # no row inside: a copy comes back and X is never evaluated
+    def never(p):
+        raise AssertionError("X evaluated with no point in its support")
+
+    outside = pts[r > radius]
+    out = _rk4_backward(outside, VectorFieldSpec(never, support_radius=radius), t, 4)
+    assert np.array_equal(out, outside) and out is not outside
+
+
+def test_flow_map_tiny_support_never_evaluates_empty_arrays():
+    """Every grid holds the origin, so the smallest support still meets one
+    node; the probe points miss it and must not reach X as an empty array."""
+    E = halfplane_set()
+    sizes = []
+
+    def comps(p):
+        sizes.append(len(p))
+        if len(p) == 0:
+            raise ValueError("empty evaluation")
+        return np.tile([0.0, 1.0], (len(p), 1))
+
+    X = VectorFieldSpec(comps, support_radius=0.5 * E.grid.h)
+    assert np.array_equal(flow_map(E, X, 0.1).membership, E.membership)
+    assert sizes and set(sizes) == {1}
+
+
+@pytest.mark.parametrize("radius", [float("nan"), 0.0, -1.0, -np.inf, "1.0"])
+def test_vector_field_spec_rejects_bad_support_radius(radius):
+    with pytest.raises(ConfigurationError):
+        VectorFieldSpec(lambda p: np.zeros_like(p), support_radius=radius)
 
 
 @pytest.mark.parametrize("s,window", [(0.3, 5e-3), (0.7, 1e-3)])
