@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 from scipy import fft as sfft
+from scipy.sparse.linalg import LinearOperator, minres
 
 from ._lattice import fft_workers, get_operator
 from .energies import Potential, sobolev_energy, potential_energy
@@ -72,6 +73,25 @@ def residual_field(u: ScalarField, spec: KernelSpec, W: Potential,
     return op.apply(u.values) + _pot_weight(epsilon, spec.s) * W.wp(u.values)
 
 
+def _odd(y: np.ndarray) -> np.ndarray:
+    return np.concatenate((-y[::-1], [0.0], y))
+
+
+def _newton_step(op, vals, r, W, pw, odd=False) -> np.ndarray:
+    """u + du with (L + pw W''(u)) du = -r solved by MINRES, matrix-free on
+    `stability_apply` (the convolution engine).  odd=True takes the nodes
+    right of the centre as unknowns and extends them oddly in the product."""
+    sel = slice(vals.size // 2 + 1, None) if odd else slice(None)
+    ext = _odd if odd else (lambda y: y)
+    diag = pw * W.wpp(vals)
+    jac = LinearOperator((r[sel].size,) * 2, dtype=float,
+                         matvec=lambda y: op.stability_apply(ext(y), diag)[sel])
+    du, info = minres(jac, -r[sel], rtol=1e-12)
+    if info:
+        raise NotConvergedError(f"MINRES hit its iteration limit ({info}) in a Newton step")
+    return ext(vals[sel] + du)
+
+
 def _full_energy(op, values, W, pw) -> float:
     """Energy whose gradient is the flow map: pair part plus tails plus potential."""
     g = op.grid
@@ -94,7 +114,7 @@ def gradient_flow(config: SolveConfig, spec: KernelSpec, W: Potential) -> SolveR
     exact eigenvalues of the discrete operator (periodic grids); the
     potential is explicit.  explicit_flow works on any grid and checks the
     stiffness bound before starting.  newton runs explicit flow to a loose
-    residual and then full Newton steps (1D exterior grids).
+    residual, then Newton–Krylov on the convolution engine (1D exterior grids).
     """
     if config.seed_field is None:
         raise ConfigurationError("a seed field is required")
@@ -171,16 +191,13 @@ def gradient_flow(config: SolveConfig, spec: KernelSpec, W: Potential) -> SolveR
         if newton_phase and res > config.residual_tol:
             if g.n != 1 or isinstance(g.boundary, Periodic):
                 raise ConfigurationError("newton refinement runs on 1D exterior grids")
-            A = op.dense_matrix()
-            t1 = op.moments["t1"]
             for _ in range(40):
                 it += 1
-                r = A @ vals - t1 + pw * W.wp(vals)
+                r = op.apply(vals) + pw * W.wp(vals)
                 res = float(np.max(np.abs(r)))
                 if res <= config.residual_tol:
                     break
-                J = A + np.diag(pw * W.wpp(vals))
-                vals = vals + np.linalg.solve(J, -r)
+                vals = _newton_step(op, vals, r, W, pw)
                 energy_trace.append(_full_energy(op, vals, W, pw))
 
     out = ScalarField(g, vals)
@@ -195,9 +212,9 @@ def solve_layer_1d(s: float, box_radius: float, h: float, tol: float = 1e-10,
     """Monotone transition profile connecting -1 to +1 on a symmetric 1D grid.
 
     Uses the multiplier-normalized fractional kernel, exterior data -1/+1,
-    a short pinned explicit flow, and Newton refinement on the odd-reduced
-    system (odd symmetry removes the soft translation direction).  The
-    residual is certified on the inner half of the box.
+    a short pinned explicit flow, and Newton–Krylov on the convolution engine
+    over the odd-reduced system (odd symmetry removes the soft translation
+    direction; all nodes if pin_odd=False), certified on |x| <= box_radius/2.
     """
     if not (0.0 < s < 1.0):
         raise ConfigurationError("layer order must lie in (0, 1)")
@@ -217,41 +234,20 @@ def solve_layer_1d(s: float, box_radius: float, h: float, tol: float = 1e-10,
     else:
         vals = np.tanh(x / (2.0 * epsilon))
 
-    A = op.dense_matrix()
-    t1 = op.moments["t1"]
-
-    def pin(v):
-        v = v.copy()
-        v[m] = 0.0
-        v[:m] = -v[m + 1:][::-1]
-        return v
-
     def res(v):
-        return A @ v - t1 + pw * W.wp(v)
+        return op.apply(v) + pw * W.wp(v)
 
     if pin_odd:
-        vals = pin(vals)
-        lbound = 2.0 * float(np.max(np.diag(A)))
+        vals = _odd(vals[m + 1:])
+        lbound = 2.0 * float(np.max(op.colsum + op.moments["t0"]))
         tau = 0.8 / (lbound + pw * float(np.max(np.abs(W.wpp(np.linspace(-1, 1, 801))))))
         for _ in range(60):
-            vals = pin(np.clip(vals - tau * res(vals), -1.0, 1.0))
-        idx = np.arange(m + 1, grid.nodes_per_axis)
-        mirror = np.arange(m - 1, -1, -1)
-        for _ in range(60):
-            r = res(vals)
-            if np.max(np.abs(r)) <= max(tol * 1e-2, 1e-13):
-                break
-            J = A + np.diag(pw * W.wpp(vals))
-            J_red = J[np.ix_(idx, idx)] - J[np.ix_(idx, mirror)]
-            vals[idx] += np.linalg.solve(J_red, -r[idx])
-            vals = pin(vals)
-    else:
-        for _ in range(60):
-            r = res(vals)
-            if np.max(np.abs(r)) <= max(tol * 1e-2, 1e-13):
-                break
-            J = A + np.diag(pw * W.wpp(vals))
-            vals += np.linalg.solve(J, -r)
+            vals = _odd(np.clip(vals - tau * res(vals), -1.0, 1.0)[m + 1:])
+    for _ in range(60):
+        r = res(vals)
+        if np.max(np.abs(r)) <= max(tol * 1e-2, 1e-13):
+            break
+        vals = _newton_step(op, vals, r, W, pw, odd=pin_odd)
 
     inner = np.abs(x) <= box_radius / 2.0
     res_sup = float(np.max(np.abs(res(vals)[inner])))

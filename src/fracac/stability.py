@@ -242,9 +242,13 @@ def flow_map(E: IndicatorSet, X: VectorFieldSpec, t: float) -> IndicatorSet:
     characteristics and re-thresholds at zero.  Only the nodes inside the
     support ball of X are integrated; the rest keep their own value.
     Degenerate (non-positive) Jacobians of the flow raise a flow error.
+    E keeps its signed distance, with a copy of its membership, for reuse.
     """
     g = E.grid
-    phi = signed_distance(E)
+    memo = getattr(E, "_sd_memo", None)
+    if memo is None or memo[0] is not g or not np.array_equal(memo[1], E.membership):
+        memo = E._sd_memo = (g, E.membership.copy(), signed_distance(E))
+    phi = memo[2]
     pts = g.coords()
     src = _rk4_backward(pts, X, t, steps=max(4, int(np.ceil(abs(t) / 0.02))))
 

@@ -1,5 +1,9 @@
 """Gradient flow, the layer profile, and first-variation consistency."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,8 +21,8 @@ from fracac import (
     solve_layer_1d,
 )
 from fracac.energies import potential_energy, sobolev_energy
-from fracac.errors import ConfigurationError
-from fracac._lattice import get_operator
+from fracac.errors import ConfigurationError, NotConvergedError
+from fracac._lattice import DiscreteOperator, get_operator
 
 
 def test_constant_well_is_fixed_point(quartic):
@@ -120,6 +124,109 @@ def test_layer_rejects_small_box():
         solve_layer_1d(0.5, 10.0, 0.1)
 
 
+def _dense_newton(op, vals, W, thr, odd, steps=60):
+    """Oracle: Newton with an LU solve of the assembled Jacobian (the odd-
+    reduced block J[idx, idx] - J[idx, mirror] when odd)."""
+    A, t1 = op.dense_matrix(), op.moments["t1"]
+    vals = vals.copy()
+    m = vals.size // 2
+    idx, mirror = np.arange(m + 1, vals.size), np.arange(m - 1, -1, -1)
+    for _ in range(steps):
+        r = A @ vals - t1 + W.wp(vals)
+        if np.max(np.abs(r)) <= thr:
+            return vals
+        J = A + np.diag(W.wpp(vals))
+        if odd:
+            vals[idx] += np.linalg.solve(J[np.ix_(idx, idx)] - J[np.ix_(idx, mirror)], -r[idx])
+            vals[:m] = -vals[idx][::-1]
+        else:
+            vals += np.linalg.solve(J, -r)
+    raise AssertionError("dense oracle did not converge")
+
+
+def _dense_layer(h, quartic, seed=None):
+    """The layer by the dense route: pinned explicit flow, then the odd-reduced
+    LU Newton; with a seed, LU Newton on all nodes from the seed."""
+    g = Grid(1, h, 40.0, ConstantExterior([(-1.0, 1.0)]), centered=True)
+    op = get_operator(g, KernelSpec.fractional_unit(0.5, 1))
+    if seed is not None:
+        return _dense_newton(op, seed.values, quartic, 1e-12, odd=False)
+    A, t1 = op.dense_matrix(), op.moments["t1"]
+    m = g.half_count
+    vals = np.tanh(g.axis_coords() / 2.0)
+    vals[m], vals[:m] = 0.0, -vals[m + 1:][::-1]
+    tau = 0.8 / (2.0 * np.max(np.diag(A)) + np.max(np.abs(quartic.wpp(np.linspace(-1, 1, 801)))))
+    for _ in range(60):
+        vals = np.clip(vals - tau * (A @ vals - t1 + quartic.wp(vals)), -1.0, 1.0)
+        vals[m], vals[:m] = 0.0, -vals[m + 1:][::-1]
+    return _dense_newton(op, vals, quartic, 1e-12, odd=True)
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05])
+def test_layer_newton_krylov_matches_dense_lu(h, quartic):
+    phi = solve_layer_1d(0.5, 40.0, h, tol=1e-10)
+    assert np.max(np.abs(phi.values - _dense_layer(h, quartic))) <= 1e-10
+    full = solve_layer_1d(0.5, 40.0, h, tol=1e-10, seed=phi, pin_odd=False)
+    assert np.max(np.abs(full.values - _dense_layer(h, quartic, seed=phi))) <= 1e-10
+
+
+def test_flow_newton_krylov_matches_dense_lu(quartic):
+    """The newton scheme's refinement agrees with LU Newton from the same
+    flowed iterate (explicit flow to the 1e-4 hand-over residual)."""
+    g = Grid(1, 0.125, 8.0, ConstantExterior([(-1.0, 1.0)]))
+    seed = ScalarField(g, np.clip(g.axis_coords() / 4.0, -1.0, 1.0))
+    spec = KernelSpec.fractional_unit(0.5, 1)
+    op = get_operator(g, spec)
+    step = 0.8 / (2.0 * float(np.max(op.colsum + op.moments["t0"])) + 2.0)
+    kw = dict(step=step, max_iterations=2000, seed_field=seed)
+    out = gradient_flow(SolveConfig(scheme="newton", residual_tol=1e-9, **kw), spec, quartic)
+    flowed = gradient_flow(SolveConfig(scheme="explicit_flow", residual_tol=1e-4, **kw),
+                           spec, quartic)
+    oracle = _dense_newton(op, flowed.field.values, quartic, 1e-13, odd=False)
+    assert out.converged
+    assert np.max(np.abs(out.field.values - oracle)) <= 1e-10
+
+
+def test_newton_paths_never_assemble_the_dense_matrix(monkeypatch, quartic):
+    def refuse(self):
+        raise AssertionError("dense_matrix called")
+
+    monkeypatch.setattr(DiscreteOperator, "dense_matrix", refuse)
+    phi = solve_layer_1d(0.5, 20.0, 0.1, tol=1e-9)
+    solve_layer_1d(0.5, 20.0, 0.1, tol=1e-9, seed=phi, pin_odd=False)
+    g = Grid(1, 0.125, 8.0, ConstantExterior([(-1.0, 1.0)]))
+    seed = ScalarField(g, np.clip(g.axis_coords() / 4.0, -1.0, 1.0))
+    cfg = SolveConfig(scheme="newton", step=0.01, max_iterations=2000,
+                      residual_tol=1e-9, seed_field=seed)
+    assert gradient_flow(cfg, KernelSpec.fractional_unit(0.5, 1), quartic).converged
+
+
+def test_krylov_solve_short_of_its_residual_raises(monkeypatch):
+    """A MINRES solve stopped by its iteration limit is an error, not a step."""
+    import fracac.solver as solver
+
+    minres = solver.minres
+    monkeypatch.setattr(solver, "minres", lambda A, b, **kw: minres(A, b, maxiter=2, **kw))
+    with pytest.raises(NotConvergedError):
+        solve_layer_1d(0.5, 20.0, 0.1, tol=1e-9)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux VmHWM")
+def test_layer_solve_memory_stays_matrix_free():
+    """A fresh process solving the h = 0.0125 layer (6401 nodes) peaks far
+    below one dense Jacobian (6401^2 doubles = 328 MB; the LU path peaked at
+    1.1 GB); the import alone takes about 68 MB.  The child reports VmHWM of
+    its own address space: its ru_maxrss would keep the high-water mark of
+    the forking test process across exec."""
+    code = ("from fracac import solve_layer_1d; solve_layer_1d(0.5, 40.0, 0.0125); "
+            "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": src, "FRACAC_THREADS": "1",
+                              "OPENBLAS_NUM_THREADS": "1"}, check=True)
+    assert int(out.stdout) / 1024.0 <= 150.0
+
+
 def test_layer_tail_exponents(layer_s05, layer_s03):
     for phi, s in ((layer_s05, 0.5), (layer_s03, 0.3)):
         x = phi.grid.axis_coords()
@@ -146,11 +253,9 @@ def test_layer_translation_mode_mean_value_identity(layer_s05, quartic):
     assert np.max(np.abs(shifted)) <= 1e-9
 
     # curvature form: L dq + W''(u) dq, honest tolerance O(h)
-    interior = slice(1, -1)
-    Ldq = (A[interior, interior] @ dq) if False else None
     full_dq = np.zeros_like(vals)
     full_dq[1:-1] = dq
-    r = A @ full_dq - 0.0 + quartic.wpp(vals) * full_dq
+    r = A @ full_dq + quartic.wpp(vals) * full_dq
     inner = np.abs(x) <= 15.0
     assert np.max(np.abs(r[inner])) <= 10.0 * g.h
 

@@ -345,6 +345,38 @@ def test_flow_map_tiny_support_never_evaluates_empty_arrays():
     assert sizes and set(sizes) == {1}
 
 
+def _count_edt(monkeypatch):
+    from scipy import ndimage
+    calls = []
+    edt = ndimage.distance_transform_edt
+    monkeypatch.setattr(ndimage, "distance_transform_edt",
+                        lambda *a, **k: calls.append(1) or edt(*a, **k))
+    return calls
+
+
+def test_quotients_compute_each_signed_distance_once(monkeypatch):
+    """One quotient call flows the set and its coarsening 2 len(t) times
+    each, but each set's signed distance (two EDTs) is computed once."""
+    calls = _count_edt(monkeypatch)
+    perimeter_stability_quotients(halfplane_set(), radial_bump_vector_field(3),
+                                  BallRegion((0.0, 0.0), 1.0), 0.9, (0.04, 0.08, 0.16))
+    assert len(calls) == 4
+
+
+def test_flow_map_recomputes_distance_after_membership_change(monkeypatch):
+    E = halfplane_set()
+    X = radial_bump_vector_field(3)
+    before = flow_map(E, X, 0.08).membership
+    calls = _count_edt(monkeypatch)
+    assert np.array_equal(flow_map(E, X, 0.08).membership, before) and not calls
+    pts = E.grid.coords()
+    E.membership[...] = (np.sum(pts ** 2, axis=1) <= 0.5).reshape(E.grid.shape)
+    after = flow_map(E, X, 0.08).membership
+    fresh = flow_map(IndicatorSet(E.grid, E.membership.copy()), X, 0.08).membership
+    assert len(calls) == 4 and np.array_equal(after, fresh)
+    assert not np.array_equal(after, before)
+
+
 @pytest.mark.parametrize("radius", [float("nan"), 0.0, -1.0, -np.inf, "1.0"])
 def test_vector_field_spec_rejects_bad_support_radius(radius):
     with pytest.raises(ConfigurationError):
