@@ -608,7 +608,7 @@ class DiscreteOperator:
             u = values
             tail = (u * u * t0 - 2.0 * u * t1 + t2)[region_mask].sum()
             e += 0.5 * g.cell_volume() * tail
-        return e
+        return float(e)
 
     def quadratic_form(self, xi: np.ndarray) -> float:
         """Half the full-space pair sum of a compactly supported perturbation.

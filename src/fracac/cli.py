@@ -212,9 +212,9 @@ def _exp_energy(cfg: RunConfig, out: Path) -> RunReport:
     records = []
     for R in radii:
         br = energy_breakdown(phi, BallRegion((0.0,), R), spec, W, cfg.get("epsilon"))
-        rows.append((R, br.sobolev, br.potential, br.stderr))
+        rows.append((R, br.sobolev, br.potential))
         records.append(br.record())
-    write_csv(out / "energies.csv", ["radius", "sobolev", "potential", "stderr"], rows)
+    write_csv(out / "energies.csv", ["radius", "sobolev", "potential"], rows)
     write_json(out / "energies.json", {"records": records})
     ok = all(r[1] >= 0 and r[2] >= 0 for r in rows)
     checks = [{"name": "nonnegative_parts", "pass": ok}]
@@ -242,15 +242,15 @@ def _exp_scaling(cfg: RunConfig, out: Path) -> RunReport:
             ("full_energy", lambda: full_energy_scaling(u2, radii, spec2, W),
              u2.grid.n - s, 0.15)):
         exp, fit = runner()
-        write_csv(out / f"{name}.csv", ["abscissa", "value", "error_bar"], exp.rows())
+        write_csv(out / f"{name}.csv", ["abscissa", "value"], exp.rows())
         write_svg_line(out / f"{name}.svg", np.log(exp.abscissae),
                        np.log(exp.values), f"log-log {name}")
         checks.append({"name": f"{name}_slope", "value": fit.slope,
                        "expected": expected, "tolerance": tol,
                        "pass": abs(fit.slope - expected) <= tol})
     rep = potential_vs_sobolev(u2, [6.0, 8.0, 10.0, 12.0, 14.0], 2.0, spec2, W)
-    write_csv(out / "pot_over_sob.csv", ["abscissa", "value", "error_bar"],
-              [(r, v, 0.0) for r, v in zip(rep["radii"], rep["ratios"])])
+    write_csv(out / "pot_over_sob.csv", ["abscissa", "value"],
+              zip(rep["radii"], rep["ratios"]))
     checks.append({"name": "pot_sob_trend", "value": rep["trend_slope"],
                    "expected": 0.0, "tolerance": 0.05,
                    "pass": rep["trend_slope"] <= 0.05})

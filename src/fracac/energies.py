@@ -30,7 +30,6 @@ from .kernels import KernelSpec
 __all__ = [
     "Potential",
     "EnergyBreakdown",
-    "EnergyEstimate",
     "VariationMap",
     "sobolev_energy",
     "potential_energy",
@@ -149,28 +148,12 @@ def audit_potential(W: Potential, samples: int = 4001):
 # energies
 # ---------------------------------------------------------------------------
 
-class EnergyEstimate(float):
-    """An energy value that carries its standard error.
-
-    The error is 0.0 for exact evaluations and positive for sampled ones;
-    the value itself behaves as a plain float.
-    """
-
-    __slots__ = ("stderr",)
-
-    def __new__(cls, value: float, stderr: float = 0.0):
-        obj = super().__new__(cls, value)
-        obj.stderr = float(stderr)
-        return obj
-
-
 @dataclass
 class EnergyBreakdown:
     sobolev: float
     potential: float
     region: BallRegion
     epsilon: float = 1.0
-    stderr: float = 0.0
 
     @property
     def total(self) -> float:
@@ -182,7 +165,6 @@ class EnergyBreakdown:
             "epsilon": self.epsilon,
             "sobolev": self.sobolev,
             "potential": self.potential,
-            "stderr": self.stderr,
         }
 
 
@@ -192,89 +174,20 @@ def _classical_sobolev(u: ScalarField, region: BallRegion) -> float:
     return float(0.5 * u.grid.cell_volume() * (mag[mask] ** 2).sum())
 
 
-def sobolev_energy(u: ScalarField, region: BallRegion, spec: KernelSpec,
-                   seed: int = 0, pairs_per_stratum: int = 20000) -> EnergyEstimate:
+def sobolev_energy(u: ScalarField, region: BallRegion, spec: KernelSpec) -> float:
     """Interaction energy over pairs meeting the region, with exterior tails.
 
-    Returns an `EnergyEstimate` in every dimension.  Dimensions 1 and 2 are
-    exact pair sums (evaluated through FFT correlations, exact to
-    round-off) with stderr 0.0; dimension 3 is stratified-subsampled by
-    pair distance and carries the estimator's stderr.  The classical kind
-    is the local Dirichlet energy over the region, also with stderr 0.0.
+    Exact in every dimension: the pair sum runs over the one weight table
+    (FFT correlations, exact to round-off), on the periodized row for
+    periodic grids and with the exterior moments otherwise.  The classical
+    kind is the local Dirichlet energy over the region.
     """
     g = u.grid
     if not isinstance(g.boundary, Periodic):
         region.check_inside(g)
     if spec.kind == "classical":
-        return EnergyEstimate(_classical_sobolev(u, region))
-    if g.n == 3:
-        return _sobolev_subsampled(u, region, spec, seed, pairs_per_stratum)
-    op = get_operator(g, spec)
-    return EnergyEstimate(op.sobolev_energy(u.values, region.mask(g)))
-
-
-def _sobolev_subsampled(u: ScalarField, region: BallRegion, spec: KernelSpec,
-                        seed: int, pairs_per_stratum: int) -> EnergyEstimate:
-    """Stratified estimator of the pair sum in 3D, with reported stderr."""
-    g = u.grid
-    op = get_operator(g, spec)
-    rng = np.random.default_rng(seed)
-    mask = region.mask(g)
-    vals = u.values
-    coords_idx = np.argwhere(np.ones(g.shape, dtype=bool))
-    in_region = mask.ravel()
-    a_idx = np.flatnonzero(in_region)
-    p = g.nodes_per_axis
-    total = 0.0
-    var_total = 0.0
-    # dyadic distance strata in units of h
-    max_r = (p - 1) * np.sqrt(3.0)
-    edges = [1.0]
-    while edges[-1] < max_r:
-        edges.append(edges[-1] * 2.0)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        # offsets with lo <= |z|/h < hi
-        rad = int(np.ceil(min(hi, max_r)))
-        rng_off = np.arange(-rad, rad + 1)
-        ox, oy, oz = np.meshgrid(rng_off, rng_off, rng_off, indexing="ij")
-        rr = np.sqrt(ox ** 2 + oy ** 2 + oz ** 2)
-        sel = (rr >= lo) & (rr < hi)
-        offs = np.stack([ox[sel], oy[sel], oz[sel]], axis=1)
-        if len(offs) == 0:
-            continue
-        n_draw = pairs_per_stratum
-        xi = a_idx[rng.integers(0, len(a_idx), n_draw)]
-        zi = rng.integers(0, len(offs), n_draw)
-        xyz = coords_idx[xi]
-        tgt = xyz + offs[zi]
-        ok = np.all((tgt >= 0) & (tgt < p), axis=1)
-        contrib = np.zeros(n_draw)
-        if ok.any():
-            src_vals = vals.ravel()[xi[ok]]
-            tgt_flat = np.ravel_multi_index(tgt[ok].T, g.shape)
-            d = src_vals - vals.ravel()[tgt_flat]
-            # weight table lookup
-            woff = offs[zi[ok]] + (p - 1)
-            wv = op.weights[tuple(woff.T)]
-            # ordered pairs with the source inside the region: pairs whose
-            # other end is outside are the sole witnesses of the mirrored
-            # order and carry double weight
-            c = d * d * wv * np.where(in_region[tgt_flat], 1.0, 2.0)
-            contrib[ok] = c
-        # estimator of the ordered double sum over (region x stratum offsets)
-        scale = len(a_idx) * len(offs)
-        mean = contrib.mean()
-        total += scale * mean
-        var_total += scale ** 2 * contrib.var(ddof=1) / n_draw
-    e = 0.25 * g.cell_volume() * total
-    err = 0.25 * g.cell_volume() * np.sqrt(var_total)
-    # exterior tails are exact
-    if not isinstance(g.boundary, Periodic):
-        mom = op.moments
-        uu = vals
-        tail = (uu * uu * mom["t0"] - 2.0 * uu * mom["t1"] + mom["t2"])[mask].sum()
-        e += 0.5 * g.cell_volume() * tail
-    return EnergyEstimate(e, err)
+        return _classical_sobolev(u, region)
+    return get_operator(g, spec).sobolev_energy(u.values, region.mask(g))
 
 
 def potential_energy(u: ScalarField, region: BallRegion, W: Potential,
@@ -295,7 +208,7 @@ def energy_breakdown(u: ScalarField, region: BallRegion, spec: KernelSpec,
                      W: Potential, epsilon: float = 1.0) -> EnergyBreakdown:
     sob = sobolev_energy(u, region, spec)
     pot = potential_energy(u, region, W, epsilon, spec.s)
-    return EnergyBreakdown(float(sob), pot, region, epsilon, sob.stderr)
+    return EnergyBreakdown(sob, pot, region, epsilon)
 
 
 # ---------------------------------------------------------------------------

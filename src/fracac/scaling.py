@@ -48,22 +48,18 @@ class ScalingExperiment:
     quantity_name: str
     abscissae: np.ndarray
     values: np.ndarray
-    error_bars: np.ndarray = None
 
     def __post_init__(self):
         self.abscissae = np.asarray(self.abscissae, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        if self.error_bars is None:
-            self.error_bars = np.zeros_like(self.values)
-        self.error_bars = np.asarray(self.error_bars, dtype=float)
-        if not (len(self.abscissae) == len(self.values) == len(self.error_bars)):
+        if len(self.abscissae) != len(self.values):
             raise ConfigurationError("trace arrays must have equal length")
         d = np.diff(self.abscissae)
         if not (np.all(d > 0) or np.all(d < 0)):
             raise ConfigurationError("abscissae must be strictly monotone")
 
     def rows(self):
-        return zip(self.abscissae, self.values, self.error_bars)
+        return zip(self.abscissae, self.values)
 
 
 @dataclass
@@ -141,8 +137,7 @@ def bv_scaling(u: ScalarField, radii: Sequence[float]):
 
 def sobolev_scaling(u: ScalarField, radii: Sequence[float], spec: KernelSpec):
     energies = [sobolev_energy(u, _region(u, R), spec) for R in radii]
-    exp = ScalingExperiment("sobolev", np.asarray(radii, dtype=float), energies,
-                            [e.stderr for e in energies])
+    exp = ScalingExperiment("sobolev", np.asarray(radii, dtype=float), energies)
     if np.all(exp.values == 0.0):
         return exp, FitResult(0.0, 0.0, 1.0, (0, len(energies)), degenerate=True)
     return exp, fit_loglog(exp)

@@ -132,7 +132,7 @@ def test_fitted_slope_reproducible_from_serialized_trace(tmp_path):
         if not csv_path.exists():
             continue
         rows = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-        exp = ScalingExperiment(name, rows[:, 0], rows[:, 1], rows[:, 2])
+        exp = ScalingExperiment(name, rows[:, 0], rows[:, 1])
         refit = fit_loglog(exp)
         assert refit.slope == check["value"]
 
@@ -141,7 +141,8 @@ def test_fitted_slope_reproducible_from_serialized_trace(tmp_path):
     ("monotonicity", {"checks.csv", "report.json", "monotonicity.csv",
                       "monotonicity.svg", "monotonicity_halfspace.csv"}),
     ("stability", {"checks.csv", "report.json", "stability.json", "witness.txt"}),
-], ids=["monotonicity", "stability"])
+    ("energy", {"checks.csv", "report.json", "energies.csv", "energies.json"}),
+], ids=["monotonicity", "stability", "energy"])
 def test_cli_byte_identical_on_rerun(experiment, outputs, tmp_path):
     out = tmp_path / "o"
     runs = []
@@ -150,3 +151,6 @@ def test_cli_byte_identical_on_rerun(experiment, outputs, tmp_path):
         runs.append({p.name: p.read_bytes() for p in (out / experiment).iterdir()
                      if p.name != "timings.txt"})
     assert runs[0] == runs[1] and set(runs[0]) == outputs
+    if experiment == "energy":
+        header = runs[0]["energies.csv"].decode().splitlines()[0]
+        assert header == "radius,sobolev,potential"

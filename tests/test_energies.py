@@ -12,6 +12,7 @@ from fracac import (
     Grid,
     IndicatorSet,
     KernelSpec,
+    Periodic,
     Potential,
     ScalarField,
     VariationMap,
@@ -23,7 +24,8 @@ from fracac import (
     sobolev_energy,
     translation_comparison,
 )
-from fracac.energies import EnergyEstimate, energy_breakdown, cutoff_profile
+from fracac._lattice import get_operator
+from fracac.energies import energy_breakdown, cutoff_profile
 from fracac.errors import ConfigurationError
 from fracac.fields import gradient_l1_norm
 
@@ -214,42 +216,59 @@ def test_breakdown_record_totals(layer_s05, quartic, spec1_unit):
     br = energy_breakdown(layer_s05, BallRegion((0.0,), 4.0), spec1_unit, quartic)
     assert br.total == br.sobolev + br.potential
     rec = br.record()
-    assert set(rec) == {"region", "epsilon", "sobolev", "potential", "stderr"}
+    assert set(rec) == {"region", "epsilon", "sobolev", "potential"}
 
 
-def test_sobolev_3d_subsample_matches_brute_force():
-    rng = np.random.default_rng(9)
-    g = Grid(3, 0.25, 1.0, ConstantExterior([(0.0, 0.0)] * 3))
-    u = ScalarField(g, rng.normal(size=g.shape))
-    region = BallRegion((0.0, 0.0, 0.0), 0.75)
-    spec = KernelSpec.fractional(0.5)
-    est = sobolev_energy(u, region, spec, seed=1, pairs_per_stratum=60000)
-    err = est.stderr
-
-    # brute force over all ordered pairs with >= 1 endpoint in the region
-    from fracac._lattice import get_operator
-    op = get_operator(g, spec)
+def _brute_pair_sum_3d(g, u, region, weight):
+    """Quarter sum over all ordered node pairs with >= 1 endpoint in the
+    region; weight(d) gives the pair weight of integer offsets d."""
     pts_idx = np.argwhere(np.ones(g.shape, dtype=bool))
     vals = u.values.ravel()
     mask = region.mask(g).ravel()
-    p = g.nodes_per_axis
     total = 0.0
     for i in range(len(pts_idx)):
-        d = pts_idx[None, i] - pts_idx
-        w = op.weights[tuple((d + p - 1).T)]
-        c = (vals[i] - vals) ** 2 * w
+        c = (vals[i] - vals) ** 2 * weight(pts_idx[None, i] - pts_idx)
         keep = mask[i] | mask
         total += float(c[keep].sum())
-    brute = 0.25 * g.cell_volume() * total
+    return 0.25 * g.cell_volume() * total
+
+
+@pytest.mark.parametrize("sides", [[(0.0, 0.0)] * 3, [(1.0, -1.0)] * 3],
+                         ids=["zero", "asymmetric"])
+def test_sobolev_3d_matches_brute_force(sides):
+    rng = np.random.default_rng(9)
+    g = Grid(3, 0.25, 1.0, ConstantExterior(sides))
+    u = ScalarField(g, rng.normal(size=g.shape))
+    region = BallRegion((0.0, 0.0, 0.0), 0.75)
+    spec = KernelSpec.fractional(0.5)
+    e = sobolev_energy(u, region, spec)
+
+    op = get_operator(g, spec)
+    p = g.nodes_per_axis
+    brute = _brute_pair_sum_3d(g, u, region, lambda d: op.weights[tuple((d + p - 1).T)])
     mom = op.moments
     uu = u.values
     tail = (uu ** 2 * mom["t0"] - 2 * uu * mom["t1"] + mom["t2"])[region.mask(g)].sum()
     brute += 0.5 * g.cell_volume() * float(tail)
-    assert abs(est - brute) <= max(4.0 * err, 0.02 * brute)
+    assert abs(e - brute) <= 1e-12 * brute
+
+
+def test_sobolev_3d_periodic_matches_brute_force():
+    """Wrap-around pairs count, with the periodized row as their weight."""
+    rng = np.random.default_rng(9)
+    g = Grid(3, 0.25, 1.0, Periodic())
+    u = ScalarField(g, rng.normal(size=g.shape))
+    region = BallRegion((0.0, 0.0, 0.0), 0.75)
+    spec = KernelSpec.fractional(0.5)
+    e = sobolev_energy(u, region, spec)
+
+    op = get_operator(g, spec)
+    p = g.nodes_per_axis
+    brute = _brute_pair_sum_3d(g, u, region, lambda d: op.row[tuple((d % p).T)])
+    assert abs(e - brute) <= 1e-12 * brute
 
 
 def test_sobolev_energy_same_type_in_every_dimension():
-    """One float type everywhere; only the sampled 3D route has a stderr."""
     rng = np.random.default_rng(4)
     spec = KernelSpec.fractional(0.5)
     out = {}
@@ -257,13 +276,10 @@ def test_sobolev_energy_same_type_in_every_dimension():
         g = Grid(n, 0.25, 1.0, ConstantExterior([(0.0, 0.0)] * n))
         u = ScalarField(g, rng.normal(size=g.shape))
         region = BallRegion((0.0,) * n, 0.75)
-        out[n] = sobolev_energy(u, region, spec, pairs_per_stratum=2000)
+        out[n] = sobolev_energy(u, region, spec)
         if n == 1:
             out["classical"] = sobolev_energy(u, region, KernelSpec.classical())
-    assert {type(e) for e in out.values()} == {EnergyEstimate}
-    assert all(isinstance(e, float) for e in out.values())
-    assert out[1].stderr == out[2].stderr == out["classical"].stderr == 0.0
-    assert out[3].stderr > 0.0
+    assert all(type(e) is float for e in out.values())
 
 
 # ---------------------------------------------------------------------------
