@@ -4,8 +4,9 @@ Everything here revolves around one convention: the discrete nonlocal
 operator is the exact gradient (in the h^n-weighted inner product) of the
 discrete pair-sum energy.  Both are built from a single table of pair
 weights w(z) = h^n K(z), plus per-node tail moments that account for the
-exterior of the box.  Keeping energy, operator, and quadratic form on the
-same weights makes the Euler-Lagrange identity and the perimeter/energy
+exterior of the box (all three are zero on a periodic grid, which has no
+exterior).  Keeping energy, operator, and quadratic form on the same
+weights makes the Euler-Lagrange identity and the perimeter/energy
 identity exact at round-off.
 
 The nearest-neighbor weight carries a calibrated correction factor: a raw
@@ -299,13 +300,11 @@ def _moments_1d(grid: Grid, spec) -> dict:
         def prim(d):
             # integral_d^inf K(r) dr for the (scaled) reference kernel
             return spec.scale * (2.0 - spec.s) / spec.s * np.asarray(d) ** (-spec.s)
-        kval = lambda r: spec.scale * (2.0 - spec.s) * r ** (-(1.0 + spec.s))
     else:
-        kval = lambda r: spec.scale * np.asarray(spec.profile(np.abs(r)), dtype=float)
         # tabulated antiderivative on a log grid, interpolated per node
         d_min = grid.h / 4.0
         tab_r = np.geomspace(d_min, 1e9 * max(1.0, grid.box_radius), 6000)
-        tab_k = kval(tab_r)
+        tab_k = kernel_on_radii(spec, tab_r, 1)
         seg = 0.5 * (tab_k[1:] + tab_k[:-1]) * np.diff(tab_r)
         suffix = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
         tail_top = float(tab_k[-1]) * tab_r[-1] / spec.s
@@ -333,8 +332,8 @@ def _moments_1d(grid: Grid, spec) -> dict:
         xl = lo - span
         pr = b(xr[:, None]) - a_hi
         pl = b(xl[:, None]) - a_lo
-        kr = kval(xr[None, :] - x[:, None])
-        kl = kval(x[:, None] - xl[None, :])
+        kr = kernel_on_radii(spec, xr[None, :] - x[:, None], 1)
+        kl = kernel_on_radii(spec, x[:, None] - xl[None, :], 1)
         corr1_r = np.trapezoid(kr * pr[None, :], xr, axis=1)
         corr1_l = -np.trapezoid(kl * pl[None, :], xl, axis=1)
         pr2 = b(xr[:, None]) ** 2 - a_hi ** 2
@@ -343,7 +342,7 @@ def _moments_1d(grid: Grid, spec) -> dict:
         corr2_l = -np.trapezoid(kl * pl2[None, :], xl, axis=1)
         g_lo, g_hi = a_lo, a_hi
     else:
-        raise ConfigurationError("periodic grids have no exterior moments")
+        raise ConfigurationError(f"no exterior moments for {b!r}")
 
     t0 = t0_r + t0_l
     t1 = g_hi * t0_r + g_lo * t0_l + corr1_r + corr1_l
@@ -416,10 +415,11 @@ def exterior_moments(grid: Grid, spec) -> dict:
     """Per-node tail integrals over the complement of the box.
 
     t0 = integral of K, t1 = integral of u_ext K, t2 = integral of
-    u_ext^2 K; all taken at each node against the exterior region.
+    u_ext^2 K; all taken at each node against the exterior region.  A
+    periodic grid has no exterior: its three moments are the scalar 0.0.
     """
     if isinstance(grid.boundary, Periodic):
-        raise ConfigurationError("periodic grids have no exterior")
+        return {"t0": 0.0, "t1": 0.0, "t2": 0.0}
     if grid.n == 1:
         return _moments_1d(grid, spec)
     return _moments_nd(grid, spec)
@@ -470,10 +470,14 @@ class FFTConvolver:
 class DiscreteOperator:
     """Pair weights, tail moments, and fast applications for one (grid, kernel).
 
+    The operator owns the exterior: a periodic grid has zero tail moments,
+    so `apply`, `diagonal`, `sobolev_energy` and the moments read the same
+    on every grid and callers never branch on the boundary.
+
     All heavy tables are built lazily and cached on the instance: the
-    free-space convolution engine and, on periodic grids, the spectrum of
-    the periodized row.  Instances are shared through the bounded LRU
-    registry behind `get_operator`.
+    free-space convolution engine, the diagonal and, on periodic grids,
+    the spectrum of the periodized row.  Instances are shared through the
+    bounded LRU registry behind `get_operator`.
     """
 
     def __init__(self, grid: Grid, spec):
@@ -493,6 +497,7 @@ class DiscreteOperator:
         self._row_spectrum = None
         self._moments = None
         self._colsum = None
+        self._diagonal = None
         self._box_memo = None
 
     # -- tables -------------------------------------------------------------
@@ -547,14 +552,18 @@ class DiscreteOperator:
             self._colsum = self.conv(np.ones(self.grid.shape))
         return self._colsum
 
+    @property
+    def diagonal(self) -> np.ndarray:
+        """colsum + t0: the kernel mass each node sees, box and exterior."""
+        if self._diagonal is None:
+            self._diagonal = self.colsum + self.moments["t0"]
+        return self._diagonal
+
     # -- operator and forms ---------------------------------------------------
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """L u(x) = sum w(z)(u(x) - u(x+z)) + tail, on every node."""
-        if isinstance(self.grid.boundary, Periodic):
-            return values * self.colsum - self.conv(values)
-        mom = self.moments
-        return values * (self.colsum + mom["t0"]) - self.conv(values) - mom["t1"]
+        return values * self.diagonal - self.conv(values) - self.moments["t1"]
 
     def symbol(self) -> np.ndarray:
         """Exact eigenvalues of the periodic operator on DFT modes (>= 0)."""
@@ -569,8 +578,7 @@ class DiscreteOperator:
         idx = np.arange(p)
         gaps = idx[:, None] - idx[None, :] + (p - 1)
         mat = -w[gaps]
-        mom = self.moments
-        np.fill_diagonal(mat, self.colsum + mom["t0"])
+        np.fill_diagonal(mat, self.diagonal)
         return mat
 
     def sobolev_pair_sum(self, values: np.ndarray, mask_a: np.ndarray,
@@ -592,47 +600,26 @@ class DiscreteOperator:
             self._box_memo = (values.copy(), self.conv(values), self.conv(values * values))
         return self._box_memo[1:]
 
-    def sobolev_energy(self, values: np.ndarray, region_mask: np.ndarray,
-                       include_tails: bool = True) -> float:
-        """Quarter pair-sum over pairs with >= 1 endpoint in the region."""
+    def sobolev_energy(self, values: np.ndarray, region_mask: np.ndarray) -> float:
+        """Quarter pair-sum over pairs with >= 1 endpoint in the region, plus
+        half the tail u^2 t0 - 2 u t1 + t2 over the region (zero if periodic)."""
         g = self.grid
         box = np.ones(g.shape, dtype=bool)
         total = self.sobolev_pair_sum(values, region_mask, box)
         total += self.sobolev_pair_sum(values, region_mask, box & ~region_mask)
         e = 0.25 * g.cell_volume() * total
-        if include_tails and not isinstance(g.boundary, Periodic):
-            mom = self.moments
-            t0 = np.broadcast_to(mom["t0"], g.shape)
-            t1 = np.broadcast_to(mom["t1"], g.shape)
-            t2 = np.broadcast_to(mom["t2"], g.shape)
-            u = values
-            tail = (u * u * t0 - 2.0 * u * t1 + t2)[region_mask].sum()
-            e += 0.5 * g.cell_volume() * tail
+        mom, u = self.moments, values
+        tail = (u * u * mom["t0"] - 2.0 * u * mom["t1"] + mom["t2"])[region_mask].sum()
+        e += 0.5 * g.cell_volume() * tail
         return float(e)
 
-    def quadratic_form(self, xi: np.ndarray) -> float:
-        """Half the full-space pair sum of a compactly supported perturbation.
-
-        The perturbation extends by zero outside the box, so the exterior
-        enters only through t0; on periodic grids this is the form of the
-        free twin (zero extension, not periodic wrap).
-        """
-        g = self.grid
-        if isinstance(g.boundary, Periodic):
-            return _free_twin(self).quadratic_form(xi)
-        pair = 2.0 * float((xi * xi * self.colsum - xi * self.conv(xi)).sum())
-        t0 = np.broadcast_to(self.moments["t0"], g.shape)
-        tail = float((xi * xi * t0).sum())
-        return 0.5 * g.cell_volume() * (pair + 2.0 * tail)
-
     def stability_apply(self, xi: np.ndarray, diag: np.ndarray) -> np.ndarray:
-        """(L_free + diag) xi with zero extension outside the box."""
-        g = self.grid
-        if isinstance(g.boundary, Periodic):
+        """(L_free + diag) xi with zero extension outside the box: the
+        exterior enters only through t0.  Periodic grids use the free twin
+        (zero extension, not periodic wrap)."""
+        if isinstance(self.grid.boundary, Periodic):
             return _free_twin(self).stability_apply(xi, diag)
-        t0 = np.broadcast_to(self.moments["t0"], g.shape)
-        lin = xi * (self.colsum + t0) - self.conv(xi)
-        return lin + diag * xi
+        return xi * self.diagonal - self.conv(xi) + diag * xi
 
 
 _registry: OrderedDict = OrderedDict()

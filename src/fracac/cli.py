@@ -35,7 +35,6 @@ EXPERIMENTS = ("layer", "op-check", "energy", "scaling", "monotonicity",
                "stability", "density", "blowdown", "cone", "report")
 
 DEFAULTS = {
-    "n": 1,
     "s": 0.5,
     "h": 0.1,
     "box_radius": 30.0,
@@ -61,17 +60,15 @@ class RunConfig:
         merged.update(self.params)
         self.params = merged
         # re-check the grid preconditions shared by most experiments
-        if self.experiment not in ("report",):
+        if self.experiment != "report":
             h = float(self.params["h"])
             box = float(self.params["box_radius"])
             ratio = box / h
             if abs(ratio - round(ratio)) > 1e-9:
                 raise ConfigurationError("box_radius/h must be an integer")
             s = float(self.params["s"])
-            if not (0.0 < s < 1.0) and self.experiment != "report":
+            if not (0.0 < s < 1.0):
                 raise ConfigurationError("s must lie in (0, 1)")
-        if "seed" not in self.params:
-            raise ConfigurationError("a seed is mandatory")
 
     def get(self, key, cast=float):
         return cast(self.params[key])

@@ -179,8 +179,9 @@ def sobolev_energy(u: ScalarField, region: BallRegion, spec: KernelSpec) -> floa
 
     Exact in every dimension: the pair sum runs over the one weight table
     (FFT correlations, exact to round-off), on the periodized row for
-    periodic grids and with the exterior moments otherwise.  The classical
-    kind is the local Dirichlet energy over the region.
+    periodic grids, plus the tail moments of the operator, which are zero on
+    periodic grids.  The classical kind is the local Dirichlet energy over
+    the region.
     """
     g = u.grid
     if not isinstance(g.boundary, Periodic):
@@ -242,14 +243,12 @@ def fractional_perimeter(E: IndicatorSet, region: BallRegion, s: float) -> float
     total += family(omega & ~chi, chi & ~omega)
     total *= hvol
 
-    if not isinstance(g.boundary, Periodic):
-        mom = op.moments
-        t0 = np.broadcast_to(mom["t0"], g.shape)
-        t1 = np.broadcast_to(mom["t1"], g.shape)
-        # against exterior: E-part of region sees exterior complement, and
-        # complement-part of region sees exterior E
-        tail = 0.5 * (t0 - t1)[chi & omega].sum() + 0.5 * (t0 + t1)[omega & ~chi].sum()
-        total += hvol * tail
+    # against exterior: E-part of region sees exterior complement, and
+    # complement-part of region sees exterior E (zero moments when periodic)
+    t0, t1 = op.moments["t0"], op.moments["t1"]
+    tail = 0.5 * np.broadcast_to(t0 - t1, g.shape)[chi & omega].sum() \
+        + 0.5 * np.broadcast_to(t0 + t1, g.shape)[omega & ~chi].sum()
+    total += hvol * tail
     return total
 
 

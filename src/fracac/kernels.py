@@ -27,6 +27,7 @@ from ._lattice import (
     continuum_symbol_constant,
     fft_workers,
     get_operator,
+    kernel_on_radii,
     symbol_constant,
 )
 from .errors import ConfigurationError, SingularityError
@@ -124,12 +125,7 @@ def kernel_value(spec: KernelSpec, z) -> float:
     r = float(np.linalg.norm(z))
     if r == 0.0:
         raise SingularityError("kernel evaluated at z = 0")
-    n = z.size
-    if spec.kind == "fractional":
-        return spec.scale * (2.0 - spec.s) * r ** (-(n + spec.s))
-    if spec.kind == "general":
-        return spec.scale * float(spec.profile(np.array([r]))[0])
-    raise ConfigurationError("classical kind has no pointwise kernel")
+    return float(kernel_on_radii(spec, np.array([r]), z.size)[0])
 
 
 def apply_quadrature(u: ScalarField, spec: KernelSpec) -> ScalarField:
@@ -212,28 +208,23 @@ def operator_consistency(u: ScalarField, s: float, tolerance: float) -> dict:
     }
 
 
-def kernel_bounds_audit(spec: KernelSpec, n: int, radii=None) -> dict:
+def kernel_bounds_audit(spec: KernelSpec, n: int) -> dict:
     """Check the two-sided pinching and the first-derivative bound on samples.
 
-    Uses log-spaced radii along a coordinate direction; the derivative is a
-    centered finite difference, so the bound is tested with a small slack.
+    Uses 61 log-spaced radii in [1e-3, 1e3]; the derivative is a centered
+    finite difference, so the bound is tested with a small slack.  `ref` is
+    the audit's own reference bound scale*(2-s) r^{-n-s}.
     """
     if spec.kind == "classical":
         raise ConfigurationError("no bounds to audit for the classical kind")
-    if radii is None:
-        radii = np.geomspace(1e-3, 1e3, 61)
-    radii = np.asarray(radii, dtype=float)
+    radii = np.geomspace(1e-3, 1e3, 61)
     ref = spec.scale * (2.0 - spec.s) * radii ** (-(n + spec.s))
-    vals = np.array([kernel_value(spec, np.concatenate(([r], np.zeros(n - 1))))
-                     for r in radii])
+    vals = kernel_on_radii(spec, radii, n)
     lower_ok = bool(np.all(vals >= spec.lam * ref * (1.0 - 1e-9)))
     upper_ok = bool(np.all(vals <= spec.Lam * ref * (1.0 + 1e-9)))
     dr = radii * 1e-5
-    vp = np.array([kernel_value(spec, np.concatenate(([r + d], np.zeros(n - 1))))
-                   for r, d in zip(radii, dr)])
-    vm = np.array([kernel_value(spec, np.concatenate(([r - d], np.zeros(n - 1))))
-                   for r, d in zip(radii, dr)])
-    deriv = (vp - vm) / (2.0 * dr)
+    deriv = (kernel_on_radii(spec, radii + dr, n)
+             - kernel_on_radii(spec, radii - dr, n)) / (2.0 * dr)
     deriv_ok = bool(np.all(radii * np.abs(deriv) <= spec.Lam * (n + spec.s) * ref * (1.0 + 1e-6)))
     return {
         "lower_ok": lower_ok,

@@ -66,11 +66,25 @@ def _pot_weight(epsilon: float, s: float) -> float:
     return epsilon ** (-s)
 
 
+def _residual(op, vals, W, pw) -> np.ndarray:
+    """L u + pw W'(u) on every node: the energy gradient."""
+    return op.apply(vals) + pw * W.wp(vals)
+
+
+def _wpp_max(W) -> float:
+    """max |W''| sampled on a grid of [-1, 1] that holds -1, 0 and 1."""
+    return float(np.max(np.abs(W.wpp(np.linspace(-1.0, 1.0, 2001)))))
+
+
+def _stiffness_bound(op, W, pw) -> float:
+    """2 max(diagonal) + pw max|W''|, a bound on the Jacobian L + pw W''(u)."""
+    return 2.0 * float(np.max(op.diagonal)) + pw * _wpp_max(W)
+
+
 def residual_field(u: ScalarField, spec: KernelSpec, W: Potential,
                    epsilon: float = 1.0) -> np.ndarray:
     """L u + epsilon^{-s} W'(u) on every node."""
-    op = get_operator(u.grid, spec)
-    return op.apply(u.values) + _pot_weight(epsilon, spec.s) * W.wp(u.values)
+    return _residual(get_operator(u.grid, spec), u.values, W, _pot_weight(epsilon, spec.s))
 
 
 def _odd(y: np.ndarray) -> np.ndarray:
@@ -94,15 +108,9 @@ def _newton_step(op, vals, r, W, pw, odd=False) -> np.ndarray:
 
 def _full_energy(op, values, W, pw) -> float:
     """Energy whose gradient is the flow map: pair part plus tails plus potential."""
-    g = op.grid
-    lu = op.apply(values)
-    if isinstance(g.boundary, Periodic):
-        sob = 0.5 * g.cell_volume() * float((values * lu).sum())
-    else:
-        mom = op.moments
-        t1 = np.broadcast_to(mom["t1"], g.shape)
-        t2 = np.broadcast_to(mom["t2"], g.shape)
-        sob = 0.5 * g.cell_volume() * float((values * lu + t2 - values * t1).sum())
+    g, mom = op.grid, op.moments
+    sob = 0.5 * g.cell_volume() * float(
+        (values * op.apply(values) + mom["t2"] - values * mom["t1"]).sum())
     pot = pw * g.cell_volume() * float(W.w(values).sum())
     return sob + pot
 
@@ -123,17 +131,12 @@ def gradient_flow(config: SolveConfig, spec: KernelSpec, W: Potential) -> SolveR
     op = get_operator(g, spec)
     pw = _pot_weight(config.epsilon, spec.s)
     tau = config.step
-    wpp_max = float(np.max(np.abs(W.wpp(np.linspace(-1, 1, 2001)))))
 
     if config.scheme == "explicit_flow":
-        if isinstance(g.boundary, Periodic):
-            lbound = 2.0 * float(np.max(op.colsum))
-        else:
-            lbound = 2.0 * float(np.max(op.colsum + np.broadcast_to(op.moments["t0"], g.shape)))
-        if tau * (lbound + pw * wpp_max) > 1.0:
+        bound = _stiffness_bound(op, W, pw)
+        if tau * bound > 1.0:
             raise ConfigurationError(
-                f"explicit step {tau} exceeds the stiffness bound "
-                f"{1.0 / (lbound + pw * wpp_max):.3g}")
+                f"explicit step {tau} exceeds the stiffness bound {1.0 / bound:.3g}")
 
     vals = u.values.copy()
     energy_trace = [_full_energy(op, vals, W, pw)]
@@ -145,14 +148,14 @@ def gradient_flow(config: SolveConfig, spec: KernelSpec, W: Potential) -> SolveR
         if not isinstance(g.boundary, Periodic):
             raise ConfigurationError("the spectral scheme needs a periodic grid")
         symbol = op.symbol()
-        in_range = bool(np.max(np.abs(vals)) <= 1.0 + 1e-12)
+        # the implicit resolvent averages values, and the explicit part is
+        # monotone at this step size: iterates stay in [-1, 1] up to round-off
+        monotone = bool(np.max(np.abs(vals)) <= 1.0 + 1e-12) and tau * pw * _wpp_max(W) <= 1.0
         for it in range(1, config.max_iterations + 1):
             rhs = vals - tau * pw * W.wp(vals)
             with sfft.set_workers(fft_workers()):
                 vals = sfft.ifftn(sfft.fftn(rhs) / (1.0 + tau * symbol)).real
-            if in_range and tau * pw * wpp_max <= 1.0:
-                # the implicit resolvent averages values, the explicit part
-                # is monotone at this step size; allow round-off slack only
+            if monotone:
                 if np.max(np.abs(vals)) > 1.0 + 1e-9:
                     raise InstabilityError("iterate escaped [-1, 1]", energy_trace)
                 vals = np.clip(vals, -1.0, 1.0)
@@ -164,14 +167,14 @@ def gradient_flow(config: SolveConfig, spec: KernelSpec, W: Potential) -> SolveR
             else:
                 increases = 0
             energy_trace.append(e)
-            res = float(np.max(np.abs(op.apply(vals) + pw * W.wp(vals))))
+            res = float(np.max(np.abs(_residual(op, vals, W, pw))))
             if res <= config.residual_tol:
                 break
     else:
         newton_phase = config.scheme == "newton"
         flow_target = max(config.residual_tol, 1e-4) if newton_phase else config.residual_tol
         for it in range(1, config.max_iterations + 1):
-            r = op.apply(vals) + pw * W.wp(vals)
+            r = _residual(op, vals, W, pw)
             res = float(np.max(np.abs(r)))
             if res <= flow_target:
                 break
@@ -193,7 +196,7 @@ def gradient_flow(config: SolveConfig, spec: KernelSpec, W: Potential) -> SolveR
                 raise ConfigurationError("newton refinement runs on 1D exterior grids")
             for _ in range(40):
                 it += 1
-                r = op.apply(vals) + pw * W.wp(vals)
+                r = _residual(op, vals, W, pw)
                 res = float(np.max(np.abs(r)))
                 if res <= config.residual_tol:
                     break
@@ -234,23 +237,19 @@ def solve_layer_1d(s: float, box_radius: float, h: float, tol: float = 1e-10,
     else:
         vals = np.tanh(x / (2.0 * epsilon))
 
-    def res(v):
-        return op.apply(v) + pw * W.wp(v)
-
     if pin_odd:
         vals = _odd(vals[m + 1:])
-        lbound = 2.0 * float(np.max(op.colsum + op.moments["t0"]))
-        tau = 0.8 / (lbound + pw * float(np.max(np.abs(W.wpp(np.linspace(-1, 1, 801))))))
+        tau = 0.8 / _stiffness_bound(op, W, pw)
         for _ in range(60):
-            vals = _odd(np.clip(vals - tau * res(vals), -1.0, 1.0)[m + 1:])
+            vals = _odd(np.clip(vals - tau * _residual(op, vals, W, pw), -1.0, 1.0)[m + 1:])
     for _ in range(60):
-        r = res(vals)
+        r = _residual(op, vals, W, pw)
         if np.max(np.abs(r)) <= max(tol * 1e-2, 1e-13):
             break
         vals = _newton_step(op, vals, r, W, pw, odd=pin_odd)
 
     inner = np.abs(x) <= box_radius / 2.0
-    res_sup = float(np.max(np.abs(res(vals)[inner])))
+    res_sup = float(np.max(np.abs(_residual(op, vals, W, pw)[inner])))
     if res_sup > tol:
         raise NotConvergedError(f"layer residual {res_sup:.2e} above {tol:.2e}")
     if not np.all(np.diff(vals) > 0):
@@ -282,8 +281,7 @@ def euler_lagrange_consistency(u: ScalarField, xi: ScalarField, spec: KernelSpec
         return sobolev_energy(f, region, spec) + potential_energy(f, region, W, epsilon, spec.s)
 
     d_fd = (energy(u.values + tau * xi.values) - energy(u.values - tau * xi.values)) / (2.0 * tau)
-    op = get_operator(g, spec)
-    grad = op.apply(u.values) + pw * W.wp(u.values)
+    grad = _residual(get_operator(g, spec), u.values, W, pw)
     d_pair = g.cell_volume() * float((grad * xi.values).sum())
     scale = max(abs(d_fd), abs(d_pair), 1e-300)
     return abs(d_fd - d_pair) / scale

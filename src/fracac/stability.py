@@ -78,14 +78,17 @@ class VectorFieldSpec:
 
 def second_variation(u: ScalarField, xi: ScalarField, spec: KernelSpec,
                      W: Potential, epsilon: float = 1.0) -> float:
-    """Q(xi) = half the full-space pair sum of xi plus the W'' weighted mass."""
+    """Q(xi) = h^n <xi, stability_apply(xi, pw W''(u))>.
+
+    That is half the full-space pair sum of xi, extended by zero outside
+    the box, plus the W'' weighted mass: the same form that `min_rayleigh`
+    minimises and the Newton steps invert.
+    """
     if not u.grid.same_layout(xi.grid):
         raise ConfigurationError("perturbation must live on the field's grid")
     op = get_operator(u.grid, spec)
-    pair = op.quadratic_form(xi.values)
-    pw = _pot_weight(epsilon, spec.s)
-    pot = pw * u.grid.cell_volume() * float((W.wpp(u.values) * xi.values ** 2).sum())
-    return pair + pot
+    diag = _pot_weight(epsilon, spec.s) * W.wpp(u.values)
+    return u.grid.cell_volume() * float((xi.values * op.stability_apply(xi.values, diag)).sum())
 
 
 def min_rayleigh(u: ScalarField, region: BallRegion, spec: KernelSpec,

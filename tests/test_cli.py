@@ -40,6 +40,13 @@ def test_cli_malformed_config_exits_2(tmp_path):
     assert "box_radius/h" in out.stderr
 
 
+def test_cli_has_no_dimension_option(tmp_path):
+    """Every experiment fixes its own dimension; --n is refused, not ignored."""
+    out = cli("layer", "--n", "2", "--output-dir", str(tmp_path / "x"))
+    assert out.returncode == 2
+    assert not (tmp_path / "x").exists()
+
+
 def test_cli_layer_run_and_outputs(tmp_path):
     out = cli("layer", "--s", "0.5", "--box-radius", "20", "--h", "0.2",
               "--tol", "1e-8", "--output-dir", str(tmp_path / "o"))

@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 
 from fracac import (
+    BallRegion,
     ConstantExterior,
+    FieldExterior,
     Grid,
+    IndicatorSet,
     KernelSpec,
     ScalarField,
     apply_laplacian,
     apply_quadrature,
     apply_spectral,
+    fractional_perimeter,
     kernel_value,
     make_grid,
     operator_consistency,
@@ -157,7 +161,6 @@ def test_general_kernel_comparison_bounds():
 
 
 def test_laplacian_constant_quadratic_and_mode():
-    from fracac import FieldExterior
     gq = Grid(2, 0.25, 2.0, FieldExterior(lambda p: np.sum(p ** 2, axis=1)))
     pts = gq.coords()
     u = ScalarField(gq, np.sum(pts ** 2, axis=1).reshape(gq.shape))
@@ -329,11 +332,13 @@ def test_sobolev_energy_reuses_box_convolutions_bit_identically(monkeypatch, bou
             u[0, 0] += 0.5
         mask = r < radius
         before = len(calls)
-        got = op.sobolev_energy(u, mask, include_tails=False)
+        got = op.sobolev_energy(u, mask)
         assert len(calls) - before == (3 if sweep in (1, 2) else 5)
         inner = u * u * conv(ones) + conv(u * u * ones) - 2.0 * u * conv(u * ones)
         total = float(inner[mask].sum()) + op.sobolev_pair_sum(u, mask, ~mask)
-        assert got == 0.25 * g.cell_volume() * total
+        mom = op.moments
+        tail = (u * u * mom["t0"] - 2.0 * u * mom["t1"] + mom["t2"])[mask].sum()
+        assert got == 0.25 * g.cell_volume() * total + 0.5 * g.cell_volume() * tail
 
 
 def test_periodic_free_twin_is_the_registry_operator():
@@ -360,3 +365,37 @@ def test_operator_registry_evicts_least_recently_used():
     finally:
         _lattice._registry.clear()
         _lattice._registry.update(saved)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_periodic_tails_are_zero_and_change_no_bit(n):
+    """A periodic grid's moments are zero, and apply, sobolev_energy and
+    fractional_perimeter equal the tail-free formulas bit for bit."""
+    g = make_grid(n, 2.0, 0.25)
+    op = get_operator(g, KernelSpec.fractional(0.5))
+    assert all(np.all(np.asarray(t) == 0.0) for t in op.moments.values())
+    u = np.random.default_rng(30 + n).normal(size=g.shape)
+    assert np.array_equal(op.apply(u), u * op.colsum - op.conv(u))
+
+    region = BallRegion((0.0,) * n, 1.0)
+    mask, box = region.mask(g), np.ones(g.shape, dtype=bool)
+    pair = op.sobolev_pair_sum(u, mask, box)
+    pair += op.sobolev_pair_sum(u, mask, box & ~mask)
+    assert op.sobolev_energy(u, mask) == 0.25 * g.cell_volume() * pair
+
+    E = IndicatorSet(g, u > 0.0)
+    chi, per = E.membership, get_operator(g, KernelSpec.perimeter(0.5))
+    want = float(per.conv((~chi).astype(float))[chi & mask].sum())
+    want += float(per.conv((chi & ~mask).astype(float))[mask & ~chi].sum())
+    assert fractional_perimeter(E, region, 0.5) == want * g.cell_volume()
+
+
+@pytest.mark.parametrize("n, boundary", [
+    (1, ConstantExterior([(-1.0, 1.0)])),
+    (1, FieldExterior(lambda p: np.tanh(p[:, 0]))),
+    (2, ConstantExterior([(-1.0, 1.0)] * 2)),
+    (2, FieldExterior(lambda p: np.tanh(p[:, 0] - p[:, 1]))),
+], ids=["constant-1d", "field-1d", "constant-2d", "field-2d"])
+def test_diagonal_is_colsum_plus_t0(n, boundary):
+    op = get_operator(Grid(n, 0.25, 1.0, boundary), KernelSpec.fractional(0.5))
+    assert np.array_equal(op.diagonal, op.colsum + op.moments["t0"])

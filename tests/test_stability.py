@@ -60,6 +60,24 @@ def test_quadratic_form_parallelogram(quartic):
     assert qs + qd == pytest.approx(2.0 * q1 + 2.0 * q2, rel=1e-10)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("periodic", [False, True], ids=["exterior", "periodic"])
+def test_second_variation_pair_part_is_twice_the_free_twin_energy(quartic, n, periodic):
+    """Two independent routes to the pair part of Q: second_variation goes
+    through stability_apply, the energy of xi over the whole box on the
+    zero-exterior twin through sobolev_pair_sum and t0."""
+    rng = np.random.default_rng(40 + n)
+    h, box = (0.125, 4.0) if n == 1 else (0.25, 2.0)
+    g = make_grid(n, box, h) if periodic else Grid(n, h, box, ConstantExterior([(-1.0, 1.0)] * n))
+    spec = KernelSpec.fractional(0.5)
+    u = ScalarField(g, np.zeros(g.shape))  # W''(0) = -1
+    xi = ScalarField(g, rng.normal(size=g.shape))
+    pair = second_variation(u, xi, spec, quartic) + g.cell_volume() * float((xi.values ** 2).sum())
+    twin = get_operator(Grid(n, h, box, ConstantExterior([(0.0, 0.0)] * n)), spec)
+    energy = twin.sobolev_energy(xi.values, np.ones(g.shape, dtype=bool))
+    assert abs(pair - 2.0 * energy) <= 1e-12 * abs(pair)
+
+
 def test_second_variation_upper_well_lower_bound(quartic):
     rng = np.random.default_rng(2)
     g = Grid(1, 0.125, 8.0, ConstantExterior([(1.0, 1.0)]))
