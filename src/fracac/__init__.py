@@ -41,7 +41,6 @@ from .energies import (
     translation_comparison,
 )
 from .solver import (
-    SolveConfig,
     SolveResult,
     euler_lagrange_consistency,
     gradient_flow,

@@ -61,17 +61,16 @@ class RunConfig:
         self.params = merged
         # re-check the grid preconditions shared by most experiments
         if self.experiment != "report":
-            h = float(self.params["h"])
-            box = float(self.params["box_radius"])
-            ratio = box / h
-            if abs(ratio - round(ratio)) > 1e-9:
-                raise ConfigurationError("box_radius/h must be an integer")
-            s = float(self.params["s"])
-            if not (0.0 < s < 1.0):
+            Grid(1, self.get("h"), self.get("box_radius"))
+            if not (0.0 < self.get("s") < 1.0):
                 raise ConfigurationError("s must lie in (0, 1)")
 
     def get(self, key, cast=float):
-        return cast(self.params[key])
+        try:
+            return cast(self.params[key])
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"{key} = {self.params[key]!r} is not a {cast.__name__}") from None
 
     def radii(self):
         raw = self.params["radii"]

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import (
     ConfigurationError,
@@ -143,8 +142,11 @@ class Grid:
     def __post_init__(self):
         if self.n not in (1, 2, 3):
             raise UnsupportedDimensionError(f"dimension {self.n} not in 1..3")
+        if not (self.h > 0 and self.box_radius > 0):
+            raise ConfigurationError(
+                f"h = {self.h} and box_radius = {self.box_radius} must be positive")
         ratio = self.box_radius / self.h
-        if abs(ratio - round(ratio)) > 1e-9 or self.h <= 0 or self.box_radius <= 0:
+        if not (np.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9):
             raise ConfigurationError(
                 f"box_radius/h = {ratio} must be a positive integer")
         if self.centered and isinstance(self.boundary, Periodic):
@@ -275,6 +277,7 @@ def make_grid(n: int, box_radius: float, h: float, boundary=None) -> Grid:
 
 
 def _periodic_interp(u: ScalarField, points: np.ndarray) -> np.ndarray:
+    from scipy import ndimage    # lazy: keeps scipy.ndimage out of `import fracac`
     g = u.grid
     # map to fractional index space; mode='grid-wrap' handles the wrap
     idx = (points + g.box_radius) / g.h
@@ -287,6 +290,7 @@ def evaluate_field(u: ScalarField, points: np.ndarray) -> np.ndarray:
     Multilinear interpolation never overshoots the nodal range, so fields
     with values in [-1, 1] stay there.
     """
+    from scipy import ndimage
     g = u.grid
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != g.n:

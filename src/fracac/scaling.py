@@ -126,34 +126,30 @@ def _region(u: ScalarField, R: float) -> BallRegion:
     return BallRegion((0.0,) * u.grid.n, R)
 
 
+def _radius_fit(name: str, radii: Sequence[float], values):
+    """The trace over the radii with its log-log fit, degenerate if all zero."""
+    exp = ScalingExperiment(name, radii, values)
+    if np.all(exp.values == 0.0):
+        return exp, FitResult(0.0, 0.0, 1.0, (0, len(exp.values)), degenerate=True)
+    return exp, fit_loglog(exp)
+
+
 def bv_scaling(u: ScalarField, radii: Sequence[float]):
     """Trace of the gradient L1 mass over growing balls, with its fit."""
-    vals = np.array([gradient_l1_norm(u, _region(u, R)) for R in radii])
-    exp = ScalingExperiment("bv", np.asarray(radii, dtype=float), vals)
-    if np.all(vals == 0.0):
-        return exp, FitResult(0.0, 0.0, 1.0, (0, len(vals)), degenerate=True)
-    return exp, fit_loglog(exp)
+    return _radius_fit("bv", radii, [gradient_l1_norm(u, _region(u, R)) for R in radii])
 
 
 def sobolev_scaling(u: ScalarField, radii: Sequence[float], spec: KernelSpec):
-    energies = [sobolev_energy(u, _region(u, R), spec) for R in radii]
-    exp = ScalingExperiment("sobolev", np.asarray(radii, dtype=float), energies)
-    if np.all(exp.values == 0.0):
-        return exp, FitResult(0.0, 0.0, 1.0, (0, len(energies)), degenerate=True)
-    return exp, fit_loglog(exp)
+    return _radius_fit("sobolev", radii,
+                       [sobolev_energy(u, _region(u, R), spec) for R in radii])
 
 
 def full_energy_scaling(u: ScalarField, radii: Sequence[float], spec: KernelSpec,
                         W: Potential, epsilon: float = 1.0):
-    vals = []
-    for R in radii:
-        e = sobolev_energy(u, _region(u, R), spec)
-        e += potential_energy(u, _region(u, R), W, epsilon, spec.s)
-        vals.append(e)
-    exp = ScalingExperiment("full_energy", np.asarray(radii, dtype=float), np.array(vals))
-    if np.all(exp.values == 0.0):
-        return exp, FitResult(0.0, 0.0, 1.0, (0, len(vals)), degenerate=True)
-    return exp, fit_loglog(exp)
+    return _radius_fit("full_energy", radii,
+                       [sobolev_energy(u, _region(u, R), spec)
+                        + potential_energy(u, _region(u, R), W, epsilon, spec.s)
+                        for R in radii])
 
 
 def potential_vs_sobolev(u: ScalarField, radii: Sequence[float], R0: float,

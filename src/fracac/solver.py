@@ -28,29 +28,12 @@ from .fields import (
 from .kernels import KernelSpec
 
 __all__ = [
-    "SolveConfig",
     "SolveResult",
     "gradient_flow",
     "solve_layer_1d",
     "euler_lagrange_consistency",
     "residual_field",
 ]
-
-
-@dataclass
-class SolveConfig:
-    epsilon: float = 1.0
-    scheme: str = "semi_implicit_spectral"
-    step: float = 0.2
-    max_iterations: int = 5000
-    residual_tol: float = 1e-8
-    seed_field: Optional[ScalarField] = None
-
-    def __post_init__(self):
-        if self.scheme not in ("semi_implicit_spectral", "explicit_flow", "newton"):
-            raise ConfigurationError(f"unknown scheme {self.scheme!r}")
-        if self.epsilon <= 0 or self.step <= 0:
-            raise ConfigurationError("epsilon and step must be positive")
 
 
 @dataclass
@@ -66,9 +49,20 @@ def _pot_weight(epsilon: float, s: float) -> float:
     return epsilon ** (-s)
 
 
-def _residual(op, vals, W, pw) -> np.ndarray:
-    """L u + pw W'(u) on every node: the energy gradient."""
-    return op.apply(vals) + pw * W.wp(vals)
+def _residual(op, vals, W, pw, lu=None) -> np.ndarray:
+    """L u + pw W'(u) on every node: the energy gradient (lu: L u if the
+    caller has already applied the operator)."""
+    return (op.apply(vals) if lu is None else lu) + pw * W.wp(vals)
+
+
+def _gradient_and_energy(op, vals, W, pw) -> tuple[np.ndarray, float]:
+    """The energy gradient and the energy it is the gradient of (pair part,
+    tails and potential), from one `apply`."""
+    lu = op.apply(vals)
+    g, mom = op.grid, op.moments
+    sob = 0.5 * g.cell_volume() * float((vals * lu + mom["t2"] - vals * mom["t1"]).sum())
+    pot = pw * g.cell_volume() * float(W.w(vals).sum())
+    return _residual(op, vals, W, pw, lu), sob + pot
 
 
 def _wpp_max(W) -> float:
@@ -106,52 +100,39 @@ def _newton_step(op, vals, r, W, pw, odd=False) -> np.ndarray:
     return ext(vals[sel] + du)
 
 
-def _full_energy(op, values, W, pw) -> float:
-    """Energy whose gradient is the flow map: pair part plus tails plus potential."""
-    g, mom = op.grid, op.moments
-    sob = 0.5 * g.cell_volume() * float(
-        (values * op.apply(values) + mom["t2"] - values * mom["t1"]).sum())
-    pot = pw * g.cell_volume() * float(W.w(values).sum())
-    return sob + pot
-
-
-def gradient_flow(config: SolveConfig, spec: KernelSpec, W: Potential) -> SolveResult:
+def gradient_flow(seed: ScalarField, spec: KernelSpec, W: Potential,
+                  epsilon: float = 1.0, residual_tol: float = 1e-8,
+                  max_iterations: int = 5000) -> SolveResult:
     """Relax the seed toward a critical point of the energy.
 
-    semi_implicit_spectral treats the nonlocal part implicitly through the
-    exact eigenvalues of the discrete operator (periodic grids); the
-    potential is explicit.  explicit_flow works on any grid and checks the
-    stiffness bound before starting.  newton runs explicit flow to a loose
-    residual, then Newton–Krylov on the convolution engine (1D exterior grids).
+    The grid picks the method, and the step size is derived.  Periodic
+    grids take semi-implicit spectral steps of size 0.8/(pw max|W''|): the
+    nonlocal part is implicit through the exact eigenvalues of the discrete
+    operator, the potential explicit.  Exterior grids take explicit steps
+    of size 0.8/(stiffness bound) with an energy line search; on 1D
+    exterior grids Newton–Krylov on the convolution engine takes over below
+    residual 1e-4.  Each iterate is evaluated once: one operator
+    application gives its energy, its residual and the next explicit step.
     """
-    if config.seed_field is None:
-        raise ConfigurationError("a seed field is required")
-    u = config.seed_field
-    g = u.grid
+    if epsilon <= 0:
+        raise ConfigurationError("epsilon must be positive")
+    g = seed.grid
     op = get_operator(g, spec)
-    pw = _pot_weight(config.epsilon, spec.s)
-    tau = config.step
-
-    if config.scheme == "explicit_flow":
-        bound = _stiffness_bound(op, W, pw)
-        if tau * bound > 1.0:
-            raise ConfigurationError(
-                f"explicit step {tau} exceeds the stiffness bound {1.0 / bound:.3g}")
-
-    vals = u.values.copy()
-    energy_trace = [_full_energy(op, vals, W, pw)]
-    res = np.inf
+    pw = _pot_weight(epsilon, spec.s)
+    vals = seed.values.copy()
+    r, e = _gradient_and_energy(op, vals, W, pw)
+    energy_trace = [e]
+    res = float(np.max(np.abs(r)))
     increases = 0
     it = 0
 
-    if config.scheme == "semi_implicit_spectral":
-        if not isinstance(g.boundary, Periodic):
-            raise ConfigurationError("the spectral scheme needs a periodic grid")
+    if isinstance(g.boundary, Periodic):
+        tau = 0.8 / (pw * _wpp_max(W))
         symbol = op.symbol()
         # the implicit resolvent averages values, and the explicit part is
-        # monotone at this step size: iterates stay in [-1, 1] up to round-off
-        monotone = bool(np.max(np.abs(vals)) <= 1.0 + 1e-12) and tau * pw * _wpp_max(W) <= 1.0
-        for it in range(1, config.max_iterations + 1):
+        # monotone at this step: iterates stay in [-1, 1] up to round-off
+        monotone = bool(np.max(np.abs(vals)) <= 1.0 + 1e-12)
+        for it in range(1, max_iterations + 1):
             rhs = vals - tau * pw * W.wp(vals)
             with sfft.set_workers(fft_workers()):
                 vals = sfft.ifftn(sfft.fftn(rhs) / (1.0 + tau * symbol)).real
@@ -159,29 +140,24 @@ def gradient_flow(config: SolveConfig, spec: KernelSpec, W: Potential) -> SolveR
                 if np.max(np.abs(vals)) > 1.0 + 1e-9:
                     raise InstabilityError("iterate escaped [-1, 1]", energy_trace)
                 vals = np.clip(vals, -1.0, 1.0)
-            e = _full_energy(op, vals, W, pw)
-            if e > energy_trace[-1] + 1e-10:
-                increases += 1
-                if increases >= 10:
-                    raise InstabilityError("energy increased for 10 steps", energy_trace)
-            else:
-                increases = 0
+            r, e = _gradient_and_energy(op, vals, W, pw)
+            increases = increases + 1 if e > energy_trace[-1] + 1e-10 else 0
+            if increases >= 10:
+                raise InstabilityError("energy increased for 10 steps", energy_trace)
             energy_trace.append(e)
-            res = float(np.max(np.abs(_residual(op, vals, W, pw))))
-            if res <= config.residual_tol:
+            res = float(np.max(np.abs(r)))
+            if res <= residual_tol:
                 break
     else:
-        newton_phase = config.scheme == "newton"
-        flow_target = max(config.residual_tol, 1e-4) if newton_phase else config.residual_tol
-        for it in range(1, config.max_iterations + 1):
-            r = _residual(op, vals, W, pw)
-            res = float(np.max(np.abs(r)))
-            if res <= flow_target:
+        tau = 0.8 / _stiffness_bound(op, W, pw)
+        handover = max(residual_tol, 1e-4) if g.n == 1 else residual_tol
+        for it in range(1, max_iterations + 1):
+            if res <= handover:
                 break
             trial_tau = tau
             for _ in range(30):
                 trial = vals - trial_tau * r
-                e = _full_energy(op, trial, W, pw)
+                trial_r, e = _gradient_and_energy(op, trial, W, pw)
                 if e <= energy_trace[-1] + 1e-14:
                     break
                 trial_tau *= 0.5
@@ -189,23 +165,20 @@ def gradient_flow(config: SolveConfig, spec: KernelSpec, W: Potential) -> SolveR
                 increases += 1
                 if increases >= 10:
                     raise InstabilityError("energy increased for 10 steps", energy_trace)
-            vals = vals - trial_tau * r
-            energy_trace.append(_full_energy(op, vals, W, pw))
-        if newton_phase and res > config.residual_tol:
-            if g.n != 1 or isinstance(g.boundary, Periodic):
-                raise ConfigurationError("newton refinement runs on 1D exterior grids")
+            vals, r = trial, trial_r
+            energy_trace.append(e)
+            res = float(np.max(np.abs(r)))
+        if g.n == 1 and residual_tol < res <= 1e-4:
             for _ in range(40):
                 it += 1
-                r = _residual(op, vals, W, pw)
-                res = float(np.max(np.abs(r)))
-                if res <= config.residual_tol:
+                if res <= residual_tol:
                     break
                 vals = _newton_step(op, vals, r, W, pw)
-                energy_trace.append(_full_energy(op, vals, W, pw))
+                r, e = _gradient_and_energy(op, vals, W, pw)
+                energy_trace.append(e)
+                res = float(np.max(np.abs(r)))
 
-    out = ScalarField(g, vals)
-    converged = res <= config.residual_tol
-    return SolveResult(out, res, it, converged, energy_trace)
+    return SolveResult(ScalarField(g, vals), res, it, res <= residual_tol, energy_trace)
 
 
 def solve_layer_1d(s: float, box_radius: float, h: float, tol: float = 1e-10,

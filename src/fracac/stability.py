@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import ndimage
 from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from ._lattice import get_operator
@@ -209,6 +208,7 @@ def gradient_test_inequality(u: ScalarField, spec: KernelSpec, W: Potential,
 
 def signed_distance(E: IndicatorSet) -> np.ndarray:
     """Positive outside the set, negative inside, in physical units."""
+    from scipy import ndimage    # lazy: keeps scipy.ndimage out of `import fracac`
     inside = E.membership
     d_out = ndimage.distance_transform_edt(~inside)
     d_in = ndimage.distance_transform_edt(inside)
@@ -247,6 +247,7 @@ def flow_map(E: IndicatorSet, X: VectorFieldSpec, t: float) -> IndicatorSet:
     Degenerate (non-positive) Jacobians of the flow raise a flow error.
     E keeps its signed distance, with a copy of its membership, for reuse.
     """
+    from scipy import ndimage
     g = E.grid
     memo = getattr(E, "_sd_memo", None)
     if memo is None or memo[0] is not g or not np.array_equal(memo[1], E.membership):

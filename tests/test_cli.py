@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from fracac import RunConfig, RunReport, report_merge, run
+from fracac import Grid, RunConfig, RunReport, report_merge, run
 from fracac.errors import ConfigurationError
 
 
@@ -38,6 +38,19 @@ def test_cli_malformed_config_exits_2(tmp_path):
               "--output-dir", str(tmp_path / "x"))
     assert out.returncode == 2
     assert "box_radius/h" in out.stderr
+
+
+@pytest.mark.parametrize("flag, value", [("--h", "0"), ("--s", "abc")])
+def test_cli_bad_number_exits_2(flag, value, tmp_path):
+    out = cli("layer", flag, value, "--output-dir", str(tmp_path / "x"))
+    assert out.returncode == 2, out.stderr
+    assert "configuration error" in out.stderr and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("h, box", [(0.0, 1.0), (-0.1, 1.0), (0.1, float("inf"))])
+def test_grid_rejects_bad_spacing_before_dividing(h, box):
+    with pytest.raises(ConfigurationError):
+        Grid(1, h, box)
 
 
 def test_cli_has_no_dimension_option(tmp_path):

@@ -201,11 +201,19 @@ def test_level_set_layer_crossing(layer_s05):
     assert abs(np.interp(x0, x, layer_s05.values)) <= lip * layer_s05.grid.h
 
 
-def test_import_leaves_scipy_spatial_unloaded():
-    code = "import sys, fracac; print('scipy.spatial' in sys.modules)"
+def _loaded_by_import(module):
+    code = f"import sys, fracac; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() != "False"
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    assert not _loaded_by_import("scipy.spatial")
+
+
+def test_import_leaves_scipy_ndimage_unloaded():
+    assert not _loaded_by_import("scipy.ndimage")
 
 
 def test_hausdorff_identity_translation_and_empty():

@@ -13,7 +13,6 @@ from fracac import (
     Grid,
     KernelSpec,
     ScalarField,
-    SolveConfig,
     euler_lagrange_consistency,
     gradient_flow,
     make_grid,
@@ -28,9 +27,8 @@ from fracac._lattice import DiscreteOperator, get_operator
 def test_constant_well_is_fixed_point(quartic):
     g = make_grid(1, 4.0, 0.125)
     seed = ScalarField(g, np.ones(g.shape))
-    cfg = SolveConfig(scheme="semi_implicit_spectral", step=0.4,
-                      max_iterations=50, residual_tol=1e-12, seed_field=seed)
-    out = gradient_flow(cfg, KernelSpec.fractional_unit(0.5, 1), quartic)
+    out = gradient_flow(seed, KernelSpec.fractional_unit(0.5, 1), quartic,
+                        max_iterations=50, residual_tol=1e-12)
     assert out.converged and out.iterations <= 1
     assert np.allclose(out.field.values, 1.0, atol=1e-12)
 
@@ -39,9 +37,8 @@ def test_middle_well_flows_away(quartic):
     g = make_grid(1, 8.0, 0.125)
     rng = np.random.default_rng(0)
     seed = ScalarField(g, 1e-3 * rng.normal(size=g.shape))
-    cfg = SolveConfig(scheme="semi_implicit_spectral", step=0.4,
-                      max_iterations=400, residual_tol=1e-12, seed_field=seed)
-    out = gradient_flow(cfg, KernelSpec.fractional_unit(0.5, 1), quartic)
+    out = gradient_flow(seed, KernelSpec.fractional_unit(0.5, 1), quartic,
+                        max_iterations=400, residual_tol=1e-12)
     tr = np.array(out.energy_trace)
     assert np.all(np.diff(tr) <= 1e-10)
     assert np.max(np.abs(out.field.values)) > 0.5  # left the unstable well
@@ -51,39 +48,62 @@ def test_periodic_flow_reaches_layer_pair(quartic):
     g = make_grid(1, 8.0, 1.0 / 16.0)
     x = g.axis_coords()
     seed = ScalarField(g, np.clip(np.sin(np.pi * x / 8.0), -1.0, 1.0))
-    cfg = SolveConfig(scheme="semi_implicit_spectral", step=0.4,
-                      max_iterations=5000, residual_tol=1e-9, seed_field=seed)
     spec = KernelSpec.fractional_unit(0.5, 1)
-    out = gradient_flow(cfg, spec, quartic)
+    out = gradient_flow(seed, spec, quartic, max_iterations=5000, residual_tol=1e-9)
     assert out.converged
     res = residual_field(out.field, spec, quartic)
     assert np.max(np.abs(res)) <= 1e-9
     assert np.max(np.abs(out.field.values)) <= 1.0 + 1e-9
 
 
-def test_explicit_flow_stiffness_guard(quartic):
-    g = make_grid(1, 4.0, 0.0625)
-    seed = ScalarField(g, np.zeros(g.shape))
-    cfg = SolveConfig(scheme="explicit_flow", step=10.0,
-                      max_iterations=10, residual_tol=1e-6, seed_field=seed)
-    with pytest.raises(ConfigurationError):
-        gradient_flow(cfg, KernelSpec.fractional_unit(0.5, 1), quartic)
+def _exterior_seed_1d():
+    g = Grid(1, 0.125, 8.0, ConstantExterior([(-1.0, 1.0)]))
+    return ScalarField(g, np.clip(g.axis_coords() / 4.0, -1.0, 1.0))
 
 
 def test_flow_with_newton_refinement_on_exterior_grid(quartic):
-    g = Grid(1, 0.125, 8.0, ConstantExterior([(-1.0, 1.0)]))
-    x = g.axis_coords()
-    seed = ScalarField(g, np.clip(x / 4.0, -1.0, 1.0))
     spec = KernelSpec.fractional_unit(0.5, 1)
-    op = get_operator(g, spec)
-    lb = 2.0 * float(np.max(op.colsum + op.moments["t0"]))
-    cfg = SolveConfig(scheme="newton", step=0.8 / (lb + 2.0),
-                      max_iterations=2000, residual_tol=1e-9, seed_field=seed)
-    out = gradient_flow(cfg, spec, quartic)
+    out = gradient_flow(_exterior_seed_1d(), spec, quartic, residual_tol=1e-9,
+                        max_iterations=2000)
     assert out.converged and out.residual_sup <= 1e-9
     # the flow phase is genuinely monotone before the refinement kicks in
     tr = np.array(out.energy_trace[:50])
     assert np.all(np.diff(tr) <= 1e-10)
+
+
+def test_capped_flow_reports_the_residual_of_the_returned_field(quartic):
+    spec = KernelSpec.fractional_unit(0.5, 1)
+    out = gradient_flow(_exterior_seed_1d(), spec, quartic, residual_tol=1e-9,
+                        max_iterations=3)
+    assert out.iterations == 3 and not out.converged
+    assert out.residual_sup == np.max(np.abs(residual_field(out.field, spec, quartic)))
+
+
+def test_flows_apply_the_operator_once_per_iterate(monkeypatch, quartic):
+    calls = []
+    apply = DiscreteOperator.apply
+    monkeypatch.setattr(DiscreteOperator, "apply",
+                        lambda self, v: calls.append(1) or apply(self, v))
+    spec = KernelSpec.fractional_unit(0.5, 1)
+    g = make_grid(1, 8.0, 0.125)
+    seed = ScalarField(g, 1e-3 * np.random.default_rng(0).normal(size=g.shape))
+    out = gradient_flow(seed, spec, quartic, residual_tol=1e-12, max_iterations=400)
+    assert out.converged and len(calls) <= out.iterations + 1
+    # the 1D exterior flow's line search accepts every first trial here
+    calls.clear()
+    out = gradient_flow(_exterior_seed_1d(), spec, quartic, residual_tol=1e-4,
+                        max_iterations=300)
+    assert len(calls) <= out.iterations + 1
+
+
+def test_flow_on_2d_exterior_grid(quartic):
+    g = Grid(2, 0.25, 2.0, ConstantExterior([(-1.0, 1.0), (-1.0, 1.0)]))
+    x = np.meshgrid(g.axis_coords(), g.axis_coords(), indexing="ij")[0]
+    spec = KernelSpec.fractional_unit(0.5, 2)
+    out = gradient_flow(ScalarField(g, np.clip(x / 2.0, -1.0, 1.0)), spec, quartic)
+    assert out.converged
+    assert np.all(np.diff(out.energy_trace) <= 1e-14)
+    assert out.residual_sup == np.max(np.abs(residual_field(out.field, spec, quartic)))
 
 
 def test_flow_determinism(quartic):
@@ -94,9 +114,8 @@ def test_flow_determinism(quartic):
     outs = []
     for _ in range(2):
         seed = ScalarField(g, vals.copy())
-        cfg = SolveConfig(scheme="semi_implicit_spectral", step=0.4,
-                          max_iterations=500, residual_tol=1e-10, seed_field=seed)
-        outs.append(gradient_flow(cfg, spec, quartic))
+        outs.append(gradient_flow(seed, spec, quartic,
+                                  max_iterations=500, residual_tol=1e-10))
     assert np.array_equal(outs[0].field.values, outs[1].field.values)
     assert outs[0].energy_trace == outs[1].energy_trace
 
@@ -171,17 +190,13 @@ def test_layer_newton_krylov_matches_dense_lu(h, quartic):
 
 
 def test_flow_newton_krylov_matches_dense_lu(quartic):
-    """The newton scheme's refinement agrees with LU Newton from the same
-    flowed iterate (explicit flow to the 1e-4 hand-over residual)."""
-    g = Grid(1, 0.125, 8.0, ConstantExterior([(-1.0, 1.0)]))
-    seed = ScalarField(g, np.clip(g.axis_coords() / 4.0, -1.0, 1.0))
+    """The 1D exterior flow's Newton refinement agrees with LU Newton from
+    the same flowed iterate (explicit flow to the 1e-4 hand-over residual)."""
+    seed = _exterior_seed_1d()
     spec = KernelSpec.fractional_unit(0.5, 1)
-    op = get_operator(g, spec)
-    step = 0.8 / (2.0 * float(np.max(op.colsum + op.moments["t0"])) + 2.0)
-    kw = dict(step=step, max_iterations=2000, seed_field=seed)
-    out = gradient_flow(SolveConfig(scheme="newton", residual_tol=1e-9, **kw), spec, quartic)
-    flowed = gradient_flow(SolveConfig(scheme="explicit_flow", residual_tol=1e-4, **kw),
-                           spec, quartic)
+    op = get_operator(seed.grid, spec)
+    out = gradient_flow(seed, spec, quartic, residual_tol=1e-9, max_iterations=2000)
+    flowed = gradient_flow(seed, spec, quartic, residual_tol=1e-4, max_iterations=2000)
     oracle = _dense_newton(op, flowed.field.values, quartic, 1e-13, odd=False)
     assert out.converged
     assert np.max(np.abs(out.field.values - oracle)) <= 1e-10
@@ -194,11 +209,9 @@ def test_newton_paths_never_assemble_the_dense_matrix(monkeypatch, quartic):
     monkeypatch.setattr(DiscreteOperator, "dense_matrix", refuse)
     phi = solve_layer_1d(0.5, 20.0, 0.1, tol=1e-9)
     solve_layer_1d(0.5, 20.0, 0.1, tol=1e-9, seed=phi, pin_odd=False)
-    g = Grid(1, 0.125, 8.0, ConstantExterior([(-1.0, 1.0)]))
-    seed = ScalarField(g, np.clip(g.axis_coords() / 4.0, -1.0, 1.0))
-    cfg = SolveConfig(scheme="newton", step=0.01, max_iterations=2000,
-                      residual_tol=1e-9, seed_field=seed)
-    assert gradient_flow(cfg, KernelSpec.fractional_unit(0.5, 1), quartic).converged
+    out = gradient_flow(_exterior_seed_1d(), KernelSpec.fractional_unit(0.5, 1), quartic,
+                        residual_tol=1e-9, max_iterations=2000)
+    assert out.converged
 
 
 def test_krylov_solve_short_of_its_residual_raises(monkeypatch):
