@@ -13,7 +13,8 @@ The nearest-neighbor weight carries a calibrated correction factor: a raw
 midpoint sum has a symbol c|xi|^s + O((h xi)^2), and adjusting the first
 shell cancels the quadratic defect, leaving O((h xi)^{4-s}).  The
 correction is found once per (dimension, order) by matching the lattice
-symbol to an exact power law at two reference frequencies.
+symbol to an exact power law at two reference frequencies; one cached
+pass over the offset lattice gives the symbol at both.
 
 Every linear convolution against a fixed kernel (the free-space operator
 in every dimension and the exterior moments) goes through one overlap-save
@@ -105,60 +106,55 @@ def _lattice_sum_1d(s: float, theta: float, J: int = 30000) -> float:
     return core + 2.0 * (flat - osc + 0.5 * f_a - fp_a / 12.0)
 
 
-def _lattice_sum_nd(n: int, s: float, theta: float, rho: float) -> float:
-    rng = np.arange(-int(rho), int(rho) + 1)
-    if n == 2:
-        jx, jy = np.meshgrid(rng, rng, indexing="ij")
-        r2 = (jx * jx + jy * jy).astype(float)
-        mask = (r2 > 0) & (r2 <= rho * rho)
-        core = np.sum((1.0 - np.cos(theta * jx[mask])) * r2[mask] ** (-(n + s) / 2.0))
-    else:
-        core = 0.0
-        for jz in rng:  # slab-wise to bound memory
-            jx, jy = np.meshgrid(rng, rng, indexing="ij")
-            r2 = (jx * jx + jy * jy + jz * jz).astype(float)
-            mask = (r2 > 0) & (r2 <= rho * rho)
-            core += np.sum((1.0 - np.cos(theta * jx[mask])) * r2[mask] ** (-(n + s) / 2.0))
-    return float(core) + _symbol_tail(n, s, theta, rho)
-
-
-def reference_lattice_symbol(n: int, s: float, theta: float, boost: float = 0.0) -> float:
-    """Dimensionless symbol sum_{j != 0} (1 - cos(theta j_1)) w_j.
-
-    Weights are |j|^{-n-s} with `boost` added on the 2n nearest neighbors.
-    """
-    if n == 1:
-        g0 = _lattice_sum_1d(s, theta)
-    else:
-        g0 = _lattice_sum_nd(n, s, theta, rho=700.0 if n == 2 else 60.0)
-    return g0 + boost * 2.0 * (1.0 - np.cos(theta))
+_THETAS = (0.25, 0.5)  # the two reference frequencies of the calibration
 
 
 @lru_cache(maxsize=64)
+def _reference_symbols(n: int, s: float) -> tuple:
+    """g(theta) = sum_{j != 0} (1 - cos(theta j_1)) |j|^{-n-s} at both
+    reference frequencies.  For n >= 2, one pass over the ball |j| <= rho
+    (slab by slab in 3D) builds |j|^{-n-s} once; 1 - cos(theta j_1) is a
+    table over j_1 repeated by the row counts, so every summand array is
+    the per-frequency brute-force one, in the same order.  Tails are added
+    asymptotically."""
+    if n == 1:
+        return tuple(_lattice_sum_1d(s, t) for t in _THETAS)
+    rho = 700.0 if n == 2 else 60.0
+    rng = np.arange(-int(rho), int(rho) + 1)
+    sq = rng * rng
+    plane = sq[:, None] + sq
+    tables = [1.0 - np.cos(t * rng) for t in _THETAS]
+    core = [0.0] * len(_THETAS)
+    for jz in rng if n == 3 else (0,):
+        r2 = (plane + jz * jz).astype(float)
+        mask = (r2 > 0) & (r2 <= rho * rho)
+        pw = r2[mask] ** (-(n + s) / 2.0)
+        rows = mask.sum(axis=1)
+        for i, tab in enumerate(tables):
+            core[i] += np.sum(np.repeat(tab, rows) * pw)
+    return tuple(float(c) + _symbol_tail(n, s, t, rho) for c, t in zip(core, _THETAS))
+
+
 def shell_correction(n: int, s: float) -> float:
     """Nearest-shell weight correction making the symbol a clean power law.
 
     Solved from the two-frequency power-law match
     g(2 theta) = 2^s g(theta) at theta = 0.25.
     """
-    t1, t2 = 0.25, 0.5
-    g1 = reference_lattice_symbol(n, s, t1)
-    g2 = reference_lattice_symbol(n, s, t2)
+    (t1, t2), (g1, g2) = _THETAS, _reference_symbols(n, s)
     a1 = 2.0 * (1.0 - np.cos(t1))
     a2 = 2.0 * (1.0 - np.cos(t2))
     return float((2.0 ** s * g1 - g2) / (a2 - 2.0 ** s * a1))
 
 
-@lru_cache(maxsize=64)
 def symbol_constant(n: int, s: float) -> float:
     """c(n, s) with the discrete symbol of the reference kernel ~ c |xi|^s.
 
     Includes the (2 - s) prefactor of the reference kernel, so the
     operator with kernel (2-s)|z|^{-n-s} has symbol c(n,s)|xi|^s.
     """
-    t1 = 0.25
-    d = shell_correction(n, s)
-    g = reference_lattice_symbol(n, s, t1, boost=d)
+    t1, g1 = _THETAS[0], _reference_symbols(n, s)[0]
+    g = g1 + shell_correction(n, s) * 2.0 * (1.0 - np.cos(t1))
     return float((2.0 - s) * g / t1 ** s)
 
 

@@ -65,12 +65,13 @@ class RunConfig:
             if not (0.0 < self.get("s") < 1.0):
                 raise ConfigurationError("s must lie in (0, 1)")
 
-    def get(self, key, cast=float):
+    def get(self, key, cast=float, default=None):
+        """params[key] as `cast`; `default` serves keys without a CLI flag."""
+        raw = self.params[key] if default is None else self.params.get(key, default)
         try:
-            return cast(self.params[key])
+            return cast(raw)
         except (TypeError, ValueError):
-            raise ConfigurationError(
-                f"{key} = {self.params[key]!r} is not a {cast.__name__}") from None
+            raise ConfigurationError(f"{key} = {raw!r} is not a {cast.__name__}") from None
 
     def radii(self):
         raw = self.params["radii"]
@@ -389,7 +390,7 @@ def _exp_cone(cfg: RunConfig, out: Path) -> RunReport:
     region = BallRegion((0.0, 0.0), 1.0)
     rows = []
     worst = np.inf
-    n_fields = int(cfg.params.get("n_fields", 8))
+    n_fields = cfg.get("n_fields", int, default=8)
     for k in range(n_fields):
         X = radial_bump_vector_field(seed * 1000 + k)
         q = perimeter_stability_quotients(half, X, region, s, (0.04, 0.08, 0.16))
@@ -434,9 +435,16 @@ RUNNERS = {
 def run(cfg: RunConfig) -> RunReport:
     """Execute one experiment; files land in output_dir/<experiment>/."""
     out = Path(cfg.params["output_dir"]) / cfg.experiment
+    made = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
-    report = RUNNERS[cfg.experiment](cfg, out)
+    try:
+        report = RUNNERS[cfg.experiment](cfg, out)
+    except BaseException:
+        for d in made:  # deepest first: leave no empty directory of this run
+            if not any(d.iterdir()):
+                d.rmdir()
+        raise
     # every number surfaced in the JSON report also lives in a CSV trace
     keys = sorted({k for c in report.checks for k in c})
     write_csv(out / "checks.csv", keys,

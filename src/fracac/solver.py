@@ -164,7 +164,10 @@ def gradient_flow(seed: ScalarField, spec: KernelSpec, W: Potential,
             else:
                 increases += 1
                 if increases >= 10:
-                    raise InstabilityError("energy increased for 10 steps", energy_trace)
+                    raise InstabilityError(
+                        "line search found no trial with energy <= previous + 1e-14 "
+                        "in 10 steps; last trace difference "
+                        f"{energy_trace[-1] - energy_trace[-2]:+.3e}", energy_trace)
             vals, r = trial, trial_r
             energy_trace.append(e)
             res = float(np.max(np.abs(r)))

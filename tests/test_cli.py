@@ -47,6 +47,21 @@ def test_cli_bad_number_exits_2(flag, value, tmp_path):
     assert "configuration error" in out.stderr and "Traceback" not in out.stderr
 
 
+def test_cli_bad_key_without_flag_exits_2(tmp_path):
+    """n_fields has no CLI flag; a non-integer is a configuration error."""
+    out = cli("cone", "--key", "n_fields", "abc", "--output-dir", str(tmp_path / "x"))
+    assert out.returncode == 2, out.stderr
+    assert "n_fields" in out.stderr and "Traceback" not in out.stderr
+
+
+def test_config_error_in_runner_leaves_no_directory(tmp_path):
+    """--tol is read inside the runner, after run() made the output directory."""
+    out = cli("layer", "--tol", "abc", "--output-dir", str(tmp_path / "x"))
+    assert out.returncode == 2, out.stderr
+    assert not (tmp_path / "x" / "layer").exists()
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("h, box", [(0.0, 1.0), (-0.1, 1.0), (0.1, float("inf"))])
 def test_grid_rejects_bad_spacing_before_dividing(h, box):
     with pytest.raises(ConfigurationError):

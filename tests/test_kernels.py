@@ -1,6 +1,8 @@
 """Kernel values, the two operator routes, and the structural invariants
 shared by every kernel in the admissible class."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,45 @@ def test_symbol_constant_close_to_continuum_2d():
     for s in (0.3, 0.7):
         assert symbol_constant(2, s) == pytest.approx(
             continuum_symbol_constant(2, s), rel=2e-3)
+
+
+def _brute_force_symbol(n, s, theta):
+    """g(theta) = sum_{j != 0} (1 - cos(theta j_1)) |j|^{-n-s} by one
+    brute-force sum over the offset lattice per frequency (n = 2, 3)."""
+    rho = 700.0 if n == 2 else 60.0
+    rng = np.arange(-int(rho), int(rho) + 1)
+    core = 0.0
+    for jz in rng if n == 3 else (0,):
+        jx, jy = np.meshgrid(rng, rng, indexing="ij")
+        r2 = (jx * jx + jy * jy + jz * jz).astype(float)
+        mask = (r2 > 0) & (r2 <= rho * rho)
+        core += np.sum((1.0 - np.cos(theta * jx[mask])) * r2[mask] ** (-(n + s) / 2.0))
+    return float(core) + _lattice._symbol_tail(n, s, theta, rho)
+
+
+@pytest.mark.parametrize("n, s", [(2, 0.3), (2, 0.9), (2, 1.5), (3, 0.5), (3, 1.5)])
+def test_calibration_matches_per_frequency_brute_force(n, s):
+    g1, g2 = _brute_force_symbol(n, s, 0.25), _brute_force_symbol(n, s, 0.5)
+    a1, a2 = 2.0 * (1.0 - np.cos(0.25)), 2.0 * (1.0 - np.cos(0.5))
+    d = float((2.0 ** s * g1 - g2) / (a2 - 2.0 ** s * a1))
+    c = float((2.0 - s) * (g1 + d * 2.0 * (1.0 - np.cos(0.25))) / 0.25 ** s)
+    assert shell_correction(n, s) == d
+    assert symbol_constant(n, s) == c
+
+
+def test_one_lattice_pass_per_order(monkeypatch):
+    """The shell correction, the multiplier constant and an operator build
+    on a fresh order share one calibration pass over the offset lattice."""
+    passes = []
+    one_pass = _lattice._reference_symbols.__wrapped__
+    monkeypatch.setattr(_lattice, "_reference_symbols", lru_cache(maxsize=64)(
+        lambda n, s: passes.append((n, s)) or one_pass(n, s)))
+    s = 0.61803
+    shell_correction(2, s)
+    symbol_constant(2, s)
+    g = Grid(2, 0.25, 1.0, ConstantExterior([(-1.0, 1.0), (-1.0, 1.0)]))
+    get_operator(g, KernelSpec.perimeter(s)).apply(np.zeros(g.shape))
+    assert passes == [(2, s)]
 
 
 def test_unit_kernel_dimension_guard():

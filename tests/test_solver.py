@@ -19,8 +19,9 @@ from fracac import (
     residual_field,
     solve_layer_1d,
 )
+from fracac import solver
 from fracac.energies import potential_energy, sobolev_energy
-from fracac.errors import ConfigurationError, NotConvergedError
+from fracac.errors import ConfigurationError, InstabilityError, NotConvergedError
 from fracac._lattice import DiscreteOperator, get_operator
 
 
@@ -104,6 +105,27 @@ def test_flow_on_2d_exterior_grid(quartic):
     assert out.converged
     assert np.all(np.diff(out.energy_trace) <= 1e-14)
     assert out.residual_sup == np.max(np.abs(residual_field(out.field, spec, quartic)))
+
+
+def test_failed_line_search_says_what_happened(monkeypatch, quartic):
+    # energies level to round-off: each evaluation is one ulp (5.7e-14) above
+    # the last, so no trial passes e <= e_prev + 1e-14, yet nothing diverges
+    level = [287.0]
+    real = solver._gradient_and_energy
+
+    def creeping(op, vals, W, pw):
+        level[0] = np.nextafter(level[0], np.inf)
+        return real(op, vals, W, pw)[0], level[0]
+
+    monkeypatch.setattr(solver, "_gradient_and_energy", creeping)
+    spec = KernelSpec.fractional_unit(0.5, 1)
+    with pytest.raises(InstabilityError) as err:
+        gradient_flow(_exterior_seed_1d(), spec, quartic, max_iterations=50)
+    trace = err.value.energy_trace
+    assert len(trace) == 10  # the seed and nine failed steps
+    msg = str(err.value)
+    assert "increased" not in msg and "no trial with energy <= previous + 1e-14" in msg
+    assert msg.endswith(f"last trace difference {trace[-1] - trace[-2]:+.3e}")
 
 
 def test_flow_determinism(quartic):
