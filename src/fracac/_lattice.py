@@ -565,18 +565,6 @@ class DiscreteOperator:
         """Exact eigenvalues of the periodic operator on DFT modes (>= 0)."""
         return np.maximum(self.colsum - self.row_spectrum.real, 0.0)
 
-    def dense_matrix(self) -> np.ndarray:
-        """Full operator matrix including tails; 1D exterior grids only."""
-        if self.grid.n != 1 or isinstance(self.grid.boundary, Periodic):
-            raise ConfigurationError("dense matrix supported on 1D exterior grids")
-        p = self.grid.nodes_per_axis
-        w = self.weights
-        idx = np.arange(p)
-        gaps = idx[:, None] - idx[None, :] + (p - 1)
-        mat = -w[gaps]
-        np.fill_diagonal(mat, self.diagonal)
-        return mat
-
     def sobolev_pair_sum(self, values: np.ndarray, mask_a: np.ndarray,
                          mask_b: np.ndarray) -> float:
         """sum over x in A, xbar in B of |u(x) - u(xbar)|^2 w(x - xbar)."""

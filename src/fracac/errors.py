@@ -27,7 +27,7 @@ class SingularityError(FracacError):
 
 class InstabilityError(FracacError):
     """Time stepping failed: energy rising for 10 steps or an iterate leaving
-    [-1, 1] (periodic), or 10 failed line searches (exterior)."""
+    [-1, 1] (periodic), or 10 consecutive failed line searches (exterior)."""
 
     def __init__(self, message, energy_trace=None):
         super().__init__(message)

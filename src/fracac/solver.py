@@ -9,6 +9,7 @@ certifies a small residual of the same operator that the diagnostics use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -86,18 +87,23 @@ def _odd(y: np.ndarray) -> np.ndarray:
 
 
 def _newton_step(op, vals, r, W, pw, odd=False) -> np.ndarray:
-    """u + du with (L + pw W''(u)) du = -r solved by MINRES, matrix-free on
-    `stability_apply` (the convolution engine).  odd=True takes the nodes
-    right of the centre as unknowns and extends them oddly in the product."""
+    """u + du with (L + pw W''(u)) du = -r solved by MINRES on raveled
+    nodes, matrix-free on `stability_apply` (the convolution engine).
+    odd=True (1D) takes the nodes right of the centre as unknowns and
+    extends them oddly in the product."""
     sel = slice(vals.size // 2 + 1, None) if odd else slice(None)
-    ext = _odd if odd else (lambda y: y)
+    ext = _odd if odd else (lambda y: y.reshape(vals.shape))
     diag = pw * W.wpp(vals)
-    jac = LinearOperator((r[sel].size,) * 2, dtype=float,
-                         matvec=lambda y: op.stability_apply(ext(y), diag)[sel])
-    du, info = minres(jac, -r[sel], rtol=1e-12)
+    b = -r.ravel()[sel]
+    jac = LinearOperator((b.size,) * 2, dtype=float,
+                         matvec=lambda y: op.stability_apply(ext(y), diag).ravel()[sel])
+    du, info = minres(jac, b, rtol=1e-12)
     if info:
         raise NotConvergedError(f"MINRES hit its iteration limit ({info}) in a Newton step")
-    return ext(vals[sel] + du)
+    return ext(vals.ravel()[sel] + du)
+
+
+_ROUNDOFF_ULPS = 4  # round-off slack of exterior acceptance, in ulp of |e_prev|
 
 
 def gradient_flow(seed: ScalarField, spec: KernelSpec, W: Potential,
@@ -108,11 +114,13 @@ def gradient_flow(seed: ScalarField, spec: KernelSpec, W: Potential,
     The grid picks the method, and the step size is derived.  Periodic
     grids take semi-implicit spectral steps of size 0.8/(pw max|W''|): the
     nonlocal part is implicit through the exact eigenvalues of the discrete
-    operator, the potential explicit.  Exterior grids take explicit steps
-    of size 0.8/(stiffness bound) with an energy line search; on 1D
-    exterior grids Newton–Krylov on the convolution engine takes over below
-    residual 1e-4.  Each iterate is evaluated once: one operator
-    application gives its energy, its residual and the next explicit step.
+    operator, the potential explicit.  Exterior grids of any dimension take
+    explicit steps of size 0.8/(stiffness bound) with an energy line search,
+    tried after a Newton–Krylov step below residual 1e-4; a trial is kept
+    if its energy is at most a few ulp above the last.  One operator
+    application per kept iterate gives its energy, residual and next step.
+    A converged flow certifies a critical point, possibly unstable (the
+    saddle tanh x tanh y in 2D): stability is `min_rayleigh`'s job.
     """
     if epsilon <= 0:
         raise ConfigurationError("epsilon must be positive")
@@ -150,50 +158,43 @@ def gradient_flow(seed: ScalarField, spec: KernelSpec, W: Potential,
                 break
     else:
         tau = 0.8 / _stiffness_bound(op, W, pw)
-        handover = max(residual_tol, 1e-4) if g.n == 1 else residual_tol
         for it in range(1, max_iterations + 1):
-            if res <= handover:
+            if res <= residual_tol:
                 break
-            trial_tau = tau
-            for _ in range(30):
-                trial = vals - trial_tau * r
+            # the first trial whose energy does not rise beyond round-off is
+            # taken, else the last one
+            bound = energy_trace[-1] + _ROUNDOFF_ULPS * np.spacing(abs(energy_trace[-1]))
+            newton = [_newton_step(op, vals, r, W, pw)] if res <= 1e-4 else []
+            explicit = (vals - tau * 0.5 ** k * r for k in range(30))
+            for trial in chain(newton, explicit):
                 trial_r, e = _gradient_and_energy(op, trial, W, pw)
-                if e <= energy_trace[-1] + 1e-14:
+                if e <= bound:
+                    increases = 0
                     break
-                trial_tau *= 0.5
             else:
                 increases += 1
                 if increases >= 10:
                     raise InstabilityError(
-                        "line search found no trial with energy <= previous + 1e-14 "
-                        "in 10 steps; last trace difference "
-                        f"{energy_trace[-1] - energy_trace[-2]:+.3e}", energy_trace)
+                        f"line search found no trial with energy <= previous + "
+                        f"{_ROUNDOFF_ULPS} ulp in 10 consecutive steps; last trace "
+                        f"difference {energy_trace[-1] - energy_trace[-2]:+.3e}", energy_trace)
             vals, r = trial, trial_r
             energy_trace.append(e)
             res = float(np.max(np.abs(r)))
-        if g.n == 1 and residual_tol < res <= 1e-4:
-            for _ in range(40):
-                it += 1
-                if res <= residual_tol:
-                    break
-                vals = _newton_step(op, vals, r, W, pw)
-                r, e = _gradient_and_energy(op, vals, W, pw)
-                energy_trace.append(e)
-                res = float(np.max(np.abs(r)))
 
     return SolveResult(ScalarField(g, vals), res, it, res <= residual_tol, energy_trace)
 
 
 def solve_layer_1d(s: float, box_radius: float, h: float, tol: float = 1e-10,
                    W: Optional[Potential] = None, epsilon: float = 1.0,
-                   seed: Optional[ScalarField] = None,
-                   pin_odd: bool = True) -> ScalarField:
+                   seed: Optional[ScalarField] = None) -> ScalarField:
     """Monotone transition profile connecting -1 to +1 on a symmetric 1D grid.
 
     Uses the multiplier-normalized fractional kernel, exterior data -1/+1,
-    a short pinned explicit flow, and Newton–Krylov on the convolution engine
-    over the odd-reduced system (odd symmetry removes the soft translation
-    direction; all nodes if pin_odd=False), certified on |x| <= box_radius/2.
+    a short pinned explicit flow, and Newton–Krylov on the convolution
+    engine over the odd-reduced system, certified on |x| <= box_radius/2.
+    Odd symmetry removes the soft translation direction and keeps the centre
+    at exactly 0; `gradient_flow` on the layer's grid polishes all nodes.
     """
     if not (0.0 < s < 1.0):
         raise ConfigurationError("layer order must lie in (0, 1)")
@@ -213,16 +214,15 @@ def solve_layer_1d(s: float, box_radius: float, h: float, tol: float = 1e-10,
     else:
         vals = np.tanh(x / (2.0 * epsilon))
 
-    if pin_odd:
-        vals = _odd(vals[m + 1:])
-        tau = 0.8 / _stiffness_bound(op, W, pw)
-        for _ in range(60):
-            vals = _odd(np.clip(vals - tau * _residual(op, vals, W, pw), -1.0, 1.0)[m + 1:])
+    vals = _odd(vals[m + 1:])
+    tau = 0.8 / _stiffness_bound(op, W, pw)
+    for _ in range(60):
+        vals = _odd(np.clip(vals - tau * _residual(op, vals, W, pw), -1.0, 1.0)[m + 1:])
     for _ in range(60):
         r = _residual(op, vals, W, pw)
         if np.max(np.abs(r)) <= max(tol * 1e-2, 1e-13):
             break
-        vals = _newton_step(op, vals, r, W, pw, odd=pin_odd)
+        vals = _newton_step(op, vals, r, W, pw, odd=True)
 
     inner = np.abs(x) <= box_radius / 2.0
     res_sup = float(np.max(np.abs(_residual(op, vals, W, pw)[inner])))

@@ -3,6 +3,7 @@ import pytest
 
 from fracac import (
     KernelSpec,
+    Periodic,
     Potential,
     embed_profile,
     make_grid,
@@ -56,6 +57,20 @@ def spec1_unit():
 @pytest.fixture(scope="session")
 def spec2_unit():
     return KernelSpec.fractional_unit(0.5, 2)
+
+
+def dense_matrix(op):
+    """Oracle for LU solves and dense eigensolves: the full matrix of an
+    exterior-grid operator, tails on the diagonal, assembled entry by entry
+    from the pair-weight table (entry (i, j) is -w(x_i - x_j)).  Any
+    dimension; N^2 doubles, so small grids only."""
+    g = op.grid
+    assert not isinstance(g.boundary, Periodic) and g.node_count <= 4096
+    p = g.nodes_per_axis
+    idx = np.indices(g.shape).reshape(g.n, -1)
+    mat = -op.weights[tuple(a[:, None] - a[None, :] + (p - 1) for a in idx)]
+    np.fill_diagonal(mat, op.diagonal.ravel())
+    return mat
 
 
 def mode_field(grid, coeffs):

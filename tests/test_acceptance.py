@@ -28,6 +28,7 @@ from fracac import (
     extend,
     flatness_profile,
     full_energy_scaling,
+    gradient_flow,
     gradient_test_inequality,
     halfspace_extension,
     interpolation_check,
@@ -47,7 +48,6 @@ from fracac import (
 )
 from fracac.cli import radial_bump_vector_field
 from fracac.fields import FieldExterior, evaluate_field
-from fracac._lattice import get_operator
 
 
 def verdict(num, name, ok, detail):
@@ -365,17 +365,9 @@ def bent_relaxed_2d(quartic, layer_s05):
 
     g = Grid(2, 1.0 / 8.0, 6.0, FieldExterior(bent, asymptote=(-1.0, 1.0)))
     spec = KernelSpec.fractional_unit(0.5, 2)
-    op = get_operator(g, spec)
-    lb = 2.0 * float(np.max(op.colsum + op.moments["t0"]))
-    tau = 0.9 / (lb + 2.0)
-    u = bent(g.coords()).reshape(g.shape)
-    for _ in range(6000):
-        r = op.apply(u) + quartic.wp(u)
-        if np.max(np.abs(r)) < 2e-6:
-            break
-        u = u - tau * r
-    assert np.max(np.abs(r)) < 1e-4
-    return ScalarField(g, u), spec
+    out = gradient_flow(ScalarField(g, bent(g.coords()).reshape(g.shape)), spec, quartic)
+    assert out.residual_sup < 1e-4
+    return out.field, spec
 
 
 def test_criterion_13_gradient_test(bent_relaxed_2d, embedded_layer, quartic,

@@ -14,6 +14,7 @@ from fracac import (
     ScalarField,
     VectorFieldSpec,
     flow_map,
+    gradient_flow,
     gradient_test_inequality,
     make_grid,
     min_rayleigh,
@@ -21,6 +22,7 @@ from fracac import (
     second_variation,
 )
 from fracac.cli import radial_bump_vector_field
+from conftest import dense_matrix
 from fracac.errors import ConfigurationError, FlowError
 from fracac._lattice import _free_twin, get_operator
 from fracac.stability import _rk4_backward
@@ -107,7 +109,7 @@ def test_min_rayleigh_middle_well_unstable_with_dense_oracle(quartic):
 
     # dense eigensolve oracle on the same coarse grid
     op = get_operator(g, spec)
-    A = op.dense_matrix() + np.diag(quartic.wpp(u.values))
+    A = dense_matrix(op) + np.diag(quartic.wpp(u.values))
     idx = np.flatnonzero(region.mask(g).ravel())
     lam = np.linalg.eigvalsh(A[np.ix_(idx, idx)])[0]
     assert rep.min_rayleigh == pytest.approx(lam, abs=1e-8)
@@ -116,7 +118,7 @@ def test_min_rayleigh_middle_well_unstable_with_dense_oracle(quartic):
     gp = make_grid(1, 8.0, 0.25)
     up = ScalarField(gp, np.zeros(gp.shape))
     rep = min_rayleigh(up, region, spec, quartic)
-    A = _free_twin(get_operator(gp, spec)).dense_matrix() + np.diag(quartic.wpp(up.values))
+    A = dense_matrix(_free_twin(get_operator(gp, spec))) + np.diag(quartic.wpp(up.values))
     idx = np.flatnonzero(region.mask(gp).ravel())
     lam = np.linalg.eigvalsh(A[np.ix_(idx, idx)])[0]
     assert rep.min_rayleigh == pytest.approx(lam, abs=1e-8)
@@ -173,6 +175,21 @@ def test_min_rayleigh_2d_small_region_dense_oracle(quartic):
         cols.append(op.stability_apply(e.reshape(g.shape), diag).ravel()[idx])
     lam = np.linalg.eigvalsh(np.array(cols).T)[0]
     assert rep.min_rayleigh == pytest.approx(lam, rel=1e-9, abs=1e-9)
+
+
+def test_saddle_is_a_converged_unstable_critical_point(quartic, spec2_unit):
+    """Negative control: the saddle tanh x tanh y is a critical point but not
+    1D, so it must be unstable on a large ball (stable solutions in R^2 are
+    1D).  The flow converges onto it; only min_rayleigh can tell."""
+    def saddle(p):
+        return np.tanh(p[:, 0]) * np.tanh(p[:, 1])
+
+    g = Grid(2, 0.25, 16.0, FieldExterior(saddle))
+    out = gradient_flow(ScalarField(g, saddle(g.coords()).reshape(g.shape)), spec2_unit,
+                        quartic, residual_tol=1e-8)
+    assert out.converged
+    rep = min_rayleigh(out.field, BallRegion((0.0, 0.0), 12.0), spec2_unit, quartic)
+    assert rep.converged and rep.min_rayleigh < 0.0
 
 
 def test_stable_solution_nonnegative_on_sampled_perturbations(quartic, layer_s05, spec1_unit):
