@@ -75,9 +75,14 @@ class RunConfig:
 
     def radii(self):
         raw = self.params["radii"]
-        if isinstance(raw, str):
-            return [float(v) for v in raw.split(",") if v]
-        return [float(v) for v in raw]
+        try:
+            radii = [float(v) for v in (raw.split(",") if isinstance(raw, str) else raw)
+                     if v != ""]
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"radii = {raw!r} is not a list of numbers") from None
+        if not radii:
+            raise ConfigurationError(f"radii = {raw!r} names no radius")
+        return radii
 
 
 @dataclass
@@ -509,8 +514,10 @@ def main(argv=None) -> int:
     try:
         if args.experiment == "report":
             base = Path(params.get("output_dir", DEFAULTS["output_dir"]))
+            if not base.is_dir():
+                raise ConfigurationError(f"output_dir {str(base)!r} is not a directory")
             reports = []
-            for sub in sorted(base.iterdir()) if base.exists() else []:
+            for sub in sorted(base.iterdir()):
                 rp = sub / "report.json"
                 if rp.exists():
                     with open(rp) as fh:

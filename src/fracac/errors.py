@@ -26,8 +26,9 @@ class SingularityError(FracacError):
 
 
 class InstabilityError(FracacError):
-    """Time stepping failed: energy rising for 10 steps or an iterate leaving
-    [-1, 1] (periodic), or 10 consecutive failed line searches (exterior)."""
+    """A flow failed: its line search found no trial within the round-off
+    slack in 10 consecutive steps (any grid), or a periodic iterate from a
+    seed in [-1, 1] left [-1, 1]."""
 
     def __init__(self, message, energy_trace=None):
         super().__init__(message)

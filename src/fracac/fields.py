@@ -347,52 +347,31 @@ def l1_distance(f: ScalarField, g: ScalarField, region: BallRegion) -> float:
     return float(f.grid.cell_volume() * np.abs(f.values - g.values)[mask].sum())
 
 
-def exterior_neighbors(u: ScalarField) -> list[tuple[np.ndarray, np.ndarray]]:
+def neighbor_legs(u: ScalarField) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per axis, the values (plus, minus) at x + h e_axis and x - h e_axis.
 
-    For exterior grids: legs that leave the box take the boundary model's
-    value there, so every node has a full stencil.
+    Periodic grids wrap around; on exterior grids, legs that leave the box
+    take the boundary model's value there.  Either way every node has a
+    full stencil.
     """
     g = u.grid
-    vals = u.values
+    legs = [(np.roll(u.values, -1, axis=ax), np.roll(u.values, 1, axis=ax)) for ax in range(g.n)]
+    if isinstance(g.boundary, Periodic):
+        return legs
     pts = g.coords().reshape(g.shape + (g.n,))
-    out = []
-    for ax in range(g.n):
-        plus = np.empty_like(vals)
-        minus = np.empty_like(vals)
-        sl_core = [slice(None)] * g.n
-        sl_core[ax] = slice(0, -1)
-        sl_shift = [slice(None)] * g.n
-        sl_shift[ax] = slice(1, None)
-        plus[tuple(sl_core)] = vals[tuple(sl_shift)]
-        minus[tuple(sl_shift)] = vals[tuple(sl_core)]
-        face_hi = [slice(None)] * g.n
-        face_hi[ax] = slice(-1, None)
-        face_lo = [slice(None)] * g.n
-        face_lo[ax] = slice(0, 1)
-        p_hi = pts[tuple(face_hi)].reshape(-1, g.n).copy()
-        p_hi[:, ax] += g.h
-        p_lo = pts[tuple(face_lo)].reshape(-1, g.n).copy()
-        p_lo[:, ax] -= g.h
-        plus[tuple(face_hi)] = g.boundary(p_hi).reshape(plus[tuple(face_hi)].shape)
-        minus[tuple(face_lo)] = g.boundary(p_lo).reshape(minus[tuple(face_lo)].shape)
-        out.append((plus, minus))
-    return out
+    for ax, pair in enumerate(legs):
+        for leg, face, shift in zip(pair, (-1, 0), (g.h, -g.h)):
+            idx = (slice(None),) * ax + (face,)
+            p = pts[idx].reshape(-1, g.n).copy()
+            p[:, ax] += shift
+            leg[idx] = g.boundary(p).reshape(leg[idx].shape)
+    return legs
 
 
 def gradient_components(u: ScalarField) -> list[np.ndarray]:
-    """Central-difference gradient components at every node.
-
-    Periodic grids difference across the wrap; exterior grids use the
-    boundary model beyond the last node, so every node has a full stencil.
-    """
-    g = u.grid
-    if isinstance(g.boundary, Periodic):
-        legs = [(np.roll(u.values, -1, axis=ax), np.roll(u.values, 1, axis=ax))
-                for ax in range(g.n)]
-    else:
-        legs = exterior_neighbors(u)
-    return [(plus - minus) / (2.0 * g.h) for plus, minus in legs]
+    """Central-difference gradient components at every node, on the legs of
+    `neighbor_legs`."""
+    return [(plus - minus) / (2.0 * u.grid.h) for plus, minus in neighbor_legs(u)]
 
 
 def gradient_magnitude(u: ScalarField) -> np.ndarray:

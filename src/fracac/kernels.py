@@ -37,7 +37,7 @@ from .fields import (
     Grid,
     Periodic,
     ScalarField,
-    exterior_neighbors,
+    neighbor_legs,
 )
 
 __all__ = [
@@ -175,11 +175,7 @@ def apply_laplacian(u: ScalarField) -> ScalarField:
     g = u.grid
     vals = u.values
     out = np.zeros_like(vals)
-    if isinstance(g.boundary, Periodic):
-        for ax in range(g.n):
-            out += 2.0 * vals - np.roll(vals, 1, axis=ax) - np.roll(vals, -1, axis=ax)
-        return ScalarField(g, out / g.h ** 2)
-    for plus, minus in exterior_neighbors(u):
+    for plus, minus in neighbor_legs(u):
         out += 2.0 * vals - plus - minus
     return ScalarField(g, out / g.h ** 2)
 

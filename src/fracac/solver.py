@@ -39,6 +39,8 @@ __all__ = [
 
 @dataclass
 class SolveResult:
+    """A flow's last iterate and how it got there: `iterations` counts the
+    steps taken, len(energy_trace) - 1."""
     field: ScalarField
     residual_sup: float
     iterations: int
@@ -103,7 +105,14 @@ def _newton_step(op, vals, r, W, pw, odd=False) -> np.ndarray:
     return ext(vals.ravel()[sel] + du)
 
 
-_ROUNDOFF_ULPS = 4  # round-off slack of exterior acceptance, in ulp of |e_prev|
+_ROUNDOFF_ULPS = 4  # acceptance slack of the flow, in ulp of the terms the energy sums
+
+
+def _roundoff_slack(op, vals, e) -> float:
+    """`_ROUNDOFF_ULPS` ulp of max(|e|, h^n sum diag u^2): the round-off of a
+    sum scales with its terms, which stay O(1) as e goes to 0 on a well."""
+    terms = op.grid.cell_volume() * float((op.diagonal * vals * vals).sum())
+    return _ROUNDOFF_ULPS * float(np.spacing(max(abs(e), terms)))
 
 
 def gradient_flow(seed: ScalarField, spec: KernelSpec, W: Potential,
@@ -111,19 +120,24 @@ def gradient_flow(seed: ScalarField, spec: KernelSpec, W: Potential,
                   max_iterations: int = 5000) -> SolveResult:
     """Relax the seed toward a critical point of the energy.
 
-    The grid picks the method, and the step size is derived.  Periodic
-    grids take semi-implicit spectral steps of size 0.8/(pw max|W''|): the
-    nonlocal part is implicit through the exact eigenvalues of the discrete
-    operator, the potential explicit.  Exterior grids of any dimension take
-    explicit steps of size 0.8/(stiffness bound) with an energy line search,
-    tried after a Newton–Krylov step below residual 1e-4; a trial is kept
-    if its energy is at most a few ulp above the last.  One operator
-    application per kept iterate gives its energy, residual and next step.
-    A converged flow certifies a critical point, possibly unstable (the
-    saddle tanh x tanh y in 2D): stability is `min_rayleigh`'s job.
+    One loop serves every grid: until the residual is at most residual_tol
+    (a NaN residual is not) or max_iterations steps are taken, the first
+    trial whose energy is at most `_roundoff_slack` above the last is kept,
+    else the last trial; 10 such failures in a row raise InstabilityError.
+    The grid picks the trials, and the step size is derived.  Periodic
+    grids try semi-implicit spectral steps of size 0.8/(pw max|W''|) 2^-k:
+    the nonlocal part is implicit through the exact eigenvalues of the
+    discrete operator, the potential explicit.  Exterior grids try a
+    Newton–Krylov step below residual 1e-4, then explicit steps of size
+    0.8/(stiffness bound) 2^-k.  One operator application per trial gives
+    its energy, residual and next step.  A converged flow certifies a
+    critical point, possibly unstable (the saddle tanh x tanh y in 2D):
+    stability is `min_rayleigh`'s job.
     """
     if epsilon <= 0:
         raise ConfigurationError("epsilon must be positive")
+    if not np.all(np.isfinite(seed.values)):
+        raise ConfigurationError("seed values must be finite")
     g = seed.grid
     op = get_operator(g, spec)
     pw = _pot_weight(epsilon, spec.s)
@@ -131,58 +145,54 @@ def gradient_flow(seed: ScalarField, spec: KernelSpec, W: Potential,
     r, e = _gradient_and_energy(op, vals, W, pw)
     energy_trace = [e]
     res = float(np.max(np.abs(r)))
-    increases = 0
-    it = 0
 
     if isinstance(g.boundary, Periodic):
         tau = 0.8 / (pw * _wpp_max(W))
         symbol = op.symbol()
         # the implicit resolvent averages values, and the explicit part is
-        # monotone at this step: iterates stay in [-1, 1] up to round-off
+        # monotone at these steps: iterates stay in [-1, 1] up to round-off
         monotone = bool(np.max(np.abs(vals)) <= 1.0 + 1e-12)
-        for it in range(1, max_iterations + 1):
-            rhs = vals - tau * pw * W.wp(vals)
-            with sfft.set_workers(fft_workers()):
-                vals = sfft.ifftn(sfft.fftn(rhs) / (1.0 + tau * symbol)).real
-            if monotone:
-                if np.max(np.abs(vals)) > 1.0 + 1e-9:
-                    raise InstabilityError("iterate escaped [-1, 1]", energy_trace)
-                vals = np.clip(vals, -1.0, 1.0)
-            r, e = _gradient_and_energy(op, vals, W, pw)
-            increases = increases + 1 if e > energy_trace[-1] + 1e-10 else 0
-            if increases >= 10:
-                raise InstabilityError("energy increased for 10 steps", energy_trace)
-            energy_trace.append(e)
-            res = float(np.max(np.abs(r)))
-            if res <= residual_tol:
-                break
+
+        def trials(vals, r, res):
+            for k in range(30):
+                t = tau * 0.5 ** k
+                rhs = vals - t * pw * W.wp(vals)
+                with sfft.set_workers(fft_workers()):
+                    step = sfft.ifftn(sfft.fftn(rhs) / (1.0 + t * symbol)).real
+                if monotone:
+                    if np.max(np.abs(step)) > 1.0 + 1e-9:
+                        raise InstabilityError("iterate escaped [-1, 1]", energy_trace)
+                    step = np.clip(step, -1.0, 1.0)
+                yield step
     else:
         tau = 0.8 / _stiffness_bound(op, W, pw)
-        for it in range(1, max_iterations + 1):
-            if res <= residual_tol:
-                break
-            # the first trial whose energy does not rise beyond round-off is
-            # taken, else the last one
-            bound = energy_trace[-1] + _ROUNDOFF_ULPS * np.spacing(abs(energy_trace[-1]))
-            newton = [_newton_step(op, vals, r, W, pw)] if res <= 1e-4 else []
-            explicit = (vals - tau * 0.5 ** k * r for k in range(30))
-            for trial in chain(newton, explicit):
-                trial_r, e = _gradient_and_energy(op, trial, W, pw)
-                if e <= bound:
-                    increases = 0
-                    break
-            else:
-                increases += 1
-                if increases >= 10:
-                    raise InstabilityError(
-                        f"line search found no trial with energy <= previous + "
-                        f"{_ROUNDOFF_ULPS} ulp in 10 consecutive steps; last trace "
-                        f"difference {energy_trace[-1] - energy_trace[-2]:+.3e}", energy_trace)
-            vals, r = trial, trial_r
-            energy_trace.append(e)
-            res = float(np.max(np.abs(r)))
 
-    return SolveResult(ScalarField(g, vals), res, it, res <= residual_tol, energy_trace)
+        def trials(vals, r, res):
+            newton = [_newton_step(op, vals, r, W, pw)] if res <= 1e-4 else []
+            return chain(newton, (vals - tau * 0.5 ** k * r for k in range(30)))
+
+    failures = 0
+    while not res <= residual_tol and len(energy_trace) <= max_iterations:
+        bound = energy_trace[-1] + _roundoff_slack(op, vals, energy_trace[-1])
+        for trial in trials(vals, r, res):
+            trial_r, e = _gradient_and_energy(op, trial, W, pw)
+            if e <= bound:
+                failures = 0
+                break
+        else:
+            failures += 1
+            if failures >= 10:
+                raise InstabilityError(
+                    f"line search found no trial with energy <= previous + "
+                    f"{_ROUNDOFF_ULPS} ulp of its terms in 10 consecutive steps; last "
+                    f"trace difference {energy_trace[-1] - energy_trace[-2]:+.3e}",
+                    energy_trace)
+        vals, r = trial, trial_r
+        energy_trace.append(e)
+        res = float(np.max(np.abs(r)))
+
+    return SolveResult(ScalarField(g, vals), res, len(energy_trace) - 1,
+                       res <= residual_tol, energy_trace)
 
 
 def solve_layer_1d(s: float, box_radius: float, h: float, tol: float = 1e-10,

@@ -54,6 +54,23 @@ def test_cli_bad_key_without_flag_exits_2(tmp_path):
     assert "n_fields" in out.stderr and "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("radii", ["2,abc", ","])
+def test_cli_bad_radii_exit_2(radii, tmp_path):
+    """--radii is parsed inside the runner: a non-number and a list naming no
+    radius (which would pass with an empty energies.csv) are both refused."""
+    out = cli("energy", "--radii", radii, "--output-dir", str(tmp_path / "x"))
+    assert out.returncode == 2, out.stderr
+    assert "radii" in out.stderr and "Traceback" not in out.stderr
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_report_on_missing_directory_exits_2(tmp_path):
+    out = cli("report", "--output-dir", str(tmp_path / "missing"))
+    assert out.returncode == 2, out.stderr
+    assert "output_dir" in out.stderr and "Traceback" not in out.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_error_in_runner_leaves_no_directory(tmp_path):
     """--tol is read inside the runner, after run() made the output directory."""
     out = cli("layer", "--tol", "abc", "--output-dir", str(tmp_path / "x"))

@@ -26,21 +26,50 @@ from fracac._lattice import DiscreteOperator, get_operator
 from conftest import dense_matrix
 
 
+def flow(seed, spec, W, **kwargs):
+    """gradient_flow, checking that `iterations` counts the steps taken."""
+    out = gradient_flow(seed, spec, W, **kwargs)
+    assert out.iterations == len(out.energy_trace) - 1
+    return out
+
+
 def test_constant_well_is_fixed_point(quartic):
-    g = make_grid(1, 4.0, 0.125)
-    seed = ScalarField(g, np.ones(g.shape))
-    out = gradient_flow(seed, KernelSpec.fractional_unit(0.5, 1), quartic,
-                        max_iterations=50, residual_tol=1e-12)
-    assert out.converged and out.iterations <= 1
-    assert np.allclose(out.field.values, 1.0, atol=1e-12)
+    """A converged seed takes no step, on either kind of grid."""
+    for g in (make_grid(1, 4.0, 0.125), Grid(1, 0.125, 4.0, ConstantExterior([(1.0, 1.0)]))):
+        seed = ScalarField(g, np.ones(g.shape))
+        out = flow(seed, KernelSpec.fractional_unit(0.5, 1), quartic,
+                   max_iterations=50, residual_tol=1e-12)
+        assert out.converged and out.iterations == 0
+        assert np.array_equal(out.field.values, seed.values)
+
+
+@pytest.mark.parametrize("grid", [make_grid(1, 4.0, 0.125),
+                                  Grid(1, 0.125, 4.0, ConstantExterior([(1.0, 1.0)]))],
+                         ids=["periodic", "exterior"])
+def test_flow_rejects_a_non_finite_seed(grid, quartic):
+    vals = np.ones(grid.shape)
+    vals[3] = np.nan
+    with pytest.raises(ConfigurationError, match="finite"):
+        gradient_flow(ScalarField(grid, vals), KernelSpec.fractional_unit(0.5, 1), quartic)
+
+
+@pytest.mark.parametrize("n,h,R", [(1, 0.125, 8.0), (2, 0.25, 4.0)], ids=["1d", "2d"])
+def test_flow_converges_onto_a_well_of_zero_energy(n, h, R, quartic):
+    """E -> 0 while the terms it sums stay O(1): a slack in ulp of |E| alone
+    shrinks below their round-off and stalls the line search."""
+    g = Grid(n, h, R, ConstantExterior([(1.0, 1.0)] * n))
+    seed = ScalarField(g, (1.0 - 0.5 * np.exp(-np.sum(g.coords() ** 2, axis=1))).reshape(g.shape))
+    out = flow(seed, KernelSpec.fractional_unit(0.5, n), quartic, residual_tol=1e-10)
+    assert out.converged and out.iterations < 100
+    assert abs(out.energy_trace[-1]) <= 1e-12
 
 
 def test_middle_well_flows_away(quartic):
     g = make_grid(1, 8.0, 0.125)
     rng = np.random.default_rng(0)
     seed = ScalarField(g, 1e-3 * rng.normal(size=g.shape))
-    out = gradient_flow(seed, KernelSpec.fractional_unit(0.5, 1), quartic,
-                        max_iterations=400, residual_tol=1e-12)
+    out = flow(seed, KernelSpec.fractional_unit(0.5, 1), quartic,
+               max_iterations=400, residual_tol=1e-12)
     tr = np.array(out.energy_trace)
     assert np.all(np.diff(tr) <= 1e-10)
     assert np.max(np.abs(out.field.values)) > 0.5  # left the unstable well
@@ -51,11 +80,23 @@ def test_periodic_flow_reaches_layer_pair(quartic):
     x = g.axis_coords()
     seed = ScalarField(g, np.clip(np.sin(np.pi * x / 8.0), -1.0, 1.0))
     spec = KernelSpec.fractional_unit(0.5, 1)
-    out = gradient_flow(seed, spec, quartic, max_iterations=5000, residual_tol=1e-9)
+    out = flow(seed, spec, quartic, max_iterations=5000, residual_tol=1e-9)
     assert out.converged
     res = residual_field(out.field, spec, quartic)
     assert np.max(np.abs(res)) <= 1e-9
     assert np.max(np.abs(out.field.values)) <= 1.0 + 1e-9
+
+
+def test_periodic_flow_from_beyond_the_wells(quartic):
+    """At |u| = 3, W'' exceeds the bound the semi-implicit step is sized for:
+    the full step overflows, and the line search halves it instead."""
+    g = make_grid(1, 8.0, 1.0 / 16.0)
+    seed = ScalarField(g, 3.0 * np.sin(np.pi * g.axis_coords() / 8.0))
+    spec = KernelSpec.fractional_unit(0.5, 1)
+    out = flow(seed, spec, quartic, residual_tol=1e-9)
+    assert out.converged and out.residual_sup <= 1e-9
+    slack = solver._roundoff_slack(get_operator(g, spec), out.field.values, out.energy_trace[-1])
+    assert np.all(np.diff(out.energy_trace) <= slack)
 
 
 def _exterior_seed_1d():
@@ -65,8 +106,7 @@ def _exterior_seed_1d():
 
 def test_flow_with_newton_refinement_on_exterior_grid(quartic):
     spec = KernelSpec.fractional_unit(0.5, 1)
-    out = gradient_flow(_exterior_seed_1d(), spec, quartic, residual_tol=1e-9,
-                        max_iterations=2000)
+    out = flow(_exterior_seed_1d(), spec, quartic, residual_tol=1e-9, max_iterations=2000)
     assert out.converged and out.residual_sup <= 1e-9
     # the flow phase is genuinely monotone before the refinement kicks in
     tr = np.array(out.energy_trace[:50])
@@ -75,8 +115,7 @@ def test_flow_with_newton_refinement_on_exterior_grid(quartic):
 
 def test_capped_flow_reports_the_residual_of_the_returned_field(quartic):
     spec = KernelSpec.fractional_unit(0.5, 1)
-    out = gradient_flow(_exterior_seed_1d(), spec, quartic, residual_tol=1e-9,
-                        max_iterations=3)
+    out = flow(_exterior_seed_1d(), spec, quartic, residual_tol=1e-9, max_iterations=3)
     assert out.iterations == 3 and not out.converged
     assert out.residual_sup == np.max(np.abs(residual_field(out.field, spec, quartic)))
 
@@ -89,13 +128,12 @@ def test_flows_apply_the_operator_once_per_iterate(monkeypatch, quartic):
     spec = KernelSpec.fractional_unit(0.5, 1)
     g = make_grid(1, 8.0, 0.125)
     seed = ScalarField(g, 1e-3 * np.random.default_rng(0).normal(size=g.shape))
-    out = gradient_flow(seed, spec, quartic, residual_tol=1e-12, max_iterations=400)
-    assert out.converged and len(calls) <= out.iterations + 1
+    out = flow(seed, spec, quartic, residual_tol=1e-12, max_iterations=400)
+    assert out.converged and len(calls) == len(out.energy_trace)
     # the 1D exterior flow's line search accepts every first trial here
     calls.clear()
-    out = gradient_flow(_exterior_seed_1d(), spec, quartic, residual_tol=1e-4,
-                        max_iterations=300)
-    assert len(calls) <= out.iterations + 1
+    out = flow(_exterior_seed_1d(), spec, quartic, residual_tol=1e-4, max_iterations=300)
+    assert len(calls) == len(out.energy_trace)
 
 
 def _exterior_seed_2d(h, R):
@@ -110,7 +148,7 @@ def _exterior_seed_2d(h, R):
                          ids=["h0.25-R2", "h0.5-R16"])
 def test_flow_on_2d_exterior_grid(h, R, tol, quartic):
     spec = KernelSpec.fractional_unit(0.5, 2)
-    out = gradient_flow(_exterior_seed_2d(h, R), spec, quartic, residual_tol=tol)
+    out = flow(_exterior_seed_2d(h, R), spec, quartic, residual_tol=tol)
     assert out.converged
     assert np.all(np.diff(out.energy_trace) <= 1e-14)
     assert out.residual_sup == np.max(np.abs(residual_field(out.field, spec, quartic)))
@@ -129,12 +167,12 @@ def test_flow_rejects_an_uphill_newton_trial(monkeypatch, quartic):
     monkeypatch.setattr(solver, "_newton_step", uphill_every_other)
     spec = KernelSpec.fractional_unit(0.5, 2)
     seed = _exterior_seed_2d(0.25, 2.0)
-    out = gradient_flow(seed, spec, quartic, residual_tol=1e-10)
+    out = flow(seed, spec, quartic, residual_tol=1e-10)
     assert out.converged and len(calls) >= 3
     assert np.all(np.diff(out.energy_trace) <= 1e-14)
     # each rejected trial costs the flow one more iterate than the plain run
     monkeypatch.setattr(solver, "_newton_step", newton)
-    assert out.iterations > gradient_flow(seed, spec, quartic, residual_tol=1e-10).iterations
+    assert out.iterations > flow(seed, spec, quartic, residual_tol=1e-10).iterations
 
 
 def test_failed_line_search_says_what_happened(monkeypatch, quartic):
@@ -144,7 +182,7 @@ def test_failed_line_search_says_what_happened(monkeypatch, quartic):
     real = solver._gradient_and_energy
 
     def creeping(op, vals, W, pw):
-        level[0] += 2 * solver._ROUNDOFF_ULPS * np.spacing(level[0])
+        level[0] += 2 * solver._roundoff_slack(op, vals, level[0])
         return real(op, vals, W, pw)[0], level[0]
 
     monkeypatch.setattr(solver, "_gradient_and_energy", creeping)
@@ -155,8 +193,8 @@ def test_failed_line_search_says_what_happened(monkeypatch, quartic):
     assert len(trace) == 10  # the seed and nine failed steps
     msg = str(err.value)
     assert "increased" not in msg
-    assert (f"no trial with energy <= previous + {solver._ROUNDOFF_ULPS} ulp "
-            "in 10 consecutive steps") in msg
+    assert (f"no trial with energy <= previous + {solver._ROUNDOFF_ULPS} ulp of its "
+            "terms in 10 consecutive steps") in msg
     assert msg.endswith(f"last trace difference {trace[-1] - trace[-2]:+.3e}")
 
 
@@ -175,7 +213,7 @@ def test_isolated_line_search_failures_do_not_raise(monkeypatch, quartic):
 
     monkeypatch.setattr(solver, "_gradient_and_energy", spiky)
     spec = KernelSpec.fractional_unit(0.5, 1)
-    out = gradient_flow(_exterior_seed_1d(), spec, quartic, max_iterations=40)
+    out = flow(_exterior_seed_1d(), spec, quartic, max_iterations=40)
     assert out.iterations == 40 and len(out.energy_trace) == 41
     assert int(np.sum(np.diff(out.energy_trace) > 0.5)) == 12
 
@@ -188,8 +226,7 @@ def test_flow_determinism(quartic):
     outs = []
     for _ in range(2):
         seed = ScalarField(g, vals.copy())
-        outs.append(gradient_flow(seed, spec, quartic,
-                                  max_iterations=500, residual_tol=1e-10))
+        outs.append(flow(seed, spec, quartic, max_iterations=500, residual_tol=1e-10))
     assert np.array_equal(outs[0].field.values, outs[1].field.values)
     assert outs[0].energy_trace == outs[1].energy_trace
 
@@ -207,7 +244,7 @@ def test_layer_basic_contract(layer_s05, quartic):
 def test_layer_unpinned_resolve_keeps_odd_symmetry(quartic):
     # a loose layer leaves the flow's Newton phase steps to take on all nodes
     phi = solve_layer_1d(0.5, 20.0, 0.1, tol=1e-3)
-    out = gradient_flow(phi, KernelSpec.fractional_unit(0.5, 1), quartic, residual_tol=1e-11)
+    out = flow(phi, KernelSpec.fractional_unit(0.5, 1), quartic, residual_tol=1e-11)
     assert out.converged and len(out.energy_trace) > 1
     phi2 = out.field
     m = phi2.grid.half_count
@@ -264,7 +301,7 @@ def test_layer_newton_krylov_matches_dense_lu(h, quartic):
     assert np.max(np.abs(phi.values - _dense_layer(h, quartic))) <= 1e-10
     # all nodes from a loose layer: the flow's Newton phase against LU Newton
     loose = solve_layer_1d(0.5, 40.0, h, tol=1e-3)
-    full = gradient_flow(loose, KernelSpec.fractional_unit(0.5, 1), quartic, residual_tol=1e-11)
+    full = flow(loose, KernelSpec.fractional_unit(0.5, 1), quartic, residual_tol=1e-11)
     assert full.converged
     assert np.max(np.abs(full.field.values - _dense_layer(h, quartic, seed=loose))) <= 1e-10
 
@@ -279,8 +316,8 @@ def test_flow_newton_krylov_matches_dense_lu(quartic):
         v = seed.values
         assert np.allclose(dense_matrix(op) @ v.ravel() - op.moments["t1"].ravel(),
                            op.apply(v).ravel(), rtol=0.0, atol=1e-12)
-        out = gradient_flow(seed, spec, quartic, residual_tol=1e-9, max_iterations=2000)
-        flowed = gradient_flow(seed, spec, quartic, residual_tol=1e-4, max_iterations=2000)
+        out = flow(seed, spec, quartic, residual_tol=1e-9, max_iterations=2000)
+        flowed = flow(seed, spec, quartic, residual_tol=1e-4, max_iterations=2000)
         oracle = _dense_newton(op, flowed.field.values, quartic, 1e-13, odd=False)
         assert out.converged and len(out.energy_trace) > len(flowed.energy_trace)
         assert np.max(np.abs(out.field.values.ravel() - oracle)) <= 1e-10
@@ -293,10 +330,9 @@ def test_newton_paths_never_assemble_the_dense_matrix(monkeypatch, quartic):
     for name in ("solve", "inv", "lstsq"):
         monkeypatch.setattr(np.linalg, name, refuse)
     phi = solve_layer_1d(0.5, 20.0, 0.1, tol=1e-3)
-    assert gradient_flow(phi, KernelSpec.fractional_unit(0.5, 1), quartic,
-                         residual_tol=1e-11).converged
-    out = gradient_flow(_exterior_seed_1d(), KernelSpec.fractional_unit(0.5, 1), quartic,
-                        residual_tol=1e-9, max_iterations=2000)
+    assert flow(phi, KernelSpec.fractional_unit(0.5, 1), quartic, residual_tol=1e-11).converged
+    out = flow(_exterior_seed_1d(), KernelSpec.fractional_unit(0.5, 1), quartic,
+               residual_tol=1e-9, max_iterations=2000)
     assert out.converged
 
 

@@ -13,6 +13,8 @@ from fracac import (
     KernelSpec,
     ScalarField,
     VectorFieldSpec,
+    blowdown_convergence,
+    flatness_profile,
     flow_map,
     gradient_flow,
     gradient_test_inequality,
@@ -177,19 +179,34 @@ def test_min_rayleigh_2d_small_region_dense_oracle(quartic):
     assert rep.min_rayleigh == pytest.approx(lam, rel=1e-9, abs=1e-9)
 
 
-def test_saddle_is_a_converged_unstable_critical_point(quartic, spec2_unit):
-    """Negative control: the saddle tanh x tanh y is a critical point but not
-    1D, so it must be unstable on a large ball (stable solutions in R^2 are
-    1D).  The flow converges onto it; only min_rayleigh can tell."""
+@pytest.fixture(scope="module")
+def saddle_flow(quartic, spec2_unit):
+    """The flow from the saddle tanh x tanh y at R = 16, run once per module."""
     def saddle(p):
         return np.tanh(p[:, 0]) * np.tanh(p[:, 1])
 
     g = Grid(2, 0.25, 16.0, FieldExterior(saddle))
-    out = gradient_flow(ScalarField(g, saddle(g.coords()).reshape(g.shape)), spec2_unit,
-                        quartic, residual_tol=1e-8)
-    assert out.converged
-    rep = min_rayleigh(out.field, BallRegion((0.0, 0.0), 12.0), spec2_unit, quartic)
+    return gradient_flow(ScalarField(g, saddle(g.coords()).reshape(g.shape)), spec2_unit,
+                         quartic, residual_tol=1e-8)
+
+
+def test_saddle_is_a_converged_unstable_critical_point(saddle_flow, quartic, spec2_unit):
+    """Negative control: the saddle tanh x tanh y is a critical point but not
+    1D, so it must be unstable on a large ball (stable solutions in R^2 are
+    1D).  The flow converges onto it; only min_rayleigh can tell."""
+    assert saddle_flow.converged
+    rep = min_rayleigh(saddle_flow.field, BallRegion((0.0, 0.0), 12.0), spec2_unit, quartic)
     assert rep.converged and rep.min_rayleigh < 0.0
+
+
+def test_saddle_is_not_flat(saddle_flow):
+    """Negative control: the saddle's zero set is a cross, so no slab traps its
+    transition region (the no-trapping sentinel a = 1), and its blow-downs do
+    not approach a half-plane."""
+    flat = flatness_profile(saddle_flow.field, [4.0, 6.0, 8.0, 12.0])
+    assert flat["a"] == [1.0] * 4
+    l1 = blowdown_convergence(saddle_flow.field, [2.0, 4.0, 8.0], c=0.6)["l1"]
+    assert not np.all(np.diff(l1) < 0.0)
 
 
 def test_stable_solution_nonnegative_on_sampled_perturbations(quartic, layer_s05, spec1_unit):
