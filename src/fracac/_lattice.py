@@ -36,7 +36,7 @@ from scipy import fft as sfft
 from scipy.special import gamma as gamma_fn
 
 from .errors import ConfigurationError
-from .fields import ConstantExterior, FieldExterior, Grid, Periodic
+from .fields import ConstantExterior, Grid, Periodic
 
 _TWO_PI = 2.0 * np.pi
 
@@ -280,8 +280,10 @@ def axis_cell_bounds(grid: Grid) -> tuple[float, float]:
 
 
 def exterior_asymptote(grid: Grid) -> tuple[float, float]:
-    """Limits (lo, hi) of a 1D field exterior: the declared asymptote, else
-    the exterior sampled at 1e9 box radii on either side."""
+    """Far values (lo, hi) of a 1D exterior: the boundary model's
+    `asymptote` (a constant exterior's sides, or a field exterior's
+    declared limits), else the exterior sampled at 1e9 box radii on either
+    side."""
     b = grid.boundary
     if b.asymptote is not None:
         return b.asymptote
@@ -290,8 +292,25 @@ def exterior_asymptote(grid: Grid) -> tuple[float, float]:
             float(np.ravel(b(np.array([[far]])))[0]))
 
 
+def exterior_departures(grid: Grid, span: np.ndarray) -> list:
+    """(sign, nodes t, exterior at t, far value) for each side of a 1D box
+    whose exterior departs from its far value somewhere on t = edge +
+    sign * span; a side at its far value (every side of a constant
+    exterior) is left out."""
+    lo, hi = axis_cell_bounds(grid)
+    g_lo, g_hi = exterior_asymptote(grid)
+    sides = []
+    for sgn, edge, far in ((1.0, hi, g_hi), (-1.0, lo, g_lo)):
+        t = edge + sgn * span
+        u_ext = grid.boundary(t[:, None])
+        if (u_ext - far).any():
+            sides.append((sgn, t, u_ext, far))
+    return sides
+
+
 def _moments_1d(grid: Grid, spec) -> dict:
-    """Closed-form half-line tails plus a graded correction for field exteriors."""
+    """Closed-form half-line tails at the far values plus a graded
+    correction on each side where the exterior departs from them."""
     if spec.kind == "fractional":
         def prim(d):
             # integral_d^inf K(r) dr for the (scaled) reference kernel
@@ -315,34 +334,16 @@ def _moments_1d(grid: Grid, spec) -> dict:
     t0_r = prim(hi - x)
     t0_l = prim(x - lo)
 
-    b = grid.boundary
-    if isinstance(b, ConstantExterior):
-        g_lo, g_hi = b.sides[0]
-        corr1_r = corr1_l = corr2_r = corr2_l = 0.0
-        a_lo, a_hi = g_lo, g_hi
-    elif isinstance(b, FieldExterior):
-        a_lo, a_hi = exterior_asymptote(grid)
-        # graded correction integrals for the non-constant part of the exterior
-        span = np.geomspace(grid.h / 8.0, 2e5 * grid.box_radius, 3000)
-        xr = hi + span
-        xl = lo - span
-        pr = b(xr[:, None]) - a_hi
-        pl = b(xl[:, None]) - a_lo
-        kr = kernel_on_radii(spec, xr[None, :] - x[:, None], 1)
-        kl = kernel_on_radii(spec, x[:, None] - xl[None, :], 1)
-        corr1_r = np.trapezoid(kr * pr[None, :], xr, axis=1)
-        corr1_l = -np.trapezoid(kl * pl[None, :], xl, axis=1)
-        pr2 = b(xr[:, None]) ** 2 - a_hi ** 2
-        pl2 = b(xl[:, None]) ** 2 - a_lo ** 2
-        corr2_r = np.trapezoid(kr * pr2[None, :], xr, axis=1)
-        corr2_l = -np.trapezoid(kl * pl2[None, :], xl, axis=1)
-        g_lo, g_hi = a_lo, a_hi
-    else:
-        raise ConfigurationError(f"no exterior moments for {b!r}")
-
     t0 = t0_r + t0_l
-    t1 = g_hi * t0_r + g_lo * t0_l + corr1_r + corr1_l
-    t2 = g_hi ** 2 * t0_r + g_lo ** 2 * t0_l + corr2_r + corr2_l
+    g_lo, g_hi = exterior_asymptote(grid)
+    t1 = g_hi * t0_r + g_lo * t0_l
+    t2 = g_hi ** 2 * t0_r + g_lo ** 2 * t0_l
+    # graded deviation integrals; on the left the offsets -(t - x) equal x - t
+    span = np.geomspace(grid.h / 8.0, 2e5 * grid.box_radius, 3000)
+    for sgn, t, u_ext, far in exterior_departures(grid, span):
+        k = kernel_on_radii(spec, sgn * (t[None, :] - x[:, None]), 1)
+        t1 = t1 + sgn * np.trapezoid(k * (u_ext - far)[None, :], t, axis=1)
+        t2 = t2 + sgn * np.trapezoid(k * (u_ext ** 2 - far ** 2)[None, :], t, axis=1)
     return {"t0": t0, "t1": t1, "t2": t2}
 
 

@@ -26,9 +26,9 @@ class SingularityError(FracacError):
 
 
 class InstabilityError(FracacError):
-    """A flow failed: its line search found no trial within the round-off
-    slack in 10 consecutive steps (any grid), or a periodic iterate from a
-    seed in [-1, 1] left [-1, 1]."""
+    """A flow failed: a line search found no trial within the round-off
+    slack of the last energy (any grid), or a periodic iterate from a seed
+    in [-1, 1] left [-1, 1].  `energy_trace` holds the accepted energies."""
 
     def __init__(self, message, energy_trace=None):
         super().__init__(message)

@@ -18,16 +18,11 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.special import betainc, gamma as gamma_fn, kv
 
-from ._lattice import _xi_squared, axis_cell_bounds, exterior_asymptote, fft_workers
+from ._lattice import (_xi_squared, axis_cell_bounds, exterior_asymptote,
+                       exterior_departures, fft_workers)
 from .energies import Potential
 from .errors import ConfigurationError
-from .fields import (
-    ConstantExterior,
-    FieldExterior,
-    Grid,
-    Periodic,
-    ScalarField,
-)
+from .fields import Grid, Periodic, ScalarField
 
 __all__ = [
     "ExtensionField",
@@ -148,20 +143,12 @@ class _Exterior1DTail:
 
     def __init__(self, u: ScalarField, s: float):
         g = u.grid
-        b = g.boundary
         self.b_lo, self.b_hi = axis_cell_bounds(g)
         self.s = s
-        self.field_sides = ()       # per side: sign, nodes t, exterior minus its limit
-        if isinstance(b, ConstantExterior):
-            self.g_lo, self.g_hi = b.sides[0]
-        elif isinstance(b, FieldExterior):
-            self.g_lo, self.g_hi = exterior_asymptote(g)
-            span = np.geomspace(1e-3, 2e4, 1200)
-            t_hi, t_lo = self.b_hi + span, self.b_lo - span
-            self.field_sides = ((1.0, t_hi, b(t_hi[:, None]) - self.g_hi),
-                                (-1.0, t_lo, b(t_lo[:, None]) - self.g_lo))
-        else:
-            raise ConfigurationError("unsupported exterior for the extension")
+        self.g_lo, self.g_hi = exterior_asymptote(g)
+        # per departing side: sign, nodes t, exterior minus its far value
+        self.field_sides = [(sgn, t, u_ext - far) for sgn, t, u_ext, far
+                            in exterior_departures(g, np.geomspace(1e-3, 2e4, 1200))]
 
     def values(self, x: np.ndarray, y: float) -> np.ndarray:
         """Tail integral of u_ext against the kernel beyond each boundary."""

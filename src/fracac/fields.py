@@ -49,9 +49,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 class Periodic:
-    """Opposite faces identified; fields wrap around."""
+    """Opposite faces identified; fields wrap around.  A torus has no
+    exterior, so no far values either: ``asymptote`` is None."""
 
     token = "periodic"
+    asymptote = None
 
     def __repr__(self):
         return "Periodic()"
@@ -64,12 +66,15 @@ class ConstantExterior:
     """Constant exterior value per half-space side.
 
     ``sides[i] = (lo, hi)`` is the value used beyond the low/high face of
-    axis i.  A point outside the box is attributed to the axis along which
-    it protrudes the most.
+    axis i; a grid takes exactly one pair per axis.  A point outside the
+    box is attributed to the axis along which it protrudes the most.  On a
+    line the sides are the far values, so ``asymptote`` is ``sides[0]``
+    with one pair and None with more.
     """
 
     def __init__(self, sides: Sequence[tuple[float, float]]):
         self.sides = tuple((float(lo), float(hi)) for lo, hi in sides)
+        self.asymptote = self.sides[0] if len(self.sides) == 1 else None
 
     def __repr__(self):
         return f"ConstantExterior({self.sides})"
@@ -97,14 +102,16 @@ class FieldExterior:
     """Exterior values given by a callable on points of R^n.
 
     ``asymptote`` optionally names the limiting values (lo, hi) of the
-    exterior field far from the box; tail integrals use it to split off a
-    closed-form part.
+    exterior field far from the box; 1D tail integrals use it to split off
+    a closed-form part (without it they probe the callable far out).  The
+    operator registry keys on the callable's identity and the asymptote.
+    A callable does not round-trip through `save_field`/`load_field`.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray],
                  asymptote: Optional[tuple[float, float]] = None):
         self.fn = fn
-        self.asymptote = asymptote
+        self.asymptote = None if asymptote is None else tuple(float(a) for a in asymptote)
 
     token = "exterior_field"
 
@@ -112,7 +119,7 @@ class FieldExterior:
         return "FieldExterior(...)"
 
     def key(self):
-        return ("field", id(self.fn))
+        return ("field", id(self.fn), self.asymptote)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.atleast_2d(points)), dtype=float)
@@ -131,6 +138,10 @@ class Grid:
     with cells [jh - h/2, jh + h/2).  A *centered* grid uses 2M+1 nodes
     j = -M..M instead; it is symmetric under x -> -x, which the layer
     solver needs for exact odd symmetry.
+
+    The grid is the one place that checks the boundary model: it must be
+    `Periodic`, `ConstantExterior` with one side pair per axis, or
+    `FieldExterior`.
     """
 
     n: int
@@ -149,7 +160,14 @@ class Grid:
         if not (np.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9):
             raise ConfigurationError(
                 f"box_radius/h = {ratio} must be a positive integer")
-        if self.centered and isinstance(self.boundary, Periodic):
+        b = self.boundary
+        if not isinstance(b, (Periodic, ConstantExterior, FieldExterior)):
+            raise ConfigurationError(
+                f"boundary {b!r} is not Periodic, ConstantExterior or FieldExterior")
+        if isinstance(b, ConstantExterior) and len(b.sides) != self.n:
+            raise ConfigurationError(
+                f"{b!r} has {len(b.sides)} side pairs for a {self.n}D grid")
+        if self.centered and isinstance(b, Periodic):
             raise ConfigurationError("centered layout is for exterior grids only")
 
     @property
@@ -434,19 +452,10 @@ def embed_profile(profile: ScalarField, direction, grid: Grid) -> ScalarField:
     vals = evaluate_field(profile, t[:, None]).reshape(grid.shape)
     ext = FieldExterior(
         lambda p, _prof=profile, _e=e: evaluate_field(_prof, (np.atleast_2d(p) @ _e)[:, None]),
-        asymptote=_profile_asymptote(profile),
+        asymptote=profile.grid.boundary.asymptote,
     )
     new_grid = Grid(grid.n, grid.h, grid.box_radius, ext, grid.centered)
     return ScalarField(new_grid, vals, profile.range_hint)
-
-
-def _profile_asymptote(profile: ScalarField):
-    b = profile.grid.boundary
-    if isinstance(b, ConstantExterior):
-        return b.sides[0]
-    if isinstance(b, FieldExterior):
-        return b.asymptote
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -466,35 +475,28 @@ def save_field(u: ScalarField, path) -> None:
 
 
 def load_field(path) -> ScalarField:
-    """Read a field written by save_field; centered layout is inferred from row count."""
+    """Read a field written by save_field; centered layout is inferred from
+    row count.  A `FieldExterior` is a callable, which a text file cannot
+    hold: a file written from one raises ConfigurationError."""
     with open(path) as fh:
         header = fh.readline().split()
         n = int(header[0])
         h = float(header[1])
         box_radius = float(header[2])
         token = header[3]
+        if token == "periodic":
+            boundary = Periodic()
+        elif token.startswith("exterior_constant:"):
+            flat = [float(v) for v in token.split(":", 1)[1].split(",")]
+            boundary = ConstantExterior(list(zip(flat[::2], flat[1::2])))
+        else:
+            raise ConfigurationError(
+                f"{path}: the callable exterior ({token}) does not round-trip")
         data = np.loadtxt(fh)
     if data.ndim == 1:
         data = data[None, :]
     vals = data[:, -1]
     m = int(round(box_radius / h))
     centered = len(vals) == (2 * m + 1) ** n
-    if token == "periodic":
-        boundary = Periodic()
-    elif token.startswith("exterior_constant:"):
-        flat = [float(v) for v in token.split(":", 1)[1].split(",")]
-        boundary = ConstantExterior([(flat[2 * i], flat[2 * i + 1]) for i in range(n)])
-    else:
-        # callables do not round-trip; nearest-face constants approximate them
-        per = int(round(len(vals) ** (1.0 / n)))
-        arr = vals.reshape((per,) * n)
-        sides = []
-        for ax in range(n):
-            sl_lo = [slice(None)] * n
-            sl_hi = [slice(None)] * n
-            sl_lo[ax] = 0
-            sl_hi[ax] = -1
-            sides.append((float(np.mean(arr[tuple(sl_lo)])), float(np.mean(arr[tuple(sl_hi)]))))
-        boundary = ConstantExterior(sides)
     grid = Grid(n, h, box_radius, boundary, centered)
     return ScalarField(grid, vals.reshape(grid.shape))

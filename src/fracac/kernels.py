@@ -31,14 +31,7 @@ from ._lattice import (
     symbol_constant,
 )
 from .errors import ConfigurationError, SingularityError
-from .fields import (
-    ConstantExterior,
-    FieldExterior,
-    Grid,
-    Periodic,
-    ScalarField,
-    neighbor_legs,
-)
+from .fields import Grid, Periodic, ScalarField, neighbor_legs
 
 __all__ = [
     "KernelSpec",
@@ -142,11 +135,8 @@ def apply_quadrature(u: ScalarField, spec: KernelSpec) -> ScalarField:
     """
     if spec.kind == "classical":
         raise ConfigurationError("use apply_laplacian for the classical operator")
-    g = u.grid
-    if not isinstance(g.boundary, (Periodic, ConstantExterior, FieldExterior)):
-        raise ConfigurationError("operator needs a periodic grid or an exterior model")
-    op = get_operator(g, spec)
-    return ScalarField(g, op.apply(u.values))
+    op = get_operator(u.grid, spec)
+    return ScalarField(u.grid, op.apply(u.values))
 
 
 def spectral_multiplier(grid: Grid, s: float) -> np.ndarray:

@@ -122,8 +122,9 @@ def gradient_flow(seed: ScalarField, spec: KernelSpec, W: Potential,
 
     One loop serves every grid: until the residual is at most residual_tol
     (a NaN residual is not) or max_iterations steps are taken, the first
-    trial whose energy is at most `_roundoff_slack` above the last is kept,
-    else the last trial; 10 such failures in a row raise InstabilityError.
+    trial whose energy is at most `_roundoff_slack` above the last is kept.
+    A step with no such trial raises InstabilityError at once and appends
+    nothing, so every trace difference is within that slack.
     The grid picks the trials, and the step size is derived.  Periodic
     grids try semi-implicit spectral steps of size 0.8/(pw max|W''|) 2^-k:
     the nonlocal part is implicit through the exact eigenvalues of the
@@ -171,22 +172,17 @@ def gradient_flow(seed: ScalarField, spec: KernelSpec, W: Potential,
             newton = [_newton_step(op, vals, r, W, pw)] if res <= 1e-4 else []
             return chain(newton, (vals - tau * 0.5 ** k * r for k in range(30)))
 
-    failures = 0
     while not res <= residual_tol and len(energy_trace) <= max_iterations:
-        bound = energy_trace[-1] + _roundoff_slack(op, vals, energy_trace[-1])
+        slack = _roundoff_slack(op, vals, energy_trace[-1])
         for trial in trials(vals, r, res):
             trial_r, e = _gradient_and_energy(op, trial, W, pw)
-            if e <= bound:
-                failures = 0
+            if e <= energy_trace[-1] + slack:
                 break
         else:
-            failures += 1
-            if failures >= 10:
-                raise InstabilityError(
-                    f"line search found no trial with energy <= previous + "
-                    f"{_ROUNDOFF_ULPS} ulp of its terms in 10 consecutive steps; last "
-                    f"trace difference {energy_trace[-1] - energy_trace[-2]:+.3e}",
-                    energy_trace)
+            raise InstabilityError(
+                f"line search found no trial with energy <= previous + "
+                f"{_ROUNDOFF_ULPS} ulp of its terms ({slack:.3e}) at step "
+                f"{len(energy_trace)}; residual {res:.3e}", energy_trace)
         vals, r = trial, trial_r
         energy_trace.append(e)
         res = float(np.max(np.abs(r)))

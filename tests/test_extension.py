@@ -8,7 +8,9 @@ from scipy.special import gamma as gamma_fn, kv
 
 from fracac import (
     ConstantExterior,
+    FieldExterior,
     Grid,
+    KernelSpec,
     ScalarField,
     extend,
     extend_by_weighted_solve,
@@ -22,6 +24,7 @@ from fracac import (
     solve_layer_1d,
 )
 from fracac.errors import ConfigurationError
+from fracac._lattice import exterior_moments
 
 
 def test_extension_constant_reference_values():
@@ -354,6 +357,25 @@ def test_extend_field_exterior_without_asymptote():
     assert zoomed.grid.boundary.asymptote is None
     U = extend(zoomed, 0.5, y_max=4.0)
     assert np.all(U.values >= -1.0) and np.all(U.values <= 1.0)
+
+
+def test_field_exterior_at_its_far_values_reads_as_the_constant_exterior():
+    """A 1D exterior is its far values plus graded deviation integrals on
+    each side where it departs from them.  A callable that already equals
+    its asymptote on both sides departs nowhere, so its moments, extension
+    levels and gradient are the constant exterior's, bit for bit."""
+    step = FieldExterior(lambda p: np.where(p[:, 0] > 0.0, 1.0, -1.0), (-1.0, 1.0))
+    grids = [Grid(1, 0.125, 8.0, b) for b in (ConstantExterior([(-1.0, 1.0)]), step)]
+    prof = lambda r: 1.5 * r ** -1.5 * (1.0 + 0.2 * np.cos(np.log(r)))
+    for spec in (KernelSpec.fractional(0.5), KernelSpec.general(0.5, prof, 0.8, 4.0)):
+        const, field = (exterior_moments(g, spec) for g in grids)
+        assert all(np.array_equal(const[t], field[t]) for t in ("t0", "t1", "t2"))
+    x = grids[0].axis_coords()
+    const, field = (extend(ScalarField(g, np.tanh(x / 2.0)), 0.5, y_max=4.0) for g in grids)
+    assert np.array_equal(const.values, field.values)
+    px, py = np.linspace(-7.3, 7.3, 37), np.full(37, 0.3)
+    assert all(np.array_equal(a, b) for a, b in zip(const.grad_eval(px, py),
+                                                    field.grad_eval(px, py)))
 
 
 @pytest.mark.parametrize("s", [0.0, 1.0, 2.0, -0.5])

@@ -12,6 +12,7 @@ from fracac import (
     FieldExterior,
     Grid,
     IndicatorSet,
+    Periodic,
     ScalarField,
     embed_profile,
     evaluate_field,
@@ -42,6 +43,26 @@ def test_make_grid_rejects_nonintegral_ratio():
 def test_make_grid_rejects_bad_dimension():
     with pytest.raises(UnsupportedDimensionError):
         make_grid(4, 1.0, 0.25)
+
+
+def test_grid_checks_its_boundary_model():
+    """A constant exterior takes one side pair per axis (with fewer, nodes
+    that protrude along a missing axis would get no value), and nothing but
+    the three boundary models is a boundary."""
+    with pytest.raises(ConfigurationError, match="1 side pairs for a 2D grid"):
+        Grid(2, 0.25, 2.0, ConstantExterior([(-1.0, 1.0)]))
+    with pytest.raises(ConfigurationError, match="2 side pairs for a 1D grid"):
+        Grid(1, 0.25, 2.0, ConstantExterior([(-1.0, 1.0)] * 2))
+    with pytest.raises(ConfigurationError, match="not Periodic, ConstantExterior or FieldExterior"):
+        Grid(1, 0.25, 2.0, "nonsense")
+
+
+def test_every_boundary_model_names_its_far_values():
+    assert Periodic().asymptote is None
+    assert ConstantExterior([(-1.0, 0.5)]).asymptote == (-1.0, 0.5)
+    assert ConstantExterior([(-1.0, 0.5)] * 2).asymptote is None
+    assert FieldExterior(np.tanh).asymptote is None
+    assert FieldExterior(np.tanh, [-1, 1]).asymptote == (-1.0, 1.0)
 
 
 def test_node_coordinates_are_multiples_of_h():
@@ -238,6 +259,8 @@ def test_embed_profile_constant_and_sign(layer_s05):
     sgn = ScalarField(g1s, np.sign(g1s.axis_coords() + 1e-300))
     v = embed_profile(sgn, (1.0, 0.0), g2)
     assert np.array_equal(v.values.ravel(), np.sign(g2.coords()[:, 0] + 1e-300))
+    # the profile's far values become the embedding's asymptote
+    assert v.grid.boundary.asymptote == (-1.0, 1.0)
 
 
 def test_embed_profile_diagonal_zero_set(layer_s05):
@@ -280,6 +303,16 @@ def test_serialization_centered_layout_roundtrip(layer_s05, tmp_path):
     assert v.grid.centered
     assert v.grid.nodes_per_axis == layer_s05.grid.nodes_per_axis
     assert np.allclose(v.values, layer_s05.values, atol=1e-12)
+
+
+def test_load_field_refuses_a_callable_exterior(layer_s05, tmp_path):
+    """An embedded layer's exterior is a callable: its file cannot restore
+    it, and no stand-in exterior may take its place."""
+    u = embed_profile(layer_s05, (1.0, 0.0), make_grid(2, 4.0, 0.25))
+    path = tmp_path / "embedded.txt"
+    save_field(u, path)
+    with pytest.raises(ConfigurationError, match="callable exterior .* does not round-trip"):
+        load_field(path)
 
 
 def test_indicator_sign_field_values():

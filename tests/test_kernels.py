@@ -29,6 +29,7 @@ from fracac._lattice import (
     FFTConvolver,
     _free_twin,
     continuum_symbol_constant,
+    exterior_moments,
     get_operator,
     shell_correction,
     symbol_constant,
@@ -387,6 +388,20 @@ def test_periodic_free_twin_is_the_registry_operator():
     periodic = make_grid(2, 2.0, 0.25)
     free = Grid(2, 0.25, 2.0, ConstantExterior([(0.0, 0.0)] * 2))
     assert _free_twin(get_operator(periodic, spec)) is get_operator(free, spec)
+
+
+def test_field_exteriors_differing_in_asymptote_get_their_own_operators():
+    """The registry keys a field exterior on its callable and its declared
+    asymptote: the asymptote changes the tail moments (here t1 by up to
+    0.6), so sharing one operator would serve the second grid stale tails."""
+    f = lambda p: np.tanh(p[:, 0] / 4.0)
+    spec = KernelSpec.fractional(0.5)
+    grids = [Grid(1, 0.125, 8.0, FieldExterior(f, a)) for a in ((-1.0, 1.0), (-0.5, 0.5))]
+    ops = [get_operator(g, spec) for g in grids]
+    assert ops[0] is not ops[1]
+    for g, op in zip(grids, ops):
+        assert np.array_equal(op.moments["t1"], exterior_moments(g, spec)["t1"])
+    assert np.max(np.abs(ops[0].moments["t1"] - ops[1].moments["t1"])) > 0.5
 
 
 def test_operator_registry_evicts_least_recently_used():
