@@ -22,7 +22,9 @@ engine, `FFTConvolver`.  It keeps only the kernel offsets that its output
 window can reach, transforms them once, and pads each axis to the window
 plus the field (N + P - 1), not to the full linear length N + K - 1.
 Operators live in one registry bounded to 64 entries with least-recently-used
-eviction.
+eviction.  Each operator remembers its last field (compared by value) with
+the energies already summed on it, one scalar per region, so a sweep of
+regions over one field sums each region once.
 """
 
 from __future__ import annotations
@@ -308,6 +310,18 @@ def exterior_departures(grid: Grid, span: np.ndarray) -> list:
     return sides
 
 
+_ROW_BLOCK = 1 << 20  # elements of one node x sample block of a 1D departure integral
+
+
+def row_blocks(rows: int, cols: int) -> list:
+    """Slices cutting `rows` into blocks of at most _ROW_BLOCK / cols rows, so
+    that a rows x cols integrand is built one block at a time.  Each row's
+    trapezoid is reduced on its own, so blocked sums equal unblocked ones
+    bit for bit."""
+    step = max(1, _ROW_BLOCK // max(cols, 1))
+    return [slice(i, i + step) for i in range(0, rows, step)]
+
+
 def _moments_1d(grid: Grid, spec) -> dict:
     """Closed-form half-line tails at the far values plus a graded
     correction on each side where the exterior departs from them."""
@@ -341,9 +355,11 @@ def _moments_1d(grid: Grid, spec) -> dict:
     # graded deviation integrals; on the left the offsets -(t - x) equal x - t
     span = np.geomspace(grid.h / 8.0, 2e5 * grid.box_radius, 3000)
     for sgn, t, u_ext, far in exterior_departures(grid, span):
-        k = kernel_on_radii(spec, sgn * (t[None, :] - x[:, None]), 1)
-        t1 = t1 + sgn * np.trapezoid(k * (u_ext - far)[None, :], t, axis=1)
-        t2 = t2 + sgn * np.trapezoid(k * (u_ext ** 2 - far ** 2)[None, :], t, axis=1)
+        d1, d2 = (u_ext - far)[None, :], (u_ext ** 2 - far ** 2)[None, :]
+        for b in row_blocks(x.size, t.size):
+            k = kernel_on_radii(spec, sgn * (t[None, :] - x[b, None]), 1)
+            t1[b] += sgn * np.trapezoid(k * d1, t, axis=1)
+            t2[b] += sgn * np.trapezoid(k * d2, t, axis=1)
     return {"t0": t0, "t1": t1, "t2": t2}
 
 
@@ -388,7 +404,10 @@ def _moments_nd(grid: Grid, spec, factor: int = 4) -> dict:
     t0 = conv(ext_mask.astype(float))
     if u_ext.any():
         t1 = conv(u_ext * ext_mask)
-        t2 = conv(u_ext ** 2 * ext_mask)
+        sq = u_ext ** 2 * ext_mask
+        # a +-1 exterior squares to the mask itself, whose convolution is t0
+        t2 = t0.copy() if np.array_equal(sq, ext_mask) else conv(sq)
+        del sq
     else:  # a zero exterior convolves to exact zeros
         t1, t2 = np.zeros_like(t0), np.zeros_like(t0)
     del conv
@@ -571,23 +590,36 @@ class DiscreteOperator:
         """sum over x in A, xbar in B of |u(x) - u(xbar)|^2 w(x - xbar)."""
         u = values
         if mask_b.all():
-            c1, (cu, cuu) = self.colsum, self._box_convs(u)
+            c1, (cu, cuu) = self.colsum, self._field_memo(u)[1:3]
         else:
             cb = mask_b.astype(float)
             c1, cu, cuu = self.conv(cb), self.conv(u * cb), self.conv(u * u * cb)
         inner = u * u * c1 + cuu - 2.0 * u * cu
         return float(inner[mask_a].sum())
 
-    def _box_convs(self, values: np.ndarray) -> tuple:
-        """conv(u) and conv(u^2) over the whole box, kept for the last field
-        (compared by value) so that a radius sweep computes them once."""
+    def _field_memo(self, values: np.ndarray) -> tuple:
+        """(u, conv(u), conv(u^2), energies) for the last field, compared by
+        value: the two box convolutions and the `sobolev_energy` of each
+        region already summed on it (keyed by the packed region mask, at most
+        _ENERGY_MEMO entries), so that a radius sweep computes each once."""
         if self._box_memo is None or not np.array_equal(self._box_memo[0], values):
-            self._box_memo = (values.copy(), self.conv(values), self.conv(values * values))
-        return self._box_memo[1:]
+            self._box_memo = (values.copy(), self.conv(values), self.conv(values * values),
+                              OrderedDict())
+        return self._box_memo
 
     def sobolev_energy(self, values: np.ndarray, region_mask: np.ndarray) -> float:
         """Quarter pair-sum over pairs with >= 1 endpoint in the region, plus
-        half the tail u^2 t0 - 2 u t1 + t2 over the region (zero if periodic)."""
+        half the tail u^2 t0 - 2 u t1 + t2 over the region (zero if periodic).
+        A region already summed on the same field values is read back."""
+        energies = self._field_memo(values)[3]
+        key = np.packbits(region_mask).tobytes()
+        if key not in energies:
+            energies[key] = self._sobolev_energy(values, region_mask)
+            if len(energies) > _ENERGY_MEMO:
+                energies.popitem(last=False)
+        return energies[key]
+
+    def _sobolev_energy(self, values: np.ndarray, region_mask: np.ndarray) -> float:
         g = self.grid
         box = np.ones(g.shape, dtype=bool)
         total = self.sobolev_pair_sum(values, region_mask, box)
@@ -607,6 +639,7 @@ class DiscreteOperator:
         return xi * self.diagonal - self.conv(xi) + diag * xi
 
 
+_ENERGY_MEMO = 64  # energies kept per operator for its last field
 _registry: OrderedDict = OrderedDict()
 
 

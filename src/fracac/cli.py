@@ -409,10 +409,12 @@ def _exp_cone(cfg: RunConfig, out: Path) -> RunReport:
     gc = Grid(2, h, 2.0, extc)
     pc = gc.coords()
     cross = IndicatorSet(gc, (pc[:, 0] * pc[:, 1] > 0.0).reshape(gc.shape))
+    # one field object per seed, so the flows (which do not depend on s) are reused
+    cross_fields = [radial_bump_vector_field(seed * 2000 + k)
+                    for k in range(max(4, n_fields // 2))]
     for sv in (0.5, 0.7, 0.9):
         qmin = np.inf
-        for k in range(max(4, n_fields // 2)):
-            X = radial_bump_vector_field(seed * 2000 + k)
+        for X in cross_fields:
             q = perimeter_stability_quotients(cross, X, region, sv, (0.08, 0.16))
             qmin = min(qmin, min(q["q"]))
         cross_rows.append((sv, qmin))

@@ -19,7 +19,7 @@ from scipy import fft as sfft
 from scipy.special import betainc, gamma as gamma_fn, kv
 
 from ._lattice import (_xi_squared, axis_cell_bounds, exterior_asymptote,
-                       exterior_departures, fft_workers)
+                       exterior_departures, fft_workers, row_blocks)
 from .energies import Potential
 from .errors import ConfigurationError
 from .fields import Grid, Periodic, ScalarField
@@ -156,21 +156,25 @@ class _Exterior1DTail:
         v = (self.g_hi * _kernel_cdf_tail((self.b_hi - x) / y, s)
              + self.g_lo * _kernel_cdf_tail((x - self.b_lo) / y, s))
         for sgn, t, p in self.field_sides:
-            ker = y ** s / ((x[:, None] - t[None, :]) ** 2 + y ** 2) ** ((1 + s) / 2.0)
-            v = v + sgn * np.trapezoid(ker * p[None, :], t, axis=1)
+            for b in row_blocks(x.size, t.size):
+                ker = y ** s / ((x[b, None] - t[None, :]) ** 2 + y ** 2) ** ((1 + s) / 2.0)
+                v[b] += sgn * np.trapezoid(ker * p[None, :], t, axis=1)
         return v
 
     def field_gradient(self, x: np.ndarray, y: float):
         """(d/dx, d/dy) of the field-exterior sums in `values(x, y)`, with the
         kernel differentiated inside the trapezoid sums."""
         s = self.s
-        vx = vy = 0.0
+        if not self.field_sides:
+            return 0.0, 0.0
+        vx, vy = np.zeros(x.shape), np.zeros(x.shape)
         for sgn, t, p in self.field_sides:
-            d = x[:, None] - t[None, :]
-            r2 = d * d + y * y
-            ker = sgn * p[None, :] * y ** s / r2 ** ((1 + s) / 2.0)
-            vx = vx + np.trapezoid(-(1 + s) * d / r2 * ker, t, axis=1)
-            vy = vy + np.trapezoid((s / y - (1 + s) * y / r2) * ker, t, axis=1)
+            for b in row_blocks(x.size, t.size):
+                d = x[b, None] - t[None, :]
+                r2 = d * d + y * y
+                ker = sgn * p[None, :] * y ** s / r2 ** ((1 + s) / 2.0)
+                vx[b] += np.trapezoid(-(1 + s) * d / r2 * ker, t, axis=1)
+                vy[b] += np.trapezoid((s / y - (1 + s) * y / r2) * ker, t, axis=1)
         return vx, vy
 
 

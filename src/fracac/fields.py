@@ -269,9 +269,10 @@ class BallRegion:
     def mask(self, grid: Grid) -> np.ndarray:
         if len(self.center) != grid.n:
             raise ConfigurationError("region center dimension mismatch")
-        pts = grid.coords()
-        d2 = np.sum((pts - np.asarray(self.center)) ** 2, axis=1)
-        return (d2 <= self.radius ** 2 + 1e-12).reshape(grid.shape)
+        # squared offsets per axis, summed by broadcasting in axis order
+        axes = np.ix_(*[grid.axis_coords()] * grid.n)
+        d2 = sum((a - c) ** 2 for a, c in zip(axes, self.center))
+        return d2 <= self.radius ** 2 + 1e-12
 
     def check_inside(self, grid: Grid, margin: float = 0.0):
         c = np.asarray(self.center)

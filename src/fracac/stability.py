@@ -8,6 +8,7 @@ exterior enters only through the kernel mass each node sees there.
 from __future__ import annotations
 
 import numbers
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -68,11 +69,12 @@ class VectorFieldSpec:
                 f"support_radius must be a positive number or +inf, got {r!r}")
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
+        """X at the points, as a fresh array: the array `components` returns
+        is read, never written."""
         pts = np.atleast_2d(points)
         out = np.asarray(self.components(pts), dtype=float)
-        r = np.linalg.norm(pts, axis=1)
-        out[r > self.support_radius] = 0.0
-        return out
+        far = np.linalg.norm(pts, axis=1) > self.support_radius
+        return np.where(far[:, None], 0.0, out)
 
 
 def second_variation(u: ScalarField, xi: ScalarField, spec: KernelSpec,
@@ -238,6 +240,44 @@ def _rk4_backward(pts: np.ndarray, X: VectorFieldSpec, t: float, steps: int) -> 
     return out
 
 
+class _FlowMemo:
+    """Least-recently-used map of arrays bounded by their total bytes (values
+    plus key bytes); an entry larger than the cap is not kept."""
+
+    def __init__(self, cap_bytes: int):
+        self.cap = cap_bytes
+        self.nbytes = 0
+        self._items: OrderedDict = OrderedDict()
+
+    def get(self, key):
+        hit = self._items.get(key)
+        if hit is not None:
+            self._items.move_to_end(key)
+            return hit[0]
+        return None
+
+    def put(self, key, value, keep=None) -> None:
+        """Store `value` (an array) under `key`; `keep` is held with it."""
+        size = value.nbytes + sum(len(k) for k in key if isinstance(k, bytes))
+        if size > self.cap:
+            return
+        self._items[key] = (value, keep, size)
+        self.nbytes += size
+        while self.nbytes > self.cap:
+            self.nbytes -= self._items.popitem(last=False)[1][2]
+
+    def clear(self) -> None:
+        self._items.clear()
+        self.nbytes = 0
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+
+# signed distances and deformed sets of the flows, keyed by value
+_flow_memo = _FlowMemo(32 << 20)
+
+
 def flow_map(E: IndicatorSet, X: VectorFieldSpec, t: float) -> IndicatorSet:
     """Deform the set by the integral flow of X at time t.
 
@@ -245,14 +285,26 @@ def flow_map(E: IndicatorSet, X: VectorFieldSpec, t: float) -> IndicatorSet:
     characteristics and re-thresholds at zero.  Only the nodes inside the
     support ball of X are integrated; the rest keep their own value.
     Degenerate (non-positive) Jacobians of the flow raise a flow error.
-    E keeps its signed distance, with a copy of its membership, for reuse.
+
+    A flow reads only the grid layout, the membership, X and t, so both the
+    signed distance of a membership and each deformed set are kept in one
+    bounded memo keyed by value.  X is matched by identity: the memo holds
+    `X.components` (taken to be a pure function) and keys on its
+    `support_radius`.  Every call returns a set of its own.
     """
     from scipy import ndimage
     g = E.grid
-    memo = getattr(E, "_sd_memo", None)
-    if memo is None or memo[0] is not g or not np.array_equal(memo[1], E.membership):
-        memo = E._sd_memo = (g, E.membership.copy(), signed_distance(E))
-    phi = memo[2]
+    layout = (g.n, g.h, g.box_radius, g.centered)
+    bits = np.packbits(E.membership).tobytes()
+    flow_key = ("flow", layout, bits, id(X.components), float(X.support_radius), float(t))
+    hit = _flow_memo.get(flow_key)
+    if hit is not None:
+        return IndicatorSet(g, np.unpackbits(hit, count=g.node_count).astype(bool))
+    sd_key = ("sd", layout, bits)
+    phi = _flow_memo.get(sd_key)
+    if phi is None:
+        phi = signed_distance(E)
+        _flow_memo.put(sd_key, phi)
     pts = g.coords()
     src = _rk4_backward(pts, X, t, steps=max(4, int(np.ceil(abs(t) / 0.02))))
 
@@ -272,7 +324,9 @@ def flow_map(E: IndicatorSet, X: VectorFieldSpec, t: float) -> IndicatorSet:
     ax = g.axis_coords()
     idx = (src - ax[0]) / g.h
     phi_adv = ndimage.map_coordinates(phi, idx.T, order=1, mode="nearest")
-    return IndicatorSet(g, (phi_adv <= 0.0).reshape(g.shape))
+    inside = phi_adv <= 0.0
+    _flow_memo.put(flow_key, np.packbits(inside), keep=X.components)
+    return IndicatorSet(g, inside.reshape(g.shape))
 
 
 def _coarsen_indicator(E: IndicatorSet) -> IndicatorSet:

@@ -450,3 +450,24 @@ def test_halfspace_grad_eval_matches_closed_form_differences():
                        rtol=0.0, atol=1e-7)
     assert np.allclose(uy, (u_exact(px, py + d) - u_exact(px, py - d)) / (2 * d),
                        rtol=0.0, atol=1e-7)
+
+
+def test_blocked_extension_tails_equal_unblocked(monkeypatch):
+    """The 1D field-exterior tails summed over blocks of a few nodes equal
+    the one-block sums bit for bit, levels and gradients alike."""
+    from fracac import _lattice
+    g = Grid(1, 0.25, 4.0, FieldExterior(lambda p: np.tanh(p[:, 0] / 3.0), (-1.0, 1.0)),
+             centered=True)
+    u = ScalarField(g, np.tanh(g.axis_coords() / 2.0))
+    px, py = np.repeat(np.linspace(-5.0, 5.0, 40)[None, :], 2, 0).ravel(), \
+        np.repeat([0.3, 1.5], 40)
+
+    def run():
+        U = extend(u, 0.5, y_max=4.0)
+        return U.values, U.grad_eval(px, py)
+
+    vals, (gx, gy) = run()
+    monkeypatch.setattr(_lattice, "_ROW_BLOCK", 5 * 1200)
+    bvals, (bx, by) = run()
+    assert np.array_equal(bvals, vals)
+    assert np.array_equal(bx, gx) and np.array_equal(by, gy)

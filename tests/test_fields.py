@@ -320,3 +320,19 @@ def test_indicator_sign_field_values():
     ind = IndicatorSet(g, g.coords()[:, 0] >= 0)
     sf = ind.sign_field()
     assert set(np.unique(sf.values)) == {-1.0, 1.0}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("centered", [False, True])
+def test_ball_mask_equals_the_coordinate_formula(n, centered):
+    """The per-axis broadcast sum of squared offsets gives the mask that the
+    coordinate list gave, off-centre balls included."""
+    g = Grid(n, 0.25, 2.0, ConstantExterior([(-1.0, 1.0)] * n), centered)
+    for center, radius in (((0.0,) * n, 1.0), ((0.3, -0.55, 0.8)[:n], 1.1),
+                           ((-0.25, 0.5, 0.0)[:n], 0.75)):
+        region = BallRegion(center, radius)
+        d2 = np.sum((g.coords() - np.asarray(region.center)) ** 2, axis=1)
+        want = (d2 <= region.radius ** 2 + 1e-12).reshape(g.shape)
+        got = region.mask(g)
+        assert got.shape == g.shape and got.dtype == bool
+        assert np.array_equal(got, want)

@@ -338,8 +338,9 @@ def test_windowed_convolution_matches_direct_sum(centered):
 
 
 def test_zero_exterior_moments_equal_the_convolved_ones(monkeypatch):
-    """A zero exterior skips the t1 and t2 convolutions; the moments are the
-    ones convolving its zero fields gives, and t0 is unaffected."""
+    """A zero exterior skips the t1 and t2 convolutions, and a unit one the
+    t2 convolution; the moments are the ones convolving gives, and t0 is
+    unaffected."""
     calls = []
     call = FFTConvolver.__call__
     monkeypatch.setattr(FFTConvolver, "__call__",
@@ -347,7 +348,7 @@ def test_zero_exterior_moments_equal_the_convolved_ones(monkeypatch):
     spec = KernelSpec.fractional(0.5)
     zero = _lattice.exterior_moments(Grid(2, 0.25, 1.0, ConstantExterior([(0.0, 0.0)] * 2)), spec)
     unit = _lattice.exterior_moments(Grid(2, 0.25, 1.0, ConstantExterior([(1.0, 1.0)] * 2)), spec)
-    assert len(calls) == 1 + 3
+    assert len(calls) == 1 + 2
     convolved = call(calls[0], np.zeros((32, 32)))
     for key in ("t1", "t2"):
         assert np.array_equal(zero[key], convolved)
@@ -455,3 +456,63 @@ def test_periodic_tails_are_zero_and_change_no_bit(n):
 def test_diagonal_is_colsum_plus_t0(n, boundary):
     op = get_operator(Grid(n, 0.25, 1.0, boundary), KernelSpec.fractional(0.5))
     assert np.array_equal(op.diagonal, op.colsum + op.moments["t0"])
+
+
+def test_sobolev_energy_memo_reads_back_a_region_bit_identically(monkeypatch):
+    """A repeated (field, region) pair is read back without a convolution and
+    equals the cold sum; an in-place change of the field misses, and the
+    memo keeps at most _ENERGY_MEMO regions."""
+    g = Grid(2, 0.25, 2.0, ConstantExterior([(-1.0, 1.0)] * 2))
+    op = get_operator(g, KernelSpec.fractional(0.5))
+    op._box_memo = None
+    u = np.random.default_rng(17).normal(size=g.shape)
+    masks = [BallRegion((0.0, 0.0), R).mask(g) for R in (0.5, 1.0, 1.5)]
+    cold = [op.sobolev_energy(u, m) for m in masks]
+    calls = []
+    conv = op.conv
+    monkeypatch.setattr(op, "conv", lambda f: calls.append(1) or conv(f))
+    warm = [op.sobolev_energy(u.copy(), m) for m in masks[::-1]][::-1]
+    assert warm == cold and not calls
+    u[3, 4] += 0.25
+    changed = op.sobolev_energy(u, masks[1])
+    assert len(calls) == 5 and changed != cold[1]
+    op._box_memo = None
+    assert op.sobolev_energy(u, masks[1]) == changed
+    rng = np.random.default_rng(3)
+    for _ in range(_lattice._ENERGY_MEMO + 6):
+        op.sobolev_energy(u, rng.random(g.shape) < 0.5)
+        assert len(op._box_memo[3]) <= _lattice._ENERGY_MEMO
+    op._box_memo = None
+
+
+@pytest.mark.parametrize("cross", [False, True])
+def test_unit_square_exterior_reuses_t0_for_t2(monkeypatch, cross):
+    """On a +-1 exterior (the half-plane and cross sets of the cone
+    experiment) u_ext^2 is the exterior mask, so t2 is t0 bit for bit and
+    its convolution is skipped."""
+    if cross:
+        ext = FieldExterior(lambda p: np.sign(p[:, 0] * p[:, 1] + 1e-300))
+    else:
+        ext = FieldExterior(lambda p: np.where(p[:, 1] <= 0.0, 1.0, -1.0))
+    calls = []
+    call = FFTConvolver.__call__
+    monkeypatch.setattr(FFTConvolver, "__call__",
+                        lambda self, f: calls.append(1) or call(self, f))
+    mom = exterior_moments(Grid(2, 1.0 / 8.0, 2.0, ext), KernelSpec.fractional(0.5))
+    assert len(calls) == 2
+    assert np.array_equal(mom["t2"], mom["t0"]) and mom["t2"] is not mom["t0"]
+    assert not np.array_equal(mom["t1"], mom["t0"])
+
+
+def test_blocked_1d_departure_integrals_equal_unblocked(monkeypatch):
+    """Summing the 1D departure trapezoids over blocks of a few nodes gives
+    the one-block moments bit for bit."""
+    g = Grid(1, 0.25, 4.0, FieldExterior(lambda p: np.tanh(p[:, 0] / 3.0), (-1.0, 1.0)))
+    for spec in (KernelSpec.fractional(0.5), KernelSpec.fractional_unit(0.3, 1)):
+        whole = exterior_moments(g, spec)
+        monkeypatch.setattr(_lattice, "_ROW_BLOCK", 7 * 3000)
+        assert len(_lattice.row_blocks(g.node_count, 3000)) == 5
+        blocked = exterior_moments(g, spec)
+        monkeypatch.undo()
+        for key in ("t0", "t1", "t2"):
+            assert np.array_equal(blocked[key], whole[key])

@@ -27,6 +27,7 @@ from fracac.cli import radial_bump_vector_field
 from conftest import dense_matrix
 from fracac.errors import ConfigurationError, FlowError
 from fracac._lattice import _free_twin, get_operator
+from fracac import stability
 from fracac.stability import _rk4_backward
 
 
@@ -409,6 +410,7 @@ def _count_edt(monkeypatch):
 def test_quotients_compute_each_signed_distance_once(monkeypatch):
     """One quotient call flows the set and its coarsening 2 len(t) times
     each, but each set's signed distance (two EDTs) is computed once."""
+    stability._flow_memo.clear()
     calls = _count_edt(monkeypatch)
     perimeter_stability_quotients(halfplane_set(), radial_bump_vector_field(3),
                                   BallRegion((0.0, 0.0), 1.0), 0.9, (0.04, 0.08, 0.16))
@@ -416,6 +418,7 @@ def test_quotients_compute_each_signed_distance_once(monkeypatch):
 
 
 def test_flow_map_recomputes_distance_after_membership_change(monkeypatch):
+    stability._flow_memo.clear()
     E = halfplane_set()
     X = radial_bump_vector_field(3)
     before = flow_map(E, X, 0.08).membership
@@ -425,8 +428,96 @@ def test_flow_map_recomputes_distance_after_membership_change(monkeypatch):
     E.membership[...] = (np.sum(pts ** 2, axis=1) <= 0.5).reshape(E.grid.shape)
     after = flow_map(E, X, 0.08).membership
     fresh = flow_map(IndicatorSet(E.grid, E.membership.copy()), X, 0.08).membership
-    assert len(calls) == 4 and np.array_equal(after, fresh)
+    assert len(calls) == 2 and np.array_equal(after, fresh)
     assert not np.array_equal(after, before)
+
+
+def _count_flows(monkeypatch):
+    calls = []
+    rk4 = stability._rk4_backward
+    monkeypatch.setattr(stability, "_rk4_backward",
+                        lambda *a, **k: calls.append(1) or rk4(*a, **k))
+    return calls
+
+
+def test_flow_memo_misses_on_changed_membership_and_new_field(monkeypatch):
+    """A deformed set is reused only for the same membership values, the same
+    components object and the same t; every hit is a set of its own."""
+    stability._flow_memo.clear()
+    E = halfplane_set()
+    X = radial_bump_vector_field(3)
+    first = flow_map(E, X, 0.08)
+    calls = _count_flows(monkeypatch)
+    again = flow_map(IndicatorSet(E.grid, E.membership.copy()), X, 0.08)
+    assert not calls and np.array_equal(again.membership, first.membership)
+    assert again.membership is not first.membership
+    again.membership[...] = False            # a hit hands out a copy
+    assert np.array_equal(flow_map(E, X, 0.08).membership, first.membership)
+    assert not calls
+    same_code = radial_bump_vector_field(3)  # same code, another closure
+    assert np.array_equal(flow_map(E, same_code, 0.08).membership, first.membership)
+    assert len(calls) == 2                   # the flow and its Jacobian probe
+    flow_map(E, X, 0.04)
+    assert len(calls) == 4
+    E.membership[:, :3] = ~E.membership[:, :3]   # in place: a new key
+    flow_map(E, X, 0.08)
+    assert len(calls) == 6
+
+
+def test_flow_memo_keeps_no_failed_flow(monkeypatch):
+    stability._flow_memo.clear()
+    E = halfplane_set()
+    X = VectorFieldSpec(
+        lambda p: np.stack([np.zeros(len(p)), 30.0 * np.sin(8.0 * p[:, 1])], axis=1),
+        support_radius=np.inf)
+    for _ in range(2):
+        with pytest.raises(FlowError):
+            flow_map(E, X, 0.5)
+    assert len(stability._flow_memo) == 1   # the signed distance only
+
+
+def test_flow_memo_stays_within_its_byte_cap(monkeypatch):
+    memo = stability._FlowMemo(20_000)
+    monkeypatch.setattr(stability, "_flow_memo", memo)
+    E = halfplane_set(h=1.0 / 8.0)           # 32^2: an 8.3 kB signed distance per set
+    X = radial_bump_vector_field(3)
+    for k in range(6):
+        E.membership[0, k] = not E.membership[0, k]
+        flow_map(E, X, 0.04)
+        assert memo.nbytes <= memo.cap
+    assert 2 <= len(memo) < 12               # 6 distances and 6 flows made, some evicted
+    big = stability._FlowMemo(1000)
+    big.put(("sd", b"x"), np.zeros(200))     # larger than the cap: not kept
+    assert len(big) == 0 and big.nbytes == 0
+
+
+def test_warm_quotients_equal_cold_ones():
+    E = halfplane_set()
+    X = radial_bump_vector_field(5)
+    region = BallRegion((0.0, 0.0), 1.0)
+    stability._flow_memo.clear()
+    cold = perimeter_stability_quotients(E, X, region, 0.5, (0.04, 0.08))
+    warm = perimeter_stability_quotients(E, X, region, 0.5, (0.04, 0.08))
+    other_s = perimeter_stability_quotients(E, X, region, 0.7, (0.04, 0.08))
+    stability._flow_memo.clear()
+    assert warm == cold
+    assert other_s == perimeter_stability_quotients(E, X, region, 0.7, (0.04, 0.08))
+
+
+def test_vector_field_call_leaves_the_components_array_alone():
+    """Rows outside the support are zeroed in a fresh array: a shared buffer
+    returned by `components` is not overwritten, and a read-only one works."""
+    buf = np.ones((3, 2))
+    X = VectorFieldSpec(lambda p: buf, support_radius=1.0)
+    pts = np.array([[0.0, 0.5], [2.0, 0.0], [0.0, -3.0]])
+    out = X(pts)
+    assert np.array_equal(buf, np.ones((3, 2)))
+    assert np.array_equal(out, [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+    Y = VectorFieldSpec(lambda p: np.broadcast_to(np.array([0.1, 0.0]), p.shape),
+                        support_radius=1.0)
+    assert np.array_equal(Y(pts), [[0.1, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    E = halfplane_set()
+    assert np.array_equal(flow_map(E, Y, 0.1).membership, E.membership)
 
 
 @pytest.mark.parametrize("radius", [float("nan"), 0.0, -1.0, -np.inf, "1.0"])
