@@ -21,6 +21,9 @@ in every dimension and the exterior moments) goes through one overlap-save
 engine, `FFTConvolver`.  It keeps only the kernel offsets that its output
 window can reach, transforms them once, and pads each axis to the window
 plus the field (N + P - 1), not to the full linear length N + K - 1.
+The n-D exterior moments never build the enlarged lattice's coordinates:
+a build keeps the exterior values, the mask, the kernel and one transform
+workspace, a traced peak of about 6x (2D) and 8x (3D) the lattice's bytes.
 Operators live in one registry bounded to 64 entries with least-recently-used
 eviction.  Each operator remembers its last field (compared by value) with
 the energies already summed on it, one scalar per region, so a sweep of
@@ -171,24 +174,30 @@ def continuum_symbol_constant(n: int, s: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _offset_radii(n: int, count: int, h: float) -> np.ndarray:
-    """|z| over the offset cube {-count..count}^n * h."""
-    rng = h * np.arange(-count, count + 1, dtype=float)
-    meshes = np.meshgrid(*([rng] * n), indexing="ij")
-    return np.sqrt(sum(m * m for m in meshes))
+    """|z| over the offset cube {-count..count}^n * h, summed from n broadcast
+    copies of the squared axis (one array of the cube's size)."""
+    sq = (h * np.arange(-count, count + 1, dtype=float)) ** 2
+    r = sum(np.ix_(*[sq] * n))
+    return np.sqrt(r, out=r)
 
 
 def kernel_on_radii(spec, r: np.ndarray, n: int) -> np.ndarray:
-    """Kernel values at radii r > 0 (vectorized); r = 0 entries map to 0."""
-    out = np.zeros_like(r)
+    """Kernel values at radii r > 0 (vectorized); r = 0 entries map to 0.
+    The fractional power is taken over every radius, r = 0 included, into
+    one array that is then scaled in place."""
     pos = r > 0
-    rp = r[pos]
     if spec.kind == "fractional":
-        vals = (2.0 - spec.s) * rp ** (-(n + spec.s))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = r ** (-(n + spec.s))
+            out *= 2.0 - spec.s
+            out *= spec.scale
     elif spec.kind == "general":
-        vals = np.asarray(spec.profile(rp), dtype=float)
+        out = np.zeros_like(r)
+        out[pos] = np.asarray(spec.profile(r[pos]), dtype=float)
+        out *= spec.scale
     else:
         raise ConfigurationError("classical kernels have no pair-weight table")
-    out[pos] = spec.scale * vals
+    out[~pos] = 0.0
     return out
 
 
@@ -364,63 +373,66 @@ def _moments_1d(grid: Grid, spec) -> dict:
 
 
 def _moments_nd(grid: Grid, spec, factor: int = 4) -> dict:
-    """Exterior moments by one FFT convolution over an enlarged lattice.
+    """Exterior moments by FFT convolutions over an enlarged lattice.
 
     The complement of the box is tiled by h-cells out to `factor` times the
     box, evaluated at midpoints; beyond that an isotropic remainder with the
     far-field average of the exterior closes the integral.
+    No lattice coordinates are built: the box is a slice, the exterior is
+    sampled at exterior nodes only, in blocks of slabs, and the ring radii
+    are a window of the kernel's offset radii.  A build keeps the exterior
+    values, the mask, the kernel and one transform workspace; its traced
+    peak is about 6x the lattice's float64 bytes in 2D and 8x in 3D.
     """
     n, h = grid.n, grid.h
     m = grid.half_count
     mm = factor * m
     extra = 1 if grid.centered else 0
-    rng = h * np.arange(-mm, mm + extra)
-    meshes = np.meshgrid(*([rng] * n), indexing="ij")
-    pts = np.stack([mesh.ravel() for mesh in meshes], axis=1)
+    box = (slice(mm - m, mm + m + extra),) * n
+    ext_mask = np.ones((2 * mm + extra,) * n, dtype=bool)
+    ext_mask[box] = False
 
-    idx = [np.arange(-mm, mm + extra)] * n
-    inner = np.ones(meshes[0].shape, dtype=bool)
-    for ax in range(n):
-        coord = idx[ax]
-        lo, hi = -m, m - 1 + extra
-        sel = (coord >= lo) & (coord <= hi)
-        shape = [1] * n
-        shape[ax] = -1
-        inner &= sel.reshape(shape)
-    ext_mask = ~inner
+    u_ext = np.zeros(ext_mask.shape)
+    for blk in row_blocks(len(ext_mask), n * ext_mask[0].size):
+        sel = ext_mask[blk]
+        first = np.array([blk.start] + [0] * (n - 1)) - mm
+        u_ext[blk][sel] = grid.boundary(h * (np.stack(np.nonzero(sel), axis=1) + first))
 
-    b = grid.boundary
-    u_ext = np.zeros(meshes[0].shape)
-    if ext_mask.any():
-        u_ext_flat = b(pts[ext_mask.ravel()])
-        u_ext[ext_mask] = u_ext_flat
-
-    # only the box is read, so the kernel reaches offsets up to mm + m + extra - 1;
-    # the table is the largest array here: release it once its spectrum exists
-    kern = h ** n * kernel_on_radii(spec, _offset_radii(n, mm + m + extra - 1, h), n)
-    conv = FFTConvolver(kern, u_ext.shape, (slice(mm - m, mm + m + extra),) * n)
-    del kern
-
-    t0 = conv(ext_mask.astype(float))
-    if u_ext.any():
-        t1 = conv(u_ext * ext_mask)
-        sq = u_ext ** 2 * ext_mask
-        # a +-1 exterior squares to the mask itself, whose convolution is t0
-        t2 = t0.copy() if np.array_equal(sq, ext_mask) else conv(sq)
-        del sq
-    else:  # a zero exterior convolves to exact zeros
-        t1, t2 = np.zeros_like(t0), np.zeros_like(t0)
-    del conv
-
-    # isotropic remainder beyond the enlarged lattice
+    # the kernel reaches offsets up to mm + m + extra - 1, since only the box is
+    # read; the lattice's radii are the window of those offset radii it covers
+    r = _offset_radii(n, mm + m + extra - 1, h)
     rho = (factor - 0.5) * grid.box_radius
-    rem = far_kernel_mass(spec, n, rho)
-    ring = ext_mask & (np.sqrt(sum(mesh ** 2 for mesh in meshes)) > rho - grid.box_radius)
+    ring = r[(slice(m + extra - 1, m + extra - 1 + len(ext_mask)),) * n] > rho - grid.box_radius
+    ring &= ext_mask
     if ring.any():
         u_far = float(np.mean(u_ext[ring]))
         u2_far = float(np.mean(u_ext[ring] ** 2))
     else:
         u_far, u2_far = 0.0, 1.0
+    kern = h ** n * kernel_on_radii(spec, r, n)
+    del r, ring
+    conv = FFTConvolver(kern, ext_mask.shape, box)
+    del kern
+
+    # u_ext is 0 in the box, so it is its own product with the mask; it then
+    # holds its square, and last the mask itself
+    t1 = t2 = None
+    if u_ext.any():
+        t1 = conv(u_ext)
+        u_ext *= u_ext
+        # a +-1 exterior squares to the mask itself, whose convolution is t0
+        if not np.array_equal(u_ext, ext_mask):
+            t2 = conv(u_ext)
+    np.copyto(u_ext, ext_mask)
+    t0 = conv(u_ext)
+    del conv, u_ext
+    if t1 is None:  # a zero exterior convolves to exact zeros
+        t1, t2 = np.zeros_like(t0), np.zeros_like(t0)
+    elif t2 is None:
+        t2 = t0.copy()
+
+    # isotropic remainder beyond the enlarged lattice
+    rem = far_kernel_mass(spec, n, rho)
     t0 += rem
     t1 += u_far * rem
     t2 += u2_far * rem

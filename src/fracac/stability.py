@@ -70,11 +70,12 @@ class VectorFieldSpec:
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         """X at the points, as a fresh array: the array `components` returns
-        is read, never written."""
+        is read, never written; rows outside the support (by squared
+        radius) are zeroed on the copy."""
         pts = np.atleast_2d(points)
-        out = np.asarray(self.components(pts), dtype=float)
-        far = np.linalg.norm(pts, axis=1) > self.support_radius
-        return np.where(far[:, None], 0.0, out)
+        out = np.array(self.components(pts), dtype=float)
+        out[np.einsum("ij,ij->i", pts, pts) > self.support_radius ** 2] = 0.0
+        return out
 
 
 def second_variation(u: ScalarField, xi: ScalarField, spec: KernelSpec,

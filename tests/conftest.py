@@ -10,6 +10,7 @@ from fracac import (
     rescale_blowdown,
     solve_layer_1d,
 )
+from fracac._lattice import FFTConvolver, far_kernel_mass
 
 
 @pytest.fixture(scope="session")
@@ -71,6 +72,85 @@ def dense_matrix(op):
     mat = -op.weights[tuple(a[:, None] - a[None, :] + (p - 1) for a in idx)]
     np.fill_diagonal(mat, op.diagonal.ravel())
     return mat
+
+
+def _oracle_offset_radii(n, count, h):
+    """|z| over the offset cube {-count..count}^n * h, from n meshgrids."""
+    rng = h * np.arange(-count, count + 1, dtype=float)
+    meshes = np.meshgrid(*([rng] * n), indexing="ij")
+    return np.sqrt(sum(m * m for m in meshes))
+
+
+def _oracle_kernel_on_radii(spec, r, n):
+    """Kernel values at radii r > 0 through the compressed positive radii."""
+    out = np.zeros_like(r)
+    pos = r > 0
+    rp = r[pos]
+    if spec.kind == "fractional":
+        vals = (2.0 - spec.s) * rp ** (-(n + spec.s))
+    else:
+        vals = np.asarray(spec.profile(rp), dtype=float)
+    out[pos] = spec.scale * vals
+    return out
+
+
+def enlarged_lattice_moments(grid, spec, factor=4):
+    """Oracle for the n-D exterior moments: the enlarged-lattice build that
+    materializes every coordinate of the (8m)^n lattice (meshgrids, a
+    stacked point array, one boundary call over all exterior nodes).  It
+    holds about 14x the lattice's float64 bytes in 2D, so small grids only."""
+    n, h = grid.n, grid.h
+    m = grid.half_count
+    mm = factor * m
+    extra = 1 if grid.centered else 0
+    rng = h * np.arange(-mm, mm + extra)
+    meshes = np.meshgrid(*([rng] * n), indexing="ij")
+    pts = np.stack([mesh.ravel() for mesh in meshes], axis=1)
+
+    idx = [np.arange(-mm, mm + extra)] * n
+    inner = np.ones(meshes[0].shape, dtype=bool)
+    for ax in range(n):
+        coord = idx[ax]
+        lo, hi = -m, m - 1 + extra
+        sel = (coord >= lo) & (coord <= hi)
+        shape = [1] * n
+        shape[ax] = -1
+        inner &= sel.reshape(shape)
+    ext_mask = ~inner
+
+    b = grid.boundary
+    u_ext = np.zeros(meshes[0].shape)
+    if ext_mask.any():
+        u_ext_flat = b(pts[ext_mask.ravel()])
+        u_ext[ext_mask] = u_ext_flat
+
+    kern = h ** n * _oracle_kernel_on_radii(
+        spec, _oracle_offset_radii(n, mm + m + extra - 1, h), n)
+    conv = FFTConvolver(kern, u_ext.shape, (slice(mm - m, mm + m + extra),) * n)
+    del kern
+
+    t0 = conv(ext_mask.astype(float))
+    if u_ext.any():
+        t1 = conv(u_ext * ext_mask)
+        sq = u_ext ** 2 * ext_mask
+        t2 = t0.copy() if np.array_equal(sq, ext_mask) else conv(sq)
+        del sq
+    else:
+        t1, t2 = np.zeros_like(t0), np.zeros_like(t0)
+    del conv
+
+    rho = (factor - 0.5) * grid.box_radius
+    rem = far_kernel_mass(spec, n, rho)
+    ring = ext_mask & (np.sqrt(sum(mesh ** 2 for mesh in meshes)) > rho - grid.box_radius)
+    if ring.any():
+        u_far = float(np.mean(u_ext[ring]))
+        u2_far = float(np.mean(u_ext[ring] ** 2))
+    else:
+        u_far, u2_far = 0.0, 1.0
+    t0 += rem
+    t1 += u_far * rem
+    t2 += u2_far * rem
+    return {"t0": t0, "t1": t1, "t2": t2}
 
 
 def mode_field(grid, coeffs):
