@@ -220,15 +220,20 @@ def fractional_perimeter(E: IndicatorSet, region: BallRegion, s: float) -> float
     """Interaction perimeter of E in the region, kernel |z|^{-n-s}.
 
     Two pair families: (E in region) against the complement anywhere, and
-    (region minus E) against the part of E outside the region.  Exterior
+    (region minus E) against the part of E outside the region; each
+    family's convolution goes through the operator's mask memo.  Exterior
     tails come from the grid's boundary model, which must take values in
-    {-1, +1} outside.
+    {-1, +1} outside: a grid whose tail moments t2 and t0 differ is refused.
     """
     if not (0.0 < s < 1.0):
         raise ConfigurationError("perimeter order must lie in (0, 1)")
     g = E.grid
     spec = KernelSpec.perimeter(s)
     op = get_operator(g, spec)
+    t0, t1 = op.moments["t0"], op.moments["t1"]
+    if not np.array_equal(op.moments["t2"], t0):
+        raise ConfigurationError(
+            f"the perimeter needs an exterior with values in {{-1, +1}}; {g.boundary!r} is not")
     chi = E.membership
     omega = region.mask(g)
     hvol = g.cell_volume()
@@ -236,8 +241,7 @@ def fractional_perimeter(E: IndicatorSet, region: BallRegion, s: float) -> float
     def family(mask_a, mask_b):
         if not mask_a.any() or not mask_b.any():
             return 0.0
-        conv_b = op.conv(mask_b.astype(float))
-        return float(conv_b[mask_a].sum())
+        return float(op.conv_mask(mask_b)[mask_a].sum())
 
     total = family(chi & omega, ~chi)
     total += family(omega & ~chi, chi & ~omega)
@@ -245,7 +249,6 @@ def fractional_perimeter(E: IndicatorSet, region: BallRegion, s: float) -> float
 
     # against exterior: E-part of region sees exterior complement, and
     # complement-part of region sees exterior E (zero moments when periodic)
-    t0, t1 = op.moments["t0"], op.moments["t1"]
     tail = 0.5 * np.broadcast_to(t0 - t1, g.shape)[chi & omega].sum() \
         + 0.5 * np.broadcast_to(t0 + t1, g.shape)[omega & ~chi].sum()
     total += hvol * tail

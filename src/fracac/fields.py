@@ -88,13 +88,20 @@ class ConstantExterior:
         return ("constant", self.sides)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
+        """The side value of each point's dominant protrusion axis, found by
+        a running max of |x_i| over the axes (the first axis wins a tie), so
+        the call holds two floats per point besides the output."""
         points = np.atleast_2d(points)
-        # dominant protrusion axis decides which side value applies
-        axis = np.argmax(np.abs(points), axis=1)
-        out = np.empty(len(points))
-        for i, (lo, hi) in enumerate(self.sides):
-            sel = axis == i
-            out[sel] = np.where(points[sel, i] >= 0.0, hi, lo)
+        (lo, hi), top = self.sides[0], np.abs(points[:, 0])
+        out = np.where(points[:, 0] >= 0.0, hi, lo)
+        for i, (lo, hi) in enumerate(self.sides[1:], start=1):
+            mag = np.abs(points[:, i])
+            wins = mag > top
+            np.maximum(top, mag, out=top)
+            del mag
+            pos = points[:, i] >= 0.0
+            np.copyto(out, hi, where=wins & pos)
+            np.copyto(out, lo, where=wins & ~pos)
         return out
 
 

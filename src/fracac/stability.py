@@ -218,20 +218,28 @@ def signed_distance(E: IndicatorSet) -> np.ndarray:
     return (d_out - d_in) * E.grid.h
 
 
-def _rk4_backward(pts: np.ndarray, X: VectorFieldSpec, t: float, steps: int) -> np.ndarray:
-    """Integrate dx/dtau = -X(x) from 0 to t (the inverse flow map).
+def _in_support(pts: np.ndarray, X: VectorFieldSpec) -> np.ndarray:
+    return np.linalg.norm(pts, axis=1) <= X.support_radius
+
+
+def _rk4_backward(pts: np.ndarray, X: VectorFieldSpec, t: float, steps: int,
+                  start: np.ndarray | None = None, done: int = 0) -> np.ndarray:
+    """Integrate dx/dtau = -X(x) from 0 to t (the inverse flow map) in
+    `steps` RK4 steps of t/steps.
 
     X is 0 outside its support ball, so points that start there never move:
     only the rows inside are integrated, and the others are copied through.
-    X is not called when no row is inside.
+    X is not called when no row is inside.  `start`, if given, holds the
+    inside rows after the first `done` of the steps, taken at the same step
+    size; the integration continues from it, bit for bit as from 0.
     """
     out = pts.copy()
-    inside = np.linalg.norm(pts, axis=1) <= X.support_radius
+    inside = _in_support(pts, X)
     if not inside.any():
         return out
-    y = pts[inside]
+    y = pts[inside] if start is None else start
     dt = t / steps
-    for _ in range(steps):
+    for _ in range(steps - done):
         k1 = -X(y)
         k2 = -X(y + 0.5 * dt * k1)
         k3 = -X(y + 0.5 * dt * k2)
@@ -262,6 +270,9 @@ class _FlowMemo:
         size = value.nbytes + sum(len(k) for k in key if isinstance(k, bytes))
         if size > self.cap:
             return
+        old = self._items.pop(key, None)
+        if old is not None:
+            self.nbytes -= old[2]
         self._items[key] = (value, keep, size)
         self.nbytes += size
         while self.nbytes > self.cap:
@@ -275,7 +286,7 @@ class _FlowMemo:
         return len(self._items)
 
 
-# signed distances and deformed sets of the flows, keyed by value
+# signed distances, flow states and deformed sets of the flows, keyed by value
 _flow_memo = _FlowMemo(32 << 20)
 
 
@@ -283,21 +294,29 @@ def flow_map(E: IndicatorSet, X: VectorFieldSpec, t: float) -> IndicatorSet:
     """Deform the set by the integral flow of X at time t.
 
     Advects a signed-distance sampling along fourth-order backward
-    characteristics and re-thresholds at zero.  Only the nodes inside the
-    support ball of X are integrated; the rest keep their own value.
-    Degenerate (non-positive) Jacobians of the flow raise a flow error.
+    characteristics (max(4, ceil(|t|/0.02)) RK4 steps) and re-thresholds at
+    zero.  Only the nodes inside the support ball of X are integrated; the
+    rest keep their own value.  The Jacobian of the flow is probed by
+    central differences at 64 nodes, whose 2n shifted copies ride in the
+    same RK4 pass; a non-positive diagonal entry (a fold) raises a flow
+    error.
 
-    A flow reads only the grid layout, the membership, X and t, so both the
-    signed distance of a membership and each deformed set are kept in one
-    bounded memo keyed by value.  X is matched by identity: the memo holds
-    `X.components` (taken to be a pure function) and keys on its
-    `support_radius`.  Every call returns a set of its own.
+    A flow reads only the grid layout, the membership, X and t, so one
+    bounded memo keyed by value keeps the signed distance of a membership,
+    each deformed set, and the flow state (flowed nodes and probes) of
+    every checked (layout, X, step size, step count).  The state does not
+    depend on the set, and a longer flow at the same step size continues
+    from the longest stored one (t = 0.16 from t = 0.08), bit for bit.  X
+    is matched by identity: the memo holds `X.components` (taken to be a
+    pure function) and keys on its `support_radius`.  Nothing of a flow
+    that fails its check is kept.  Every call returns a set of its own.
     """
     from scipy import ndimage
     g = E.grid
     layout = (g.n, g.h, g.box_radius, g.centered)
     bits = np.packbits(E.membership).tobytes()
-    flow_key = ("flow", layout, bits, id(X.components), float(X.support_radius), float(t))
+    field = (id(X.components), float(X.support_radius))
+    flow_key = ("flow", layout, bits) + field + (float(t),)
     hit = _flow_memo.get(flow_key)
     if hit is not None:
         return IndicatorSet(g, np.unpackbits(hit, count=g.node_count).astype(bool))
@@ -306,24 +325,36 @@ def flow_map(E: IndicatorSet, X: VectorFieldSpec, t: float) -> IndicatorSet:
     if phi is None:
         phi = signed_distance(E)
         _flow_memo.put(sd_key, phi)
-    pts = g.coords()
-    src = _rk4_backward(pts, X, t, steps=max(4, int(np.ceil(abs(t) / 0.02))))
 
-    # sampled Jacobian positivity on a probe set: all 2n shifted copies
-    # probe +- eps e_ax go through one integration, stacked in that order
+    # the nodes, then the probes +- eps e_ax stacked in that order
+    pts = g.coords()
     rng = np.random.default_rng(0)
     probe = pts[rng.integers(0, len(pts), min(64, len(pts)))]
     eps = 1e-5
     shifts = eps * np.eye(g.n)
-    stacked = np.concatenate([probe + d for d in shifts] + [probe - d for d in shifts])
-    flowed = _rk4_backward(stacked, X, t, 8).reshape(2, g.n, len(probe), g.n)
+    rows = np.concatenate([pts] + [probe + d for d in shifts] + [probe - d for d in shifts])
+    steps = max(4, int(np.ceil(abs(t) / 0.02)))
+    state_key = ("state", layout) + field + (t / steps,)
+    done, start = 0, None
+    for k in range(steps, 0, -1):
+        start = _flow_memo.get(state_key + (k,))
+        if start is not None:
+            done = k
+            break
+    flowed = _rk4_backward(rows, X, t, steps, start, done)
+
+    # sampled Jacobian positivity: the diagonal of the central difference
+    probed = flowed[len(pts):].reshape(2, g.n, len(probe), g.n)
     for ax in range(g.n):
-        jcol = (flowed[0, ax] - flowed[1, ax]) / (2 * eps)
+        jcol = (probed[0, ax] - probed[1, ax]) / (2 * eps)
         if np.any(jcol[:, ax] <= 0.0):
             raise FlowError("flow Jacobian lost positivity; reduce |t|")
+    if done < steps:
+        _flow_memo.put(state_key + (steps,), flowed[_in_support(rows, X)],
+                       keep=X.components)
 
     ax = g.axis_coords()
-    idx = (src - ax[0]) / g.h
+    idx = (flowed[:len(pts)] - ax[0]) / g.h
     phi_adv = ndimage.map_coordinates(phi, idx.T, order=1, mode="nearest")
     inside = phi_adv <= 0.0
     _flow_memo.put(flow_key, np.packbits(inside), keep=X.components)

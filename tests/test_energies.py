@@ -391,3 +391,64 @@ def test_perimeter_empty_set_zero():
     g = Grid(1, 0.125, 4.0, ConstantExterior([(-1.0, -1.0)]))
     empty = IndicatorSet(g, np.zeros(g.shape, dtype=bool))
     assert fractional_perimeter(empty, BallRegion((0.0,), 2.0), 0.5) == 0.0
+
+
+PLUS_MINUS_ONE_EXTERIORS = [
+    (1, ConstantExterior([(-1.0, 1.0)])),
+    (1, ConstantExterior([(-1.0, -1.0)])),
+    (1, FieldExterior(lambda p: np.sign(p[:, 0]))),
+    (2, ConstantExterior([(-1.0, 1.0), (1.0, -1.0)])),
+    (2, FieldExterior(lambda p: np.where(p[:, 1] <= 0.0, 1.0, -1.0))),
+    (2, FieldExterior(lambda p: np.sign(p[:, 0] * p[:, 1] + 1e-300))),
+    (2, FieldExterior(lambda p: np.sign(p[:, 0] + 1e-300))),
+    (3, ConstantExterior([(-1.0, 1.0)] * 3)),
+    (1, Periodic()),
+    (2, Periodic()),
+]
+
+
+@pytest.mark.parametrize("n, exterior", PLUS_MINUS_ONE_EXTERIORS)
+def test_perimeter_accepts_every_plus_minus_one_exterior(n, exterior):
+    h = 0.25 if n < 3 else 0.5
+    g = Grid(n, h, 2.0, exterior)
+    E = IndicatorSet(g, (g.coords()[:, 0] >= 0.0).reshape(g.shape))
+    assert fractional_perimeter(E, BallRegion((0.0,) * n, 1.0), 0.5) > 0.0
+
+
+@pytest.mark.parametrize("n, exterior", [
+    (1, FieldExterior(lambda p: np.tanh(p[:, 0]), (-1.0, 1.0))),
+    (2, FieldExterior(lambda p: np.tanh(p[:, 0]))),
+    (1, ConstantExterior([(0.0, 0.0)])),
+    (2, ConstantExterior([(0.0, 0.0)] * 2)),
+    (2, ConstantExterior([(-1.0, 1.0), (0.5, 1.0)])),
+])
+def test_perimeter_refuses_an_exterior_off_plus_minus_one(n, exterior):
+    """Off {-1, +1} the tail moments t2 and t0 differ, and the perimeter's
+    tail formula would not hold: the call raises instead."""
+    g = Grid(n, 0.25, 2.0, exterior)
+    E = IndicatorSet(g, (g.coords()[:, 0] >= 0.0).reshape(g.shape))
+    with pytest.raises(ConfigurationError, match="-1, \\+1"):
+        fractional_perimeter(E, BallRegion((0.0,) * n, 1.0), 0.5)
+
+
+def test_perimeters_sharing_the_outer_part_convolve_it_once(monkeypatch):
+    """A set changed only inside the region shares the second family's
+    mask with the original, so two perimeters take three convolutions and
+    give the bits of a cold operator."""
+    g = Grid(2, 0.125, 2.0, FieldExterior(lambda p: np.where(p[:, 1] <= 0.0, 1.0, -1.0)))
+    pts = g.coords()
+    region = BallRegion((0.0, 0.0), 1.0)
+    E = IndicatorSet(g, (pts[:, 1] <= 0.0).reshape(g.shape))
+    F = IndicatorSet(g, (pts[:, 1] <= 0.3 * np.exp(-4.0 * np.sum(pts ** 2, axis=1)))
+                     .reshape(g.shape))
+    op = get_operator(g, KernelSpec.perimeter(0.5))
+    cold = []
+    for ind in (E, F):
+        op._mask_memo.clear()
+        cold.append(fractional_perimeter(ind, region, 0.5))
+    op._mask_memo.clear()
+    calls = []
+    conv = op.conv
+    monkeypatch.setattr(op, "conv", lambda f: calls.append(1) or conv(f))
+    assert [fractional_perimeter(ind, region, 0.5) for ind in (E, F)] == cold
+    assert len(calls) == 3

@@ -65,6 +65,26 @@ def test_every_boundary_model_names_its_far_values():
     assert FieldExterior(np.tanh, [-1, 1]).asymptote == (-1.0, 1.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_constant_exterior_picks_the_first_dominant_axis(n):
+    """The running max over the axes gives the `argmax` formula's values
+    bit for bit, ties (going to the first axis) and signed zeros included."""
+    rng = np.random.default_rng(n)
+    sides = [tuple(rng.normal(size=2)) for _ in range(n)]
+    b = ConstantExterior(sides)
+    pts = rng.integers(-3, 4, (4000, n)).astype(float)
+    pts[rng.random(pts.shape) < 0.05] = -0.0
+    mag = np.abs(pts)
+    assert n == 1 or np.any(mag[:, 0] == mag[:, 1])
+    axis = np.argmax(mag, axis=1)
+    want = np.empty(len(pts))
+    for i, (lo, hi) in enumerate(b.sides):
+        sel = axis == i
+        want[sel] = np.where(pts[sel, i] >= 0.0, hi, lo)
+    assert np.array_equal(b(pts), want)
+    assert b(pts[0]).shape == (1,)
+
+
 def test_node_coordinates_are_multiples_of_h():
     g = make_grid(2, 2.0, 0.25)
     c = g.coords()

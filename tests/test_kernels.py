@@ -37,7 +37,7 @@ from fracac._lattice import (
     symbol_constant,
 )
 
-from conftest import enlarged_lattice_moments, mode_field
+from conftest import enlarged_lattice_moments, mode_field, plane_reference_symbols
 
 
 def test_kernel_value_reference_points():
@@ -248,6 +248,50 @@ def test_one_lattice_pass_per_order(monkeypatch):
     g = Grid(2, 0.25, 1.0, ConstantExterior([(-1.0, 1.0), (-1.0, 1.0)]))
     get_operator(g, KernelSpec.perimeter(s)).apply(np.zeros(g.shape))
     assert passes == [(2, s)]
+
+
+@pytest.mark.parametrize("n, s", [(2, 0.1), (2, 0.5), (2, 0.7), (2, 0.9), (2, 1.5),
+                                  (3, 0.3), (3, 0.5), (3, 1.5)])
+def test_calibration_pass_equals_the_plane_oracle(n, s):
+    """Float64 squared radii, the in-place power and the in-place products
+    give the plane-based build's symbols bit for bit."""
+    assert _lattice._reference_symbols.__wrapped__(n, s) == plane_reference_symbols(n, s)
+
+
+def test_calibration_pass_peak_2d():
+    """A 2D pass (the 1401^2 disk) stays below 40 MB traced; the plane-based
+    build, which holds an int64 plane and its float64 copy, peaks at 55 MB."""
+    _lattice._reference_symbols.__wrapped__(2, 0.5)  # one-time allocations
+    tracemalloc.start()
+    try:
+        _lattice._reference_symbols.__wrapped__(2, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6
+
+
+def test_mask_convolutions_keep_the_last_two(monkeypatch):
+    """`conv_mask` equals the convolution of the mask as floats bit for bit,
+    hands out read-only arrays, keeps the two most recently used masks and
+    convolves a repeated one once."""
+    g = Grid(2, 0.25, 2.0, ConstantExterior([(-1.0, 1.0), (-1.0, 1.0)]))
+    op = get_operator(g, KernelSpec.perimeter(0.5))
+    op._mask_memo.clear()
+    calls = []
+    conv = op.conv
+    monkeypatch.setattr(op, "conv", lambda f: calls.append(1) or conv(f))
+    pts = g.coords()
+    masks = [(pts[:, 0] <= c).reshape(g.shape) for c in (-0.5, 0.0, 0.5)]
+    a = op.conv_mask(masks[0])
+    assert np.array_equal(a, conv(masks[0].astype(float))) and not a.flags.writeable
+    op.conv_mask(masks[1])
+    assert op.conv_mask(masks[0]) is a and len(calls) == 2
+    op.conv_mask(masks[2])                   # evicts masks[1], the least recent
+    assert len(op._mask_memo) == 2 and len(calls) == 3
+    op.conv_mask(masks[0])
+    op.conv_mask(masks[1])
+    assert len(op._mask_memo) == 2 and len(calls) == 4
 
 
 def test_unit_kernel_dimension_guard():

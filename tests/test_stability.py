@@ -456,24 +456,101 @@ def test_flow_memo_misses_on_changed_membership_and_new_field(monkeypatch):
     assert not calls
     same_code = radial_bump_vector_field(3)  # same code, another closure
     assert np.array_equal(flow_map(E, same_code, 0.08).membership, first.membership)
-    assert len(calls) == 2                   # the flow and its Jacobian probe
+    assert len(calls) == 1                   # the flow, its Jacobian probe riding along
     flow_map(E, X, 0.04)
-    assert len(calls) == 4
+    assert len(calls) == 2
     E.membership[:, :3] = ~E.membership[:, :3]   # in place: a new key
     flow_map(E, X, 0.08)
-    assert len(calls) == 6
+    assert len(calls) == 3
+
+
+def _fold_field(amplitude):
+    return VectorFieldSpec(
+        lambda p: np.stack([np.zeros(len(p)), amplitude * np.sin(8.0 * p[:, 1])], axis=1),
+        support_radius=np.inf)
+
+
+def _memo_kinds():
+    return sorted(key[0] for key in stability._flow_memo._items)
 
 
 def test_flow_memo_keeps_no_failed_flow(monkeypatch):
     stability._flow_memo.clear()
     E = halfplane_set()
-    X = VectorFieldSpec(
-        lambda p: np.stack([np.zeros(len(p)), 30.0 * np.sin(8.0 * p[:, 1])], axis=1),
-        support_radius=np.inf)
+    X = _fold_field(30.0)
     for _ in range(2):
         with pytest.raises(FlowError):
             flow_map(E, X, 0.5)
-    assert len(stability._flow_memo) == 1   # the signed distance only
+    assert _memo_kinds() == ["sd"]          # the signed distance only
+
+
+def test_continued_flow_that_folds_keeps_nothing():
+    """t = 0.5 continues from the checked t = 0.32 state (both take steps of
+    0.02), folds, and leaves neither a state nor a set of its own."""
+    stability._flow_memo.clear()
+    E = halfplane_set()
+    fold = _fold_field(10.0)
+    evals = []
+    X = VectorFieldSpec(lambda p: evals.append(1) or fold.components(p), np.inf)
+    flow_map(E, X, 0.32)
+    before = dict(stability._flow_memo._items)
+    assert _memo_kinds() == ["flow", "sd", "state"]
+    del evals[:]
+    with pytest.raises(FlowError):
+        flow_map(E, X, 0.5)
+    assert len(evals) == 4 * (25 - 16)      # only the nine steps past t = 0.32
+    assert stability._flow_memo._items.keys() == before.keys()
+
+
+@pytest.mark.parametrize("h, centered", [(1.0 / 16.0, False), (1.0 / 8.0, False),
+                                         (1.0 / 16.0, True)])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_continued_flow_equals_a_cold_one(h, centered, sign):
+    """+-0.16 continues from the +-0.08 state (0.16/8 and 0.08/4 are the same
+    double), flows half the steps and gives a cold flow's state and set bit
+    for bit, probes included."""
+    ext = FieldExterior(lambda p: np.where(p[:, 1] <= 0.0, 1.0, -1.0))
+    g = Grid(2, h, 2.0, ext, centered)
+    E = IndicatorSet(g, (g.coords()[:, 1] <= 0.0).reshape(g.shape))
+    base = radial_bump_vector_field(5)
+    evals = []
+    X = VectorFieldSpec(lambda p: evals.append(1) or base.components(p), base.support_radius)
+    t = sign * 0.16
+    assert t / 8 == (t / 2) / 4
+
+    def states():
+        return {k: v[0] for k, v in stability._flow_memo._items.items() if k[0] == "state"}
+
+    stability._flow_memo.clear()
+    cold = flow_map(E, X, t).membership
+    cold_states = states()
+    assert len(evals) == 4 * 8
+    stability._flow_memo.clear()
+    flow_map(E, X, t / 2)
+    del evals[:]
+    warm = flow_map(E, X, t).membership
+    assert len(evals) == 4 * 4
+    assert np.array_equal(warm, cold)
+    (key, state), = cold_states.items()
+    assert key[-1] == 8 and np.array_equal(states()[key], state)
+
+
+def test_flow_state_is_shared_by_the_sets_of_a_layout():
+    """The flow state depends on the layout, X and t, not on the set: a
+    second set is deformed without evaluating X and as a cold flow would."""
+    stability._flow_memo.clear()
+    E = halfplane_set()
+    pts = E.grid.coords()
+    F = IndicatorSet(E.grid, (pts[:, 0] * pts[:, 1] > 0.0).reshape(E.grid.shape))
+    base = radial_bump_vector_field(2)
+    evals = []
+    X = VectorFieldSpec(lambda p: evals.append(1) or base.components(p), base.support_radius)
+    flow_map(E, X, -0.08)
+    del evals[:]
+    warm = flow_map(F, X, -0.08).membership
+    assert not evals
+    stability._flow_memo.clear()
+    assert np.array_equal(warm, flow_map(F, X, -0.08).membership)
 
 
 def test_flow_memo_stays_within_its_byte_cap(monkeypatch):
@@ -489,6 +566,9 @@ def test_flow_memo_stays_within_its_byte_cap(monkeypatch):
     big = stability._FlowMemo(1000)
     big.put(("sd", b"x"), np.zeros(200))     # larger than the cap: not kept
     assert len(big) == 0 and big.nbytes == 0
+    for _ in range(2):                       # a key put again is counted once
+        big.put(("sd", b"x"), np.zeros(10))
+    assert len(big) == 1 and big.nbytes == 81
 
 
 def test_warm_quotients_equal_cold_ones():
