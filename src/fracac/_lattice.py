@@ -123,12 +123,9 @@ def _reference_symbols(n: int, s: float) -> tuple:
     (slab by slab in 3D) builds |j|^{-n-s} once; 1 - cos(theta j_1) is a
     table over j_1 repeated by the row counts, so every summand array is
     the per-frequency brute-force one, in the same order.  Tails are added
-    asymptotically.
-
-    The squared radii of a slab are summed in float64 (exact: integers far
-    below 2^53) and freed once the ball's radii are compressed out of them;
-    the power is taken in place on those, and each product in place on the
-    repeated table.  A 2D pass peaks at about 30 MB traced."""
+    asymptotically.  Squared radii are summed in float64 (exact integers
+    below 2^53) and freed once the ball is compressed out of them; the power
+    and the products are taken in place, so a 2D pass peaks at 30 MB traced."""
     if n == 1:
         return tuple(_lattice_sum_1d(s, t) for t in _THETAS)
     rho = 700.0 if n == 2 else 60.0

@@ -270,9 +270,6 @@ class _FlowMemo:
         size = value.nbytes + sum(len(k) for k in key if isinstance(k, bytes))
         if size > self.cap:
             return
-        old = self._items.pop(key, None)
-        if old is not None:
-            self.nbytes -= old[2]
         self._items[key] = (value, keep, size)
         self.nbytes += size
         while self.nbytes > self.cap:
