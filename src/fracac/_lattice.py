@@ -21,6 +21,15 @@ in every dimension and the exterior moments) goes through one overlap-save
 engine, `FFTConvolver`.  It keeps only the kernel offsets that its output
 window can reach, transforms them once, and pads each axis to the window
 plus the field (N + P - 1), not to the full linear length N + K - 1.
+Its transforms are pruned and in place in one half-spectrum array: the
+forward pass skips the lines that are all zero padding (the r2c runs over
+the field's own lines, each c2c over the lines that can be nonzero), and
+the inverse skips the lines the window does not read (each c2c is followed
+by a crop to the window, and the c2r runs on the window's lines only).
+Running the passes in pocketfft's axis order and scaling by its long-double
+1/N keeps every result bit-identical to a whole-block rfftn/irfftn.  A 1D
+convolution allocates no work array: the rfft's own output is multiplied in
+place.
 The n-D exterior moments never build the enlarged lattice's coordinates:
 a build keeps the exterior values, the mask, the kernel and one transform
 workspace, a traced peak of about 6x (2D) and 8x (3D) the lattice's bytes.
@@ -328,14 +337,15 @@ def exterior_departures(grid: Grid, span: np.ndarray) -> list:
 
 
 _ROW_BLOCK = 1 << 20  # elements of one node x sample block of a 1D departure integral
+_FFT_BLOCK = 1 << 16  # elements of one block of rows of the engine's r2c or c2r lines
 
 
-def row_blocks(rows: int, cols: int) -> list:
-    """Slices cutting `rows` into blocks of at most _ROW_BLOCK / cols rows, so
-    that a rows x cols integrand is built one block at a time.  Each row's
-    trapezoid is reduced on its own, so blocked sums equal unblocked ones
-    bit for bit."""
-    step = max(1, _ROW_BLOCK // max(cols, 1))
+def row_blocks(rows: int, cols: int, block: int | None = None) -> list:
+    """Slices cutting `rows` into blocks of at most `block` (default
+    _ROW_BLOCK) / cols rows, so that a rows x cols array is built one block
+    at a time.  Each row is reduced or transformed on its own, so blocked
+    results equal unblocked ones bit for bit."""
+    step = max(1, (block or _ROW_BLOCK) // max(cols, 1))
     return [slice(i, i + step) for i in range(0, rows, step)]
 
 
@@ -475,6 +485,21 @@ class FFTConvolver:
     Processing, sec. 8.7): only the N + P - 1 kernel offsets the window can
     reach are kept and transformed once at next_fast_len(N + P - 1); the
     circular product is free of wrap-around on [N - 1, N - 1 + P).
+
+    The transforms are pruned (Markel 1971; Sorensen & Burrus 1993) and
+    done in place in one half-spectrum work array.  Forward: r2c over the
+    field's own lines, a block of leading rows at a time, then in-place c2c
+    along axes 0 .. n-2, each pass skipping the lines that are still all
+    zero padding.  Inverse: in-place c2c along axis 0, crop to the window's
+    rows, and so on axis by axis; the last axis's c2r runs only on the
+    window's lines, a block of rows at a time and unnormalized, and its crop
+    is scaled once by 1/prod(fshape).
+    The passes run in pocketfft's own order for rfftn and irfftn (r2c last
+    then c2c along 0, 1, ...; c2c along 0, 1, ... then c2r last), and the
+    scale is the double nearest the long-double 1/N that pocketfft applies
+    after its c2r.  So the result equals the cropped
+    irfftn(rfftn(f) * rfftn(kernel)) bit for bit.  In 1D the rfft's own
+    output is the work array: nothing is zeroed and nothing is pruned.
     """
 
     def __init__(self, kernel: np.ndarray, shape: tuple, window: tuple | None = None):
@@ -489,14 +514,39 @@ class FFTConvolver:
             crop.append(slice(a - 1, a - 1 + hi - lo))
             self.fshape.append(sfft.next_fast_len(a + hi - lo - 1, real=True))
         self.crop = tuple(crop)
+        self._inv_n = float(np.longdouble(1) / np.longdouble(int(np.prod(self.fshape))))
         with sfft.set_workers(fft_workers()):
-            self.spectrum = sfft.rfftn(kernel[tuple(reach)], self.fshape)
+            self.spectrum = self._forward(kernel[tuple(reach)])
+
+    def _forward(self, f: np.ndarray) -> np.ndarray:
+        """rfftn(f, fshape) bit for bit, transforming only lines that can be nonzero."""
+        fs = self.fshape
+        if len(fs) == 1:
+            return sfft.rfft(f, fs[0])
+        work = np.zeros(fs[:-1] + [fs[-1] // 2 + 1], dtype=complex)
+        own = tuple(slice(0, a) for a in f.shape[:-1])
+        head = work[own]
+        for b in row_blocks(len(f), f[0].size // f.shape[-1] * fs[-1], _FFT_BLOCK):
+            head[b] = sfft.rfft(f[b], fs[-1])
+        for k in range(len(fs) - 1):
+            sfft.fft(work[(slice(None),) * (k + 1) + own[k + 1:]], axis=k, overwrite_x=True)
+        return work
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
+        fs = self.fshape
         with sfft.set_workers(fft_workers()):
-            sp = sfft.rfftn(f, self.fshape)
+            sp = self._forward(f)
             sp *= self.spectrum
-            return sfft.irfftn(sp, self.fshape)[self.crop].copy()
+            if len(fs) == 1:
+                return sfft.irfft(sp, fs[0], norm="forward")[self.crop[0]] * self._inv_n
+            for k, c in enumerate(self.crop[:-1]):
+                sfft.ifft(sp, axis=k, norm="forward", overwrite_x=True)
+                sp = sp[(slice(None),) * k + (c,)]
+            out = np.empty(sp.shape[:-1] + (self.crop[-1].stop - self.crop[-1].start,))
+            for b in row_blocks(len(out), sp[0].size // sp.shape[-1] * fs[-1], _FFT_BLOCK):
+                line = sfft.irfft(sp[b], fs[-1], norm="forward")
+                np.multiply(line[..., self.crop[-1]], self._inv_n, out=out[b])
+            return out
 
 
 # ---------------------------------------------------------------------------

@@ -383,6 +383,72 @@ def test_windowed_convolution_matches_direct_sum(centered):
         FFTConvolver(kernel[:5, :5], field.shape, window)
 
 
+def _rfftn_convolution(kernel, f, window):
+    """The unpruned overlap-save: irfftn(rfftn(f) * rfftn(kernel[reach]))
+    over whole padded blocks, cropped to the window."""
+    from scipy.fft import irfftn, next_fast_len, rfftn
+    reach, crop, fshape = [], [], []
+    for k, a, win in zip(kernel.shape, f.shape, window):
+        lo, hi, _ = win.indices(a)
+        reach.append(slice(k // 2 + lo - a + 1, k // 2 + hi))
+        crop.append(slice(a - 1, a - 1 + hi - lo))
+        fshape.append(next_fast_len(a + hi - lo - 1, real=True))
+    spectrum = rfftn(kernel[tuple(reach)], fshape)
+    return irfftn(rfftn(f, fshape) * spectrum, fshape)[tuple(crop)], fshape
+
+
+_BOX = (slice(384, 640),) * 2  # the moments' box window on a 1024^2 lattice
+
+
+@pytest.mark.parametrize("shape, window, fshape", [
+    ((1620,), None, [3240]),
+    ((1688,), (slice(300, 1200),), [2592]),
+    ((1688,), None, [3375]),
+    ((40, 41), None, [80, 81]),
+    ((480, 23), (slice(80, 241), slice(0, 23)), [640, 45]),
+    ((1024, 1024), _BOX, [1280, 1280]),
+    ((12, 10, 14), None, [24, 20, 27]),
+    ((20, 21, 20), (slice(8, 14), slice(3, 18), slice(8, 14)), [25, 36, 25]),
+])
+def test_engine_equals_unpruned_transforms_bit_for_bit(shape, window, fshape):
+    """The pruned, in-place engine gives the whole-block rfftn/irfftn
+    overlap-save bit for bit, in same mode and on strict windows, on odd
+    and even transform lengths, for a dense field and for one that is zero
+    on the window (as an exterior field is on the box)."""
+    rng = np.random.default_rng(len(shape) * 1000 + shape[0])
+    kernel = rng.normal(size=[2 * a - 1 + 2 * (ax % 2) for ax, a in enumerate(shape)])
+    window = window or tuple(slice(0, a) for a in shape)
+    engine = FFTConvolver(kernel, shape, window)
+    assert engine.fshape == fshape
+    dense = rng.normal(size=shape)
+    holed = dense.copy()
+    holed[window] = 0.0
+    for f in (dense, holed):
+        want, want_fshape = _rfftn_convolution(kernel, f, window)
+        got = engine(f)
+        assert want_fshape == fshape
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
+def test_engine_call_holds_one_half_spectrum():
+    """One moments-sized 2D call (1024^2 lattice, 256^2 box) allocates at
+    most 1.2x its half-spectrum bytes plus the output: the c2c passes run in
+    place in one work array, and the r2c and c2r lines go a block at a
+    time.  A copy of the work array would exceed the bound."""
+    rng = np.random.default_rng(5)
+    engine = FFTConvolver(rng.normal(size=(1279, 1279)), (1024, 1024), _BOX)
+    f = rng.normal(size=(1024, 1024))
+    out = engine(f)  # one-time allocations (plans) are not the call's
+    tracemalloc.start()
+    try:
+        engine(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * engine.spectrum.nbytes + out.nbytes
+
+
 def test_zero_exterior_moments_equal_the_convolved_ones(monkeypatch):
     """A zero exterior skips the t1 and t2 convolutions, and a unit one the
     t2 convolution; the moments are the ones convolving gives, and t0 is
@@ -592,11 +658,12 @@ def test_exterior_moments_equal_the_enlarged_lattice_oracle(monkeypatch, n, cent
 
 
 @pytest.mark.parametrize("exterior", ["mixed", "embedded"])
-@pytest.mark.parametrize("n,bound", [(2, 7.5), (3, 10.5)])
+@pytest.mark.parametrize("n,bound", [(2, 7.5), (3, 9.0)])
 def test_exterior_moments_peak_stays_a_few_lattices(n, bound, exterior, layer_s05):
     """One moments build's traced allocations peak below `bound` times the
-    enlarged lattice's float64 bytes (the coordinate-copy build holds 14.2x
-    in 2D and 18.2x in 3D on these grids)."""
+    enlarged lattice's float64 bytes: 5.9-6.9x in 2D and 7.4-8.1x in 3D on
+    these grids, set by the exterior sampling and the kernel build (the
+    coordinate-copy build holds 14.2x in 2D and 18.2x in 3D)."""
     h = 1.0 / 32.0 if n == 2 else 0.25
     g = Grid(n, h, 2.0, oracle_exterior(exterior, n, layer_s05), centered=True)
     spec = KernelSpec.fractional(0.5)
