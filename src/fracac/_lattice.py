@@ -33,12 +33,12 @@ place.
 The n-D exterior moments never build the enlarged lattice's coordinates:
 a build keeps the exterior values, the mask, the kernel and one transform
 workspace, a traced peak of about 6x (2D) and 8x (3D) the lattice's bytes.
-Operators live in one registry bounded to 64 entries with least-recently-used
-eviction.  Each operator remembers its last field (compared by value) with
-the energies already summed on it, one scalar per region, so a sweep of
-regions over one field sums each region once; and the convolutions of its
-last two boolean masks (keyed by their packed bits), so perimeters of sets
-that share a pair family convolve it once.
+The sweep caches are instances of one class, `LRUCache`, each with its own
+bound: the operator registry (64 operators); per operator, the convolutions
+of its last two boolean masks, so perimeters of sets that share a pair
+family convolve it once, and the energies of up to 64 regions on its last
+field (one slot compared by value), so a radius sweep sums each region
+once; and `stability`'s flow memo (32 MiB of array and key bytes).
 """
 
 from __future__ import annotations
@@ -90,13 +90,10 @@ def _osc_powlaw_tail(theta: float, a: float, p: float, phase: float = 0.0) -> fl
 
 
 def _symbol_tail(n: int, s: float, theta: float, rho: float) -> float:
-    """integral over |z| > rho of (1 - cos(theta z_1)) |z|^{-n-s} dz."""
+    """integral over |z| > rho of (1 - cos(theta z_1)) |z|^{-n-s} dz, n = 2 or 3."""
     sigma = sphere_area(n)
     flat = sigma * rho ** (-s) / s
-    if n == 1:
-        # angular average of cos(theta z_1) on S^0 is cos(theta r)
-        osc = 2.0 * _osc_powlaw_tail(theta, rho, 1.0 + s)
-    elif n == 2:
+    if n == 2:
         # J0 asymptotics: J0(x) ~ sqrt(2/(pi x)) (cos(x - pi/4) + sin(x - pi/4)/(8x))
         amp = np.sqrt(2.0 / (np.pi * theta))
         osc = _TWO_PI * amp * (
@@ -553,6 +550,51 @@ class FFTConvolver:
 # the discrete operator bundle
 # ---------------------------------------------------------------------------
 
+class LRUCache:
+    """A map bounded by the total size of its entries; the least recently
+    used go first.  `get` and `put` make an entry the most recent, a put
+    replaces the entry of its key, and an entry larger than `cap` is not
+    kept.  `keep` is held with an entry: the objects whose `id` its key
+    contains.  `hits`, `misses` and `evictions` count from construction on.
+    """
+
+    def __init__(self, cap):
+        self.cap = cap
+        self.total = 0
+        self.hits = self.misses = self.evictions = 0
+        self._items: OrderedDict = OrderedDict()
+
+    def get(self, key):
+        """The value stored under `key`, or None."""
+        entry = self._items.get(key)
+        if entry is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        self._items.move_to_end(key)
+        return entry[0]
+
+    def put(self, key, value, size=1, keep=None) -> None:
+        """Store `value` under `key` as the most recent entry, weighing `size`."""
+        old = self._items.pop(key, None)
+        if old is not None:
+            self.total -= old[2]
+        if size > self.cap:
+            return
+        self._items[key] = (value, keep, size)
+        self.total += size
+        while self.total > self.cap:
+            self.total -= self._items.popitem(last=False)[1][2]
+            self.evictions += 1
+
+    def clear(self) -> None:
+        self._items.clear()
+        self.total = 0
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+
 class DiscreteOperator:
     """Pair weights, tail moments, and fast applications for one (grid, kernel).
 
@@ -562,11 +604,8 @@ class DiscreteOperator:
 
     All heavy tables are built lazily and cached on the instance: the
     free-space convolution engine, the diagonal and, on periodic grids,
-    the spectrum of the periodized row.  Two value-keyed memos serve
-    sweeps: the last field with its box convolutions and region energies
-    (`sobolev_energy`), and the convolutions of the last two boolean masks
-    (`conv_mask`, which the perimeter uses).  Instances are shared through
-    the bounded LRU registry behind `get_operator`.
+    the spectrum of the periodized row.  The memos of `sobolev_energy` and
+    `conv_mask` serve sweeps; instances are shared through `get_operator`.
     """
 
     def __init__(self, grid: Grid, spec):
@@ -588,7 +627,8 @@ class DiscreteOperator:
         self._colsum = None
         self._diagonal = None
         self._box_memo = None
-        self._mask_memo: OrderedDict = OrderedDict()
+        self._energy_memo = LRUCache(64)
+        self._mask_memo = LRUCache(2)
 
     # -- tables -------------------------------------------------------------
 
@@ -636,19 +676,16 @@ class DiscreteOperator:
         return self.conv_free(f)
 
     def conv_mask(self, mask: np.ndarray) -> np.ndarray:
-        """conv of a boolean mask, read-only.  The last _MASK_MEMO masks are
-        kept with their convolutions, keyed by their packed bits, so a set
-        and its deformations, which share their part outside the region,
-        convolve that part once."""
+        """conv of a boolean mask, read-only.  The last two masks are kept
+        with their convolutions, keyed by their packed bits, so a set and its
+        deformations, which share their part outside the region, convolve
+        that part once."""
         key = np.packbits(mask).tobytes()
         out = self._mask_memo.get(key)
         if out is None:
-            out = self._mask_memo[key] = self.conv(mask.astype(float))
+            out = self.conv(mask.astype(float))
             out.flags.writeable = False
-            if len(self._mask_memo) > _MASK_MEMO:
-                self._mask_memo.popitem(last=False)
-        else:
-            self._mask_memo.move_to_end(key)
+            self._mask_memo.put(key, out)
         return out
 
     @property
@@ -680,7 +717,7 @@ class DiscreteOperator:
         """sum over x in A, xbar in B of |u(x) - u(xbar)|^2 w(x - xbar)."""
         u = values
         if mask_b.all():
-            c1, (cu, cuu) = self.colsum, self._field_memo(u)[1:3]
+            c1, (cu, cuu) = self.colsum, self._field_memo(u)[1:]
         else:
             cb = mask_b.astype(float)
             c1, cu, cuu = self.conv(cb), self.conv(u * cb), self.conv(u * u * cb)
@@ -688,26 +725,25 @@ class DiscreteOperator:
         return float(inner[mask_a].sum())
 
     def _field_memo(self, values: np.ndarray) -> tuple:
-        """(u, conv(u), conv(u^2), energies) for the last field, compared by
-        value: the two box convolutions and the `sobolev_energy` of each
-        region already summed on it (keyed by the packed region mask, at most
-        _ENERGY_MEMO entries), so that a radius sweep computes each once."""
+        """(u, conv(u), conv(u^2)) for the last field, compared by value.  A
+        new field empties the energy memo, which keeps the `sobolev_energy`
+        of each region (keyed by its packed mask) summed on the last field."""
         if self._box_memo is None or not np.array_equal(self._box_memo[0], values):
-            self._box_memo = (values.copy(), self.conv(values), self.conv(values * values),
-                              OrderedDict())
+            self._box_memo = (values.copy(), self.conv(values), self.conv(values * values))
+            self._energy_memo.clear()
         return self._box_memo
 
     def sobolev_energy(self, values: np.ndarray, region_mask: np.ndarray) -> float:
         """Quarter pair-sum over pairs with >= 1 endpoint in the region, plus
         half the tail u^2 t0 - 2 u t1 + t2 over the region (zero if periodic).
         A region already summed on the same field values is read back."""
-        energies = self._field_memo(values)[3]
+        self._field_memo(values)
         key = np.packbits(region_mask).tobytes()
-        if key not in energies:
-            energies[key] = self._sobolev_energy(values, region_mask)
-            if len(energies) > _ENERGY_MEMO:
-                energies.popitem(last=False)
-        return energies[key]
+        e = self._energy_memo.get(key)
+        if e is None:
+            e = self._sobolev_energy(values, region_mask)
+            self._energy_memo.put(key, e)
+        return e
 
     def _sobolev_energy(self, values: np.ndarray, region_mask: np.ndarray) -> float:
         g = self.grid
@@ -729,25 +765,17 @@ class DiscreteOperator:
         return xi * self.diagonal - self.conv(xi) + diag * xi
 
 
-_ENERGY_MEMO = 64  # energies kept per operator for its last field
-_MASK_MEMO = 2     # mask convolutions kept per operator
-_registry: OrderedDict = OrderedDict()
+_registry = LRUCache(64)
 
 
 def get_operator(grid: Grid, spec) -> DiscreteOperator:
-    """The shared operator for (grid, kernel).
-
-    The registry keeps the 64 most recently used operators; past that bound
-    the least recently used one is evicted.
-    """
+    """The shared operator for (grid, kernel); the registry keeps the 64
+    most recently used."""
     key = (grid.key(), spec.key())
     op = _registry.get(key)
     if op is None:
-        op = _registry[key] = DiscreteOperator(grid, spec)
-        if len(_registry) > 64:
-            _registry.popitem(last=False)
-    else:
-        _registry.move_to_end(key)
+        op = DiscreteOperator(grid, spec)
+        _registry.put(key, op)
     return op
 
 

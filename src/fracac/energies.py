@@ -63,7 +63,6 @@ class Potential:
     nu0: float
     nu1: float
     t_mid: float = 0.0
-    wells: tuple = (-1.0, 1.0)
 
     def __post_init__(self):
         audit_potential(self)
@@ -191,16 +190,19 @@ def sobolev_energy(u: ScalarField, region: BallRegion, spec: KernelSpec) -> floa
     return get_operator(g, spec).sobolev_energy(u.values, region.mask(g))
 
 
+def _pot_weight(epsilon: float, s: float) -> float:
+    """The epsilon^{-s} weight of the potential term."""
+    return epsilon ** (-s)
+
+
 def potential_energy(u: ScalarField, region: BallRegion, W: Potential,
                      epsilon: float = 1.0, s: Optional[float] = None) -> float:
     """epsilon^{-s} h^n sum of W(u) over the region nodes."""
     if epsilon <= 0:
         raise ConfigurationError("epsilon must be positive")
-    weight = 1.0
-    if epsilon != 1.0:
-        if s is None:
-            raise ConfigurationError("epsilon != 1 needs the order s for the weight")
-        weight = epsilon ** (-s)
+    if epsilon != 1.0 and s is None:
+        raise ConfigurationError("epsilon != 1 needs the order s for the weight")
+    weight = 1.0 if s is None else _pot_weight(epsilon, s)
     mask = region.mask(u.grid)
     return float(weight * u.grid.cell_volume() * W.w(u.values[mask]).sum())
 

@@ -20,7 +20,7 @@ from scipy.special import betainc, gamma as gamma_fn, kv
 
 from ._lattice import (_xi_squared, axis_cell_bounds, exterior_asymptote,
                        exterior_departures, fft_workers, row_blocks)
-from .energies import Potential
+from .energies import Potential, _pot_weight
 from .errors import ConfigurationError
 from .fields import Grid, Periodic, ScalarField
 
@@ -421,7 +421,7 @@ def extension_energy(U: ExtensionField, R: float, W: Potential,
     dirichlet = _dirichlet_slabs(U, R, skip) + corner
     x = g.axis_coords()
     selb = np.abs(x) <= R
-    pot = epsilon ** (-s) * g.h * float(W.w(U.values[0][selb]).sum())
+    pot = _pot_weight(epsilon, s) * g.h * float(W.w(U.values[0][selb]).sum())
     return 0.5 * extension_constant(s) * dirichlet + pot
 
 
@@ -448,7 +448,7 @@ def neumann_trace_residual(U: ExtensionField, W: Potential,
     y_b, g_b = g_at(3)
     wa, wb = y_b ** (2.0 - s), y_a ** (2.0 - s)
     g0 = (g_a * wa - g_b * wb) / (wa - wb)
-    target = epsilon ** (-s) * W.wp(U.values[0])
+    target = _pot_weight(epsilon, s) * W.wp(U.values[0])
     scale = float(np.max(np.abs(target))) or 1.0
     return np.abs(g0 - target) / scale
 

@@ -17,7 +17,7 @@ from scipy import fft as sfft
 from scipy.sparse.linalg import LinearOperator, minres
 
 from ._lattice import fft_workers, get_operator
-from .energies import Potential, sobolev_energy, potential_energy
+from .energies import Potential, _pot_weight, sobolev_energy, potential_energy
 from .errors import ConfigurationError, InstabilityError, NotConvergedError
 from .fields import (
     BallRegion,
@@ -46,10 +46,6 @@ class SolveResult:
     iterations: int
     converged: bool
     energy_trace: list = dfield(default_factory=list)
-
-
-def _pot_weight(epsilon: float, s: float) -> float:
-    return epsilon ** (-s)
 
 
 def _residual(op, vals, W, pw, lu=None) -> np.ndarray:

@@ -8,15 +8,14 @@ exterior enters only through the kernel mass each node sees there.
 from __future__ import annotations
 
 import numbers
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lobpcg
 
-from ._lattice import get_operator
-from .energies import Potential, fractional_perimeter
+from ._lattice import LRUCache, get_operator
+from .energies import Potential, _pot_weight, fractional_perimeter
 from .errors import ConfigurationError, FlowError
 from .fields import (
     BallRegion,
@@ -26,7 +25,7 @@ from .fields import (
     gradient_components,
 )
 from .kernels import KernelSpec
-from .solver import _pot_weight, residual_field
+from .solver import residual_field
 
 __all__ = [
     "StabilityReport",
@@ -70,11 +69,11 @@ class VectorFieldSpec:
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         """X at the points, as a fresh array: the array `components` returns
-        is read, never written; rows outside the support (by squared
-        radius) are zeroed on the copy."""
+        is read, never written; rows outside the support (`_in_support`) are
+        zeroed on the copy."""
         pts = np.atleast_2d(points)
         out = np.array(self.components(pts), dtype=float)
-        out[np.einsum("ij,ij->i", pts, pts) > self.support_radius ** 2] = 0.0
+        out[~_in_support(pts, self)] = 0.0
         return out
 
 
@@ -219,22 +218,23 @@ def signed_distance(E: IndicatorSet) -> np.ndarray:
 
 
 def _in_support(pts: np.ndarray, X: VectorFieldSpec) -> np.ndarray:
-    return np.linalg.norm(pts, axis=1) <= X.support_radius
+    """The rows inside the closed support ball of X, by squared radius."""
+    return np.einsum("ij,ij->i", pts, pts) <= X.support_radius ** 2
 
 
 def _rk4_backward(pts: np.ndarray, X: VectorFieldSpec, t: float, steps: int,
-                  start: np.ndarray | None = None, done: int = 0) -> np.ndarray:
+                  inside: np.ndarray, start: np.ndarray | None = None,
+                  done: int = 0) -> np.ndarray:
     """Integrate dx/dtau = -X(x) from 0 to t (the inverse flow map) in
     `steps` RK4 steps of t/steps.
 
     X is 0 outside its support ball, so points that start there never move:
-    only the rows inside are integrated, and the others are copied through.
+    only the rows `inside` are integrated, and the others are copied through.
     X is not called when no row is inside.  `start`, if given, holds the
     inside rows after the first `done` of the steps, taken at the same step
     size; the integration continues from it, bit for bit as from 0.
     """
     out = pts.copy()
-    inside = _in_support(pts, X)
     if not inside.any():
         return out
     y = pts[inside] if start is None else start
@@ -249,42 +249,14 @@ def _rk4_backward(pts: np.ndarray, X: VectorFieldSpec, t: float, steps: int,
     return out
 
 
-class _FlowMemo:
-    """Least-recently-used map of arrays bounded by their total bytes (values
-    plus key bytes); an entry larger than the cap is not kept."""
-
-    def __init__(self, cap_bytes: int):
-        self.cap = cap_bytes
-        self.nbytes = 0
-        self._items: OrderedDict = OrderedDict()
-
-    def get(self, key):
-        hit = self._items.get(key)
-        if hit is not None:
-            self._items.move_to_end(key)
-            return hit[0]
-        return None
-
-    def put(self, key, value, keep=None) -> None:
-        """Store `value` (an array) under `key`; `keep` is held with it."""
-        size = value.nbytes + sum(len(k) for k in key if isinstance(k, bytes))
-        if size > self.cap:
-            return
-        self._items[key] = (value, keep, size)
-        self.nbytes += size
-        while self.nbytes > self.cap:
-            self.nbytes -= self._items.popitem(last=False)[1][2]
-
-    def clear(self) -> None:
-        self._items.clear()
-        self.nbytes = 0
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
 # signed distances, flow states and deformed sets of the flows, keyed by value
-_flow_memo = _FlowMemo(32 << 20)
+_flow_memo = LRUCache(32 << 20)
+
+
+def _memo_put(key: tuple, value: np.ndarray, keep=None) -> None:
+    """Store an array in the flow memo, weighing its bytes plus the key's."""
+    size = value.nbytes + sum(len(k) for k in key if isinstance(k, bytes))
+    _flow_memo.put(key, value, size, keep)
 
 
 def flow_map(E: IndicatorSet, X: VectorFieldSpec, t: float) -> IndicatorSet:
@@ -321,7 +293,7 @@ def flow_map(E: IndicatorSet, X: VectorFieldSpec, t: float) -> IndicatorSet:
     phi = _flow_memo.get(sd_key)
     if phi is None:
         phi = signed_distance(E)
-        _flow_memo.put(sd_key, phi)
+        _memo_put(sd_key, phi)
 
     # the nodes, then the probes +- eps e_ax stacked in that order
     pts = g.coords()
@@ -338,7 +310,8 @@ def flow_map(E: IndicatorSet, X: VectorFieldSpec, t: float) -> IndicatorSet:
         if start is not None:
             done = k
             break
-    flowed = _rk4_backward(rows, X, t, steps, start, done)
+    inside = _in_support(rows, X)
+    flowed = _rk4_backward(rows, X, t, steps, inside, start, done)
 
     # sampled Jacobian positivity: the diagonal of the central difference
     probed = flowed[len(pts):].reshape(2, g.n, len(probe), g.n)
@@ -347,15 +320,14 @@ def flow_map(E: IndicatorSet, X: VectorFieldSpec, t: float) -> IndicatorSet:
         if np.any(jcol[:, ax] <= 0.0):
             raise FlowError("flow Jacobian lost positivity; reduce |t|")
     if done < steps:
-        _flow_memo.put(state_key + (steps,), flowed[_in_support(rows, X)],
-                       keep=X.components)
+        _memo_put(state_key + (steps,), flowed[inside], keep=X.components)
 
     ax = g.axis_coords()
     idx = (flowed[:len(pts)] - ax[0]) / g.h
     phi_adv = ndimage.map_coordinates(phi, idx.T, order=1, mode="nearest")
-    inside = phi_adv <= 0.0
-    _flow_memo.put(flow_key, np.packbits(inside), keep=X.components)
-    return IndicatorSet(g, inside.reshape(g.shape))
+    member = phi_adv <= 0.0
+    _memo_put(flow_key, np.packbits(member), keep=X.components)
+    return IndicatorSet(g, member.reshape(g.shape))
 
 
 def _coarsen_indicator(E: IndicatorSet) -> IndicatorSet:

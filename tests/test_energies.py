@@ -24,7 +24,7 @@ from fracac import (
     sobolev_energy,
     translation_comparison,
 )
-from fracac._lattice import get_operator
+from fracac._lattice import LRUCache, get_operator
 from fracac.energies import energy_breakdown, cutoff_profile
 from fracac.errors import ConfigurationError
 from fracac.fields import gradient_l1_norm
@@ -444,11 +444,12 @@ def test_perimeters_sharing_the_outer_part_convolve_it_once(monkeypatch):
     op = get_operator(g, KernelSpec.perimeter(0.5))
     cold = []
     for ind in (E, F):
-        op._mask_memo.clear()
+        monkeypatch.setattr(op, "_mask_memo", LRUCache(2))
         cold.append(fractional_perimeter(ind, region, 0.5))
-    op._mask_memo.clear()
+    memo = LRUCache(2)
+    monkeypatch.setattr(op, "_mask_memo", memo)
     calls = []
     conv = op.conv
     monkeypatch.setattr(op, "conv", lambda f: calls.append(1) or conv(f))
     assert [fractional_perimeter(ind, region, 0.5) for ind in (E, F)] == cold
-    assert len(calls) == 3
+    assert len(calls) == 3 and (memo.hits, memo.misses) == (1, 3)

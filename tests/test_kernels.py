@@ -2,10 +2,13 @@
 shared by every kernel in the admissible class."""
 
 import tracemalloc
+import weakref
+from collections import OrderedDict
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracac import (
     BallRegion,
@@ -28,7 +31,9 @@ from fracac.errors import ConfigurationError, SingularityError
 from fracac.kernels import kernel_bounds_audit
 from fracac import _lattice
 from fracac._lattice import (
+    DiscreteOperator,
     FFTConvolver,
+    LRUCache,
     _free_twin,
     continuum_symbol_constant,
     exterior_moments,
@@ -277,7 +282,8 @@ def test_mask_convolutions_keep_the_last_two(monkeypatch):
     convolves a repeated one once."""
     g = Grid(2, 0.25, 2.0, ConstantExterior([(-1.0, 1.0), (-1.0, 1.0)]))
     op = get_operator(g, KernelSpec.perimeter(0.5))
-    op._mask_memo.clear()
+    memo = LRUCache(2)
+    monkeypatch.setattr(op, "_mask_memo", memo)
     calls = []
     conv = op.conv
     monkeypatch.setattr(op, "conv", lambda f: calls.append(1) or conv(f))
@@ -286,12 +292,13 @@ def test_mask_convolutions_keep_the_last_two(monkeypatch):
     a = op.conv_mask(masks[0])
     assert np.array_equal(a, conv(masks[0].astype(float))) and not a.flags.writeable
     op.conv_mask(masks[1])
-    assert op.conv_mask(masks[0]) is a and len(calls) == 2
+    assert op.conv_mask(masks[0]) is a and len(calls) == 2 and memo.hits == 1
     op.conv_mask(masks[2])                   # evicts masks[1], the least recent
-    assert len(op._mask_memo) == 2 and len(calls) == 3
+    assert len(memo) == 2 and len(calls) == 3 and memo.evictions == 1
     op.conv_mask(masks[0])
     op.conv_mask(masks[1])
-    assert len(op._mask_memo) == 2 and len(calls) == 4
+    assert len(memo) == 2 and len(calls) == 4
+    assert (memo.hits, memo.misses, memo.evictions) == (2, 4, 2)
 
 
 def test_unit_kernel_dimension_guard():
@@ -517,23 +524,83 @@ def test_field_exteriors_differing_in_asymptote_get_their_own_operators():
     assert np.max(np.abs(ops[0].moments["t1"] - ops[1].moments["t1"])) > 0.5
 
 
-def test_operator_registry_evicts_least_recently_used():
+def test_operator_registry_evicts_least_recently_used(monkeypatch):
     """Past 64 operators only the least recently used one is dropped."""
-    saved = _lattice._registry.copy()
-    _lattice._registry.clear()
-    try:
-        spec = KernelSpec.fractional(0.5)
-        grids = [Grid(1, 1.0, float(k + 1)) for k in range(65)]
-        keep = get_operator(grids[0], spec)
-        for g in grids[1:]:
-            get_operator(g, spec)
-            assert get_operator(grids[0], spec) is keep
-        assert len(_lattice._registry) == 64
-        assert (grids[1].key(), spec.key()) not in _lattice._registry
+    registry = LRUCache(64)
+    monkeypatch.setattr(_lattice, "_registry", registry)
+    spec = KernelSpec.fractional(0.5)
+    grids = [Grid(1, 1.0, float(k + 1)) for k in range(65)]
+    keep = get_operator(grids[0], spec)
+    for g in grids[1:]:
+        get_operator(g, spec)
         assert get_operator(grids[0], spec) is keep
-    finally:
-        _lattice._registry.clear()
-        _lattice._registry.update(saved)
+    assert len(registry) == 64 and registry.evictions == 1
+    assert (registry.hits, registry.misses) == (64, 65)
+    get_operator(grids[2], spec)             # still kept
+    get_operator(grids[1], spec)             # evicted: built again
+    assert (registry.hits, registry.misses) == (65, 66)
+    assert get_operator(grids[0], spec) is keep
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(cap=st.integers(1, 10),
+       ops=st.lists(st.tuples(st.booleans(), st.integers(0, 7), st.integers(0, 12)),
+                    max_size=60))
+def test_lru_cache_matches_an_ordered_dict_model(cap, ops):
+    """Random put/get/re-put sequences, some sizes past the cap, against an
+    ordered-dict model: the same hits, misses, evictions, lengths and
+    values.  The total is the sum of the kept sizes and at most the cap, an
+    eviction stops as soon as the rest fits, and the kept entries are the
+    most recently used ones (puts and hits)."""
+    cache = LRUCache(cap)
+    model = OrderedDict()                    # key -> (value, size), least recent first
+    hits = misses = evictions = 0
+    used = []                                # keys by last put or hit, oldest first
+    for step, (is_put, key, size) in enumerate(ops):
+        if not is_put:
+            got = cache.get(key)
+            if key in model:
+                hits += 1
+                model.move_to_end(key)
+                used.remove(key)
+                used.append(key)
+                assert got == model[key][0]
+            else:
+                misses += 1
+                assert got is None
+        else:
+            cache.put(key, step, size)
+            model.pop(key, None)
+            if key in used:
+                used.remove(key)
+            if size <= cap:
+                model[key] = (step, size)
+                used.append(key)
+            last = None
+            while sum(sz for _, sz in model.values()) > cap:
+                last = model.popitem(last=False)[1][1]
+                evictions += 1
+            assert last is None or cache.total + last > cap
+        assert (cache.hits, cache.misses, cache.evictions) == (hits, misses, evictions)
+        assert len(cache) == len(model)
+        assert cache.total == sum(sz for _, sz in model.values()) <= cap
+    kept = [k for k in range(8) if cache.get(k) is not None]
+    assert sorted(kept) == sorted(model) == sorted(used[len(used) - len(kept):])
+    assert all(cache.get(k) == model[k][0] for k in kept)
+
+
+def test_lru_cache_holds_keep_while_the_entry_lives():
+    """`keep` lives as long as its entry, so an id in a key is never reused
+    by another object meanwhile."""
+    def f(p):
+        return p
+    ref = weakref.ref(f)
+    cache = LRUCache(1)
+    cache.put(("flow", id(f)), 1.0, keep=f)
+    del f
+    assert ref() is not None
+    cache.put("other", 2.0)                  # evicts the entry and its keep
+    assert ref() is None and cache.evictions == 1
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -573,10 +640,11 @@ def test_diagonal_is_colsum_plus_t0(n, boundary):
 def test_sobolev_energy_memo_reads_back_a_region_bit_identically(monkeypatch):
     """A repeated (field, region) pair is read back without a convolution and
     equals the cold sum; an in-place change of the field misses, and the
-    memo keeps at most _ENERGY_MEMO regions."""
+    memo keeps at most 64 regions."""
     g = Grid(2, 0.25, 2.0, ConstantExterior([(-1.0, 1.0)] * 2))
-    op = get_operator(g, KernelSpec.fractional(0.5))
-    op._box_memo = None
+    spec = KernelSpec.fractional(0.5)
+    op = DiscreteOperator(g, spec)           # cold memos of its own
+    memo = op._energy_memo
     u = np.random.default_rng(17).normal(size=g.shape)
     masks = [BallRegion((0.0, 0.0), R).mask(g) for R in (0.5, 1.0, 1.5)]
     cold = [op.sobolev_energy(u, m) for m in masks]
@@ -584,17 +652,17 @@ def test_sobolev_energy_memo_reads_back_a_region_bit_identically(monkeypatch):
     conv = op.conv
     monkeypatch.setattr(op, "conv", lambda f: calls.append(1) or conv(f))
     warm = [op.sobolev_energy(u.copy(), m) for m in masks[::-1]][::-1]
-    assert warm == cold and not calls
+    assert warm == cold and not calls and (memo.hits, memo.misses) == (3, 3)
     u[3, 4] += 0.25
     changed = op.sobolev_energy(u, masks[1])
     assert len(calls) == 5 and changed != cold[1]
-    op._box_memo = None
-    assert op.sobolev_energy(u, masks[1]) == changed
+    assert len(memo) == 1 and memo.misses == 4
+    assert DiscreteOperator(g, spec).sobolev_energy(u, masks[1]) == changed
     rng = np.random.default_rng(3)
-    for _ in range(_lattice._ENERGY_MEMO + 6):
+    for _ in range(64 + 6):
         op.sobolev_energy(u, rng.random(g.shape) < 0.5)
-        assert len(op._box_memo[3]) <= _lattice._ENERGY_MEMO
-    op._box_memo = None
+        assert len(memo) <= 64
+    assert len(memo) == 64 and memo.evictions == 7
 
 
 @pytest.mark.parametrize("cross", [False, True])

@@ -26,9 +26,9 @@ from fracac import (
 from fracac.cli import radial_bump_vector_field
 from conftest import dense_matrix
 from fracac.errors import ConfigurationError, FlowError
-from fracac._lattice import _free_twin, get_operator
+from fracac._lattice import LRUCache, _free_twin, get_operator
 from fracac import stability
-from fracac.stability import _rk4_backward
+from fracac.stability import _in_support, _rk4_backward
 
 
 def compact_field(grid, rng, radius):
@@ -370,14 +370,16 @@ def test_rk4_backward_matches_full_array_reference(n, t):
     r = np.linalg.norm(pts, axis=1)
     assert (r < radius).any() and (r > radius).any()
     for steps in (4, 8):
-        assert np.array_equal(_rk4_backward(pts, X, t, steps), reference(pts, steps))
+        got = _rk4_backward(pts, X, t, steps, _in_support(pts, X))
+        assert np.array_equal(got, reference(pts, steps))
 
     # no row inside: a copy comes back and X is never evaluated
     def never(p):
         raise AssertionError("X evaluated with no point in its support")
 
     outside = pts[r > radius]
-    out = _rk4_backward(outside, VectorFieldSpec(never, support_radius=radius), t, 4)
+    Y = VectorFieldSpec(never, support_radius=radius)
+    out = _rk4_backward(outside, Y, t, 4, _in_support(outside, Y))
     assert np.array_equal(out, outside) and out is not outside
 
 
@@ -470,46 +472,50 @@ def _fold_field(amplitude):
         support_radius=np.inf)
 
 
-def _memo_kinds():
-    return sorted(key[0] for key in stability._flow_memo._items)
-
-
 def _counted(X):
     """A copy of X and a list that grows by one per evaluation."""
     evals = []
     return VectorFieldSpec(lambda p: evals.append(1) or X.components(p), X.support_radius), evals
 
 
+def _fresh_flow_memo(monkeypatch):
+    memo = LRUCache(32 << 20)
+    monkeypatch.setattr(stability, "_flow_memo", memo)
+    return memo
+
+
 def test_flow_memo_keeps_no_failed_flow(monkeypatch):
-    stability._flow_memo.clear()
+    """Only the signed distance is kept: the second failing flow hits it and
+    misses its set and its 25 states, as the first did."""
+    memo = _fresh_flow_memo(monkeypatch)
     E = halfplane_set()
     X = _fold_field(30.0)
     for _ in range(2):
         with pytest.raises(FlowError):
             flow_map(E, X, 0.5)
-    assert _memo_kinds() == ["sd"]          # the signed distance only
+    assert len(memo) == 1 and memo.hits == 1 and memo.misses == 2 * 27 - 1
 
 
-def test_continued_flow_that_folds_keeps_nothing():
+def test_continued_flow_that_folds_keeps_nothing(monkeypatch):
     """t = 0.5 continues from the checked t = 0.32 state (both take steps of
     0.02), folds, and leaves neither a state nor a set of its own."""
-    stability._flow_memo.clear()
+    memo = _fresh_flow_memo(monkeypatch)
     E = halfplane_set()
     X, evals = _counted(_fold_field(10.0))
     flow_map(E, X, 0.32)
-    before = dict(stability._flow_memo._items)
-    assert _memo_kinds() == ["flow", "sd", "state"]
+    assert len(memo) == 3 and memo.hits == 0   # its signed distance, state and set
     del evals[:]
     with pytest.raises(FlowError):
         flow_map(E, X, 0.5)
     assert len(evals) == 4 * (25 - 16)      # only the nine steps past t = 0.32
-    assert stability._flow_memo._items.keys() == before.keys()
+    assert memo.hits == 2                   # the signed distance and the 16-step state
+    assert len(memo) == 3 and memo.evictions == 0
 
 
 @pytest.mark.parametrize("h, centered", [(1.0 / 16.0, False), (1.0 / 8.0, False),
                                          (1.0 / 16.0, True)])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_continued_flow_equals_a_cold_one(h, centered, sign):
+def test_continued_flow_equals_a_cold_one(monkeypatch, h, centered, sign):
     """+-0.16 continues from the +-0.08 state (0.16/8 and 0.08/4 are the same
     double), flows half the steps and gives a cold flow's state and set bit
     for bit, probes included."""
@@ -520,21 +526,30 @@ def test_continued_flow_equals_a_cold_one(h, centered, sign):
     t = sign * 0.16
     assert t / 8 == (t / 2) / 4
 
-    def states():
-        return {k: v[0] for k, v in stability._flow_memo._items.items() if k[0] == "state"}
+    def recording_memo():
+        """A fresh flow memo and the states put into it, by key."""
+        memo, states = _fresh_flow_memo(monkeypatch), {}
+        put = memo.put
 
-    stability._flow_memo.clear()
+        def record(key, value, size=1, keep=None):
+            if key[0] == "state":
+                states[key] = value
+            put(key, value, size, keep)
+        monkeypatch.setattr(memo, "put", record)
+        return memo, states
+
+    _, cold_states = recording_memo()
     cold = flow_map(E, X, t).membership
-    cold_states = states()
     assert len(evals) == 4 * 8
-    stability._flow_memo.clear()
+    memo, states = recording_memo()
     flow_map(E, X, t / 2)
     del evals[:]
     warm = flow_map(E, X, t).membership
     assert len(evals) == 4 * 4
+    assert memo.hits == 2                   # the signed distance and the 4-step state
     assert np.array_equal(warm, cold)
     (key, state), = cold_states.items()
-    assert key[-1] == 8 and np.array_equal(states()[key], state)
+    assert key[-1] == 8 and np.array_equal(states[key], state)
 
 
 def test_flow_state_is_shared_by_the_sets_of_a_layout():
@@ -554,18 +569,23 @@ def test_flow_state_is_shared_by_the_sets_of_a_layout():
 
 
 def test_flow_memo_stays_within_its_byte_cap(monkeypatch):
-    memo = stability._FlowMemo(20_000)
+    memo = LRUCache(20_000)
     monkeypatch.setattr(stability, "_flow_memo", memo)
     E = halfplane_set(h=1.0 / 8.0)           # 32^2: an 8.3 kB signed distance per set
     X = radial_bump_vector_field(3)
     for k in range(6):
         E.membership[0, k] = not E.membership[0, k]
         flow_map(E, X, 0.04)
-        assert memo.nbytes <= memo.cap
+        assert memo.total <= memo.cap
     assert 2 <= len(memo) < 12               # 6 distances and 6 flows made, some evicted
-    big = stability._FlowMemo(1000)
-    big.put(("sd", b"x"), np.zeros(200))     # larger than the cap: not kept
-    assert len(big) == 0 and big.nbytes == 0
+    assert memo.evictions == 13 - len(memo)  # and one state
+    small = LRUCache(1000)
+    monkeypatch.setattr(stability, "_flow_memo", small)
+    stability._memo_put(("sd", b"x"), np.zeros(125))   # 1,001 bytes with the key's
+    assert len(small) == 0 and small.total == 0
+    for _ in range(2):                                  # a second put replaces the first
+        stability._memo_put(("sd", b"x"), np.zeros(124))
+    assert len(small) == 1 and small.total == 993
 
 
 def test_warm_quotients_equal_cold_ones():
