@@ -29,7 +29,7 @@ by a crop to the window, and the c2r runs on the window's lines only).
 Running the passes in pocketfft's axis order and scaling by its long-double
 1/N keeps every result bit-identical to a whole-block rfftn/irfftn.  A 1D
 convolution allocates no work array: the rfft's own output is multiplied in
-place.
+place.  Every transform runs with the caller's scipy.fft worker count.
 The n-D exterior moments never build the enlarged lattice's coordinates:
 a build keeps the exterior values, the mask, the kernel and one transform
 workspace, a traced peak of about 6x (2D) and 8x (3D) the lattice's bytes.
@@ -38,12 +38,12 @@ bound: the operator registry (64 operators); per operator, the convolutions
 of its last two boolean masks, so perimeters of sets that share a pair
 family convolve it once, and the energies of up to 64 regions on its last
 field (one slot compared by value), so a radius sweep sums each region
-once; and `stability`'s flow memo (32 MiB of array and key bytes).
+once; and `stability`'s flow memo of signed distances and flow states
+(32 MiB of array and key bytes).
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from functools import lru_cache
 
@@ -55,13 +55,6 @@ from .errors import ConfigurationError
 from .fields import ConstantExterior, Grid, Periodic
 
 _TWO_PI = 2.0 * np.pi
-
-
-def fft_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("FRACAC_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def sphere_area(n: int) -> float:
@@ -106,7 +99,9 @@ def _symbol_tail(n: int, s: float, theta: float, rho: float) -> float:
     return flat - osc
 
 
-def _lattice_sum_1d(s: float, theta: float, J: int = 30000) -> float:
+def _lattice_sum_1d(s: float, theta: float) -> float:
+    """The 1D symbol: 30,000 terms summed, the remainder continued."""
+    J = 30000
     j = np.arange(1, J + 1, dtype=float)
     core = 2.0 * np.sum((1.0 - np.cos(theta * j)) * j ** (-1.0 - s))
     a = float(J + 1)
@@ -259,25 +254,16 @@ def periodized_weight_row(grid: Grid, spec) -> np.ndarray:
 
     m_img = 128 if n == 1 else (6 if n == 2 else 3)
     img = L * np.arange(-m_img, m_img + 1, dtype=float)
-    base_r = np.sqrt(sum(m * m for m in meshes))
-
-    if n == 1:
-        z = meshes[0][..., None] + img[None, :]
-        r = np.abs(z)
-        row = (h ** n) * kernel_on_radii(spec, r, n).sum(axis=-1)
-    elif n == 2:
-        ix, iy = np.meshgrid(img, img, indexing="ij")
-        zx = meshes[0][..., None] + ix.ravel()[None, None, :]
-        zy = meshes[1][..., None] + iy.ravel()[None, None, :]
-        r = np.sqrt(zx * zx + zy * zy)
+    # the image shifts, one per row, the last axis varying fastest
+    shifts = np.stack(np.meshgrid(*([img] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    if n <= 2:
+        # every node against every shift at once, shifts along the last axis
+        r = np.sqrt(sum((m[..., None] + c) ** 2 for m, c in zip(meshes, shifts.T)))
         row = (h ** n) * kernel_on_radii(spec, r, n).sum(axis=-1)
     else:
-        ix, iy, iz = np.meshgrid(img, img, img, indexing="ij")
-        flat = np.stack([ix.ravel(), iy.ravel(), iz.ravel()], axis=1)
         row = np.zeros((p,) * n)
-        for off in flat:
-            r = np.sqrt((meshes[0] + off[0]) ** 2 + (meshes[1] + off[1]) ** 2
-                        + (meshes[2] + off[2]) ** 2)
+        for off in shifts:
+            r = np.sqrt(sum((m + c) ** 2 for m, c in zip(meshes, off)))
             row += (h ** n) * kernel_on_radii(spec, r, n)
 
     # far images approximated by the integral of the kernel density:
@@ -286,9 +272,10 @@ def periodized_weight_row(grid: Grid, spec) -> np.ndarray:
 
     row[tuple([0] * n)] = 0.0  # images of the diagonal carry zero difference
     # calibrated correction on the base-image nearest shell
+    base_r = np.sqrt(sum(m * m for m in meshes))
     near = np.abs(base_r - h) < 1e-12 * h
-    extra = (h ** n) * kernel_on_radii(spec, np.where(near, base_r, 1.0), n)
-    row[near] += shell_correction(n, spec.s) * extra[near]
+    row[near] += shell_correction(n, spec.s) * (
+        (h ** n) * kernel_on_radii(spec, base_r[near], n))
     return row
 
 
@@ -512,8 +499,7 @@ class FFTConvolver:
             self.fshape.append(sfft.next_fast_len(a + hi - lo - 1, real=True))
         self.crop = tuple(crop)
         self._inv_n = float(np.longdouble(1) / np.longdouble(int(np.prod(self.fshape))))
-        with sfft.set_workers(fft_workers()):
-            self.spectrum = self._forward(kernel[tuple(reach)])
+        self.spectrum = self._forward(kernel[tuple(reach)])
 
     def _forward(self, f: np.ndarray) -> np.ndarray:
         """rfftn(f, fshape) bit for bit, transforming only lines that can be nonzero."""
@@ -531,19 +517,18 @@ class FFTConvolver:
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
         fs = self.fshape
-        with sfft.set_workers(fft_workers()):
-            sp = self._forward(f)
-            sp *= self.spectrum
-            if len(fs) == 1:
-                return sfft.irfft(sp, fs[0], norm="forward")[self.crop[0]] * self._inv_n
-            for k, c in enumerate(self.crop[:-1]):
-                sfft.ifft(sp, axis=k, norm="forward", overwrite_x=True)
-                sp = sp[(slice(None),) * k + (c,)]
-            out = np.empty(sp.shape[:-1] + (self.crop[-1].stop - self.crop[-1].start,))
-            for b in row_blocks(len(out), sp[0].size // sp.shape[-1] * fs[-1], _FFT_BLOCK):
-                line = sfft.irfft(sp[b], fs[-1], norm="forward")
-                np.multiply(line[..., self.crop[-1]], self._inv_n, out=out[b])
-            return out
+        sp = self._forward(f)
+        sp *= self.spectrum
+        if len(fs) == 1:
+            return sfft.irfft(sp, fs[0], norm="forward")[self.crop[0]] * self._inv_n
+        for k, c in enumerate(self.crop[:-1]):
+            sfft.ifft(sp, axis=k, norm="forward", overwrite_x=True)
+            sp = sp[(slice(None),) * k + (c,)]
+        out = np.empty(sp.shape[:-1] + (self.crop[-1].stop - self.crop[-1].start,))
+        for b in row_blocks(len(out), sp[0].size // sp.shape[-1] * fs[-1], _FFT_BLOCK):
+            line = sfft.irfft(sp[b], fs[-1], norm="forward")
+            np.multiply(line[..., self.crop[-1]], self._inv_n, out=out[b])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +539,7 @@ class LRUCache:
     """A map bounded by the total size of its entries; the least recently
     used go first.  `get` and `put` make an entry the most recent, a put
     replaces the entry of its key, and an entry larger than `cap` is not
-    kept.  `keep` is held with an entry: the objects whose `id` its key
-    contains.  `hits`, `misses` and `evictions` count from construction on.
+    kept.  `hits`, `misses` and `evictions` count from construction on.
     """
 
     def __init__(self, cap):
@@ -574,17 +558,17 @@ class LRUCache:
         self._items.move_to_end(key)
         return entry[0]
 
-    def put(self, key, value, size=1, keep=None) -> None:
+    def put(self, key, value, size=1) -> None:
         """Store `value` under `key` as the most recent entry, weighing `size`."""
         old = self._items.pop(key, None)
         if old is not None:
-            self.total -= old[2]
+            self.total -= old[1]
         if size > self.cap:
             return
-        self._items[key] = (value, keep, size)
+        self._items[key] = (value, size)
         self.total += size
         while self.total > self.cap:
-            self.total -= self._items.popitem(last=False)[1][2]
+            self.total -= self._items.popitem(last=False)[1][1]
             self.evictions += 1
 
     def clear(self) -> None:
@@ -647,8 +631,7 @@ class DiscreteOperator:
     @property
     def row_spectrum(self) -> np.ndarray:
         if self._row_spectrum is None:
-            with sfft.set_workers(fft_workers()):
-                self._row_spectrum = sfft.fftn(self.row)
+            self._row_spectrum = sfft.fftn(self.row)
         return self._row_spectrum
 
     @property
@@ -667,8 +650,7 @@ class DiscreteOperator:
 
     def conv_periodic(self, f: np.ndarray) -> np.ndarray:
         """Circular correlation with the periodized row."""
-        with sfft.set_workers(fft_workers()):
-            return sfft.ifftn(sfft.fftn(f) * self.row_spectrum).real
+        return sfft.ifftn(sfft.fftn(f) * self.row_spectrum).real
 
     def conv(self, f: np.ndarray) -> np.ndarray:
         if isinstance(self.grid.boundary, Periodic):

@@ -64,6 +64,8 @@ class RunConfig:
             Grid(1, self.get("h"), self.get("box_radius"))
             if not (0.0 < self.get("s") < 1.0):
                 raise ConfigurationError("s must lie in (0, 1)")
+            if self.get("seed", int) < 0:
+                raise ConfigurationError("seed must be an integer >= 0")
 
     def get(self, key, cast=float, default=None):
         """params[key] as `cast`; `default` serves keys without a CLI flag."""
@@ -356,9 +358,8 @@ def _exp_blowdown(cfg: RunConfig, out: Path) -> RunReport:
     return RunReport("blowdown", dec and fdec, checks, cfg.params)
 
 
-def radial_bump_vector_field(seed: int, inner: float = 0.05,
-                             support: float = 0.95) -> VectorFieldSpec:
-    """A smooth random bump field supported in the annulus inner < |x| < support."""
+def radial_bump_vector_field(seed: int) -> VectorFieldSpec:
+    """A smooth random bump field supported in the annulus 0.05 < |x| < 0.95."""
     rng = np.random.default_rng(seed)
     r0 = rng.uniform(0.25, 0.7)
     width = rng.uniform(0.1, 0.25)
@@ -367,7 +368,7 @@ def radial_bump_vector_field(seed: int, inner: float = 0.05,
     phase = rng.uniform(0.0, 2.0 * np.pi)
 
     def bump(r):
-        lo, hi = max(inner, r0 - width), min(support, r0 + width)
+        lo, hi = max(0.05, r0 - width), min(0.95, r0 + width)
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         xi = (r - mid) / half
         out = np.zeros_like(r)
@@ -381,12 +382,15 @@ def radial_bump_vector_field(seed: int, inner: float = 0.05,
         amp = bump(r) * np.cos(m * th + phase)
         return np.stack([amp * np.cos(alpha), amp * np.sin(alpha)], axis=1)
 
-    return VectorFieldSpec(comps, support_radius=support)
+    return VectorFieldSpec(comps, support_radius=0.95)
 
 
 def _exp_cone(cfg: RunConfig, out: Path) -> RunReport:
     s = cfg.get("s")
     seed = cfg.get("seed", int)
+    n_fields = cfg.get("n_fields", int, default=8)
+    if n_fields < 1:
+        raise ConfigurationError("n_fields must be at least 1")
     h = 1.0 / 32.0
     ext = FieldExterior(lambda p: np.where(p[:, 1] <= 0.0, 1.0, -1.0))
     g2 = Grid(2, h, 2.0, ext)
@@ -395,7 +399,6 @@ def _exp_cone(cfg: RunConfig, out: Path) -> RunReport:
     region = BallRegion((0.0, 0.0), 1.0)
     rows = []
     worst = np.inf
-    n_fields = cfg.get("n_fields", int, default=8)
     for k in range(n_fields):
         X = radial_bump_vector_field(seed * 1000 + k)
         q = perimeter_stability_quotients(half, X, region, s, (0.04, 0.08, 0.16))

@@ -113,11 +113,11 @@ class Potential:
         raise ConfigurationError("could not certify a double-well structure")
 
 
-def audit_potential(W: Potential, samples: int = 4001):
+def audit_potential(W: Potential):
     """Structural audit: wells at +-1, positivity inside, nondegenerate wells,
     a unique interior critical point with negative curvature, and the three
-    stored constant inequalities on a fine sample."""
-    t = np.linspace(-1.0, 1.0, samples)
+    stored constant inequalities on 4001 samples of [-1, 1]."""
+    t = np.linspace(-1.0, 1.0, 4001)
     w, wp, wpp = W.w(t), W.wp(t), W.wpp(t)
     if abs(W.w(np.array([-1.0]))[0]) > 1e-12 or abs(W.w(np.array([1.0]))[0]) > 1e-12:
         raise ConfigurationError("wells of W must sit at exactly +-1 with W = 0")

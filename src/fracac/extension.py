@@ -19,7 +19,7 @@ from scipy import fft as sfft
 from scipy.special import betainc, gamma as gamma_fn, kv
 
 from ._lattice import (_xi_squared, axis_cell_bounds, exterior_asymptote,
-                       exterior_departures, fft_workers, row_blocks)
+                       exterior_departures, row_blocks)
 from .energies import Potential, _pot_weight
 from .errors import ConfigurationError
 from .fields import Grid, Periodic, ScalarField
@@ -129,12 +129,11 @@ def _extend_periodic(u: ScalarField, s: float, ylev: np.ndarray) -> np.ndarray:
     xi.flat[0] = 1.0                # |xi| = 0 only at the mean mode, reset below
     out = np.empty((len(ylev),) + u.grid.shape)
     out[0] = u.values
-    with sfft.set_workers(fft_workers()):
-        fu = sfft.fftn(u.values)
-        for j, y in enumerate(ylev[1:], start=1):
-            phi = 2.0 ** (1.0 - sig) / gamma_fn(sig) * (xi * y) ** sig * kv(sig, xi * y)
-            phi.flat[0] = 1.0
-            out[j] = sfft.ifftn(fu * phi).real
+    fu = sfft.fftn(u.values)
+    for j, y in enumerate(ylev[1:], start=1):
+        phi = 2.0 ** (1.0 - sig) / gamma_fn(sig) * (xi * y) ** sig * kv(sig, xi * y)
+        phi.flat[0] = 1.0
+        out[j] = sfft.ifftn(fu * phi).real
     return out
 
 
@@ -277,8 +276,7 @@ def extend_by_weighted_solve(u: ScalarField, s: float, y_max: float,
     K = len(yy)
 
     xi2 = _xi_squared(g).ravel()
-    with sfft.set_workers(fft_workers()):
-        fu = sfft.fftn(u.values).ravel()
+    fu = sfft.fftn(u.values).ravel()
 
     # tridiagonal FV matrix per mode on interior nodes 1..K-2; the flux
     # coefficient integrates the degenerate weight exactly, so the y^s
@@ -306,9 +304,8 @@ def extend_by_weighted_solve(u: ScalarField, s: float, y_max: float,
         dp[i] -= cp[i] * dp[i + 1]
 
     vals = np.empty((len(ylev),) + g.shape)
-    with sfft.set_workers(fft_workers()):
-        for j in range(len(ylev)):
-            vals[j] = sfft.ifftn(modes[j].reshape(g.shape)).real
+    for j in range(len(ylev)):
+        vals[j] = sfft.ifftn(modes[j].reshape(g.shape)).real
     return ExtensionField(u, float(s), ylev, vals)
 
 
@@ -342,17 +339,16 @@ def halfspace_extension(s: float, grid: Grid, y_max: float) -> ExtensionField:
 # energy and monotonicity
 # ---------------------------------------------------------------------------
 
-def _corner_patch_energy(U: ExtensionField, x_c: float, y_c: float,
-                         nx: int = 64, ny: int = 64) -> float:
+def _corner_patch_energy(U: ExtensionField, x_c: float, y_c: float) -> float:
     """Graded tensor quadrature of y^{1-s} |grad U|^2 over the corner box
-    [-x_c, x_c] x [0, y_c].
+    [-x_c, x_c] x [0, y_c], 64 cells per half-axis.
 
     The exact gradient is read at the midpoints of a mesh that grades
     geometrically toward the corner, resolving boundary-data singularities
     the uniform slab mesh cannot see.
     """
-    xe = np.geomspace(1e-7, x_c, nx + 1)
-    ye = np.geomspace(1e-7, y_c, ny + 1)
+    xe = np.geomspace(1e-7, x_c, 65)
+    ye = np.geomspace(1e-7, y_c, 65)
     xm, dx = 0.5 * (xe[1:] + xe[:-1]), np.diff(xe)
     ym, dy = 0.5 * (ye[1:] + ye[:-1]), np.diff(ye)
     X, Y = np.meshgrid(np.concatenate([-xm, xm]), ym, indexing="ij")

@@ -281,9 +281,9 @@ class BallRegion:
         d2 = sum((a - c) ** 2 for a, c in zip(axes, self.center))
         return d2 <= self.radius ** 2 + 1e-12
 
-    def check_inside(self, grid: Grid, margin: float = 0.0):
+    def check_inside(self, grid: Grid):
         c = np.asarray(self.center)
-        if np.max(np.abs(c)) + self.radius > grid.box_radius + 1e-12 - margin:
+        if np.max(np.abs(c)) + self.radius > grid.box_radius + 1e-12:
             raise OutOfDomainError(
                 f"ball (center {self.center}, radius {self.radius}) exceeds the grid box")
 

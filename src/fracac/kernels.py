@@ -25,7 +25,6 @@ from scipy import fft as sfft
 from ._lattice import (
     _xi_squared,
     continuum_symbol_constant,
-    fft_workers,
     get_operator,
     kernel_on_radii,
     symbol_constant,
@@ -155,8 +154,7 @@ def apply_spectral(u: ScalarField, s: float) -> ScalarField:
     if not isinstance(g.boundary, Periodic):
         raise ConfigurationError("spectral route requires a periodic grid")
     mult = spectral_multiplier(g, float(s))
-    with sfft.set_workers(fft_workers()):
-        out = sfft.ifftn(sfft.fftn(u.values) * mult).real
+    out = sfft.ifftn(sfft.fftn(u.values) * mult).real
     return ScalarField(g, out)
 
 

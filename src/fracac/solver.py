@@ -16,7 +16,7 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.sparse.linalg import LinearOperator, minres
 
-from ._lattice import fft_workers, get_operator
+from ._lattice import get_operator
 from .energies import Potential, _pot_weight, sobolev_energy, potential_energy
 from .errors import ConfigurationError, InstabilityError, NotConvergedError
 from .fields import (
@@ -154,8 +154,7 @@ def gradient_flow(seed: ScalarField, spec: KernelSpec, W: Potential,
             for k in range(30):
                 t = tau * 0.5 ** k
                 rhs = vals - t * pw * W.wp(vals)
-                with sfft.set_workers(fft_workers()):
-                    step = sfft.ifftn(sfft.fftn(rhs) / (1.0 + t * symbol)).real
+                step = sfft.ifftn(sfft.fftn(rhs) / (1.0 + t * symbol)).real
                 if monotone:
                     if np.max(np.abs(step)) > 1.0 + 1e-9:
                         raise InstabilityError("iterate escaped [-1, 1]", energy_trace)

@@ -47,7 +47,7 @@ class StabilityReport:
     converged: bool
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class VectorFieldSpec:
     """A smooth compactly supported vector field x -> R^n.
 
@@ -55,7 +55,8 @@ class VectorFieldSpec:
     row. Calls return exactly 0 wherever |x| > `support_radius`, and
     `flow_map` relies on that: it integrates only the points inside the
     support ball, since the others never move. `support_radius` must be a
-    positive number or +inf.
+    positive number or +inf.  A field is immutable and equal only to
+    itself, so it hashes by identity and can key a memo.
     """
 
     components: Callable[[np.ndarray], np.ndarray]
@@ -249,14 +250,14 @@ def _rk4_backward(pts: np.ndarray, X: VectorFieldSpec, t: float, steps: int,
     return out
 
 
-# signed distances, flow states and deformed sets of the flows, keyed by value
+# signed distances of memberships and flow states, keyed by value
 _flow_memo = LRUCache(32 << 20)
 
 
-def _memo_put(key: tuple, value: np.ndarray, keep=None) -> None:
+def _memo_put(key: tuple, value: np.ndarray) -> None:
     """Store an array in the flow memo, weighing its bytes plus the key's."""
     size = value.nbytes + sum(len(k) for k in key if isinstance(k, bytes))
-    _flow_memo.put(key, value, size, keep)
+    _flow_memo.put(key, value, size)
 
 
 def flow_map(E: IndicatorSet, X: VectorFieldSpec, t: float) -> IndicatorSet:
@@ -264,32 +265,28 @@ def flow_map(E: IndicatorSet, X: VectorFieldSpec, t: float) -> IndicatorSet:
 
     Advects a signed-distance sampling along fourth-order backward
     characteristics (max(4, ceil(|t|/0.02)) RK4 steps) and re-thresholds at
-    zero.  Only the nodes inside the support ball of X are integrated; the
-    rest keep their own value.  The Jacobian of the flow is probed by
-    central differences at 64 nodes, whose 2n shifted copies ride in the
-    same RK4 pass; a non-positive diagonal entry (a fold) raises a flow
-    error.
+    zero.  Only the nodes inside the support ball of X are integrated and
+    resampled; the rest keep their membership.  The Jacobian of the flow is
+    probed by central differences at 64 nodes, whose 2n shifted copies ride
+    in the same RK4 pass; a non-positive diagonal entry (a fold) raises a
+    flow error.
 
-    A flow reads only the grid layout, the membership, X and t, so one
-    bounded memo keyed by value keeps the signed distance of a membership,
-    each deformed set, and the flow state (flowed nodes and probes) of
-    every checked (layout, X, step size, step count).  The state does not
-    depend on the set, and a longer flow at the same step size continues
-    from the longest stored one (t = 0.16 from t = 0.08), bit for bit.  X
-    is matched by identity: the memo holds `X.components` (taken to be a
-    pure function) and keys on its `support_radius`.  Nothing of a flow
-    that fails its check is kept.  Every call returns a set of its own.
+    One bounded memo holds two kinds of entries, each keyed by what it
+    depends on: the signed distance of a (layout, membership), and the
+    flow state (the flowed nodes and probes inside the support) of a
+    checked (layout, X, step size, step count).  The state does not depend
+    on the set, so every set of a layout reuses it, and a longer flow at
+    the same step size continues from the longest stored one (t = 0.16
+    from t = 0.08), bit for bit.  A state at the full step count skips the
+    RK4 pass and the probe check, which it passed when it was stored.  The
+    key holds X itself, so `components` is taken to be a pure function.
+    Nothing of a flow that fails its check is kept.  Every call returns a
+    set of its own.
     """
     from scipy import ndimage
     g = E.grid
     layout = (g.n, g.h, g.box_radius, g.centered)
-    bits = np.packbits(E.membership).tobytes()
-    field = (id(X.components), float(X.support_radius))
-    flow_key = ("flow", layout, bits) + field + (float(t),)
-    hit = _flow_memo.get(flow_key)
-    if hit is not None:
-        return IndicatorSet(g, np.unpackbits(hit, count=g.node_count).astype(bool))
-    sd_key = ("sd", layout, bits)
+    sd_key = ("sd", layout, np.packbits(E.membership).tobytes())
     phi = _flow_memo.get(sd_key)
     if phi is None:
         phi = signed_distance(E)
@@ -302,31 +299,31 @@ def flow_map(E: IndicatorSet, X: VectorFieldSpec, t: float) -> IndicatorSet:
     eps = 1e-5
     shifts = eps * np.eye(g.n)
     rows = np.concatenate([pts] + [probe + d for d in shifts] + [probe - d for d in shifts])
+    inside = _in_support(rows, X)
     steps = max(4, int(np.ceil(abs(t) / 0.02)))
-    state_key = ("state", layout) + field + (t / steps,)
-    done, start = 0, None
+    state_key = ("state", layout, X, t / steps)
+    done, state = 0, None
     for k in range(steps, 0, -1):
-        start = _flow_memo.get(state_key + (k,))
-        if start is not None:
+        state = _flow_memo.get(state_key + (k,))
+        if state is not None:
             done = k
             break
-    inside = _in_support(rows, X)
-    flowed = _rk4_backward(rows, X, t, steps, inside, start, done)
-
-    # sampled Jacobian positivity: the diagonal of the central difference
-    probed = flowed[len(pts):].reshape(2, g.n, len(probe), g.n)
-    for ax in range(g.n):
-        jcol = (probed[0, ax] - probed[1, ax]) / (2 * eps)
-        if np.any(jcol[:, ax] <= 0.0):
-            raise FlowError("flow Jacobian lost positivity; reduce |t|")
     if done < steps:
-        _memo_put(state_key + (steps,), flowed[inside], keep=X.components)
+        flowed = _rk4_backward(rows, X, t, steps, inside, state, done)
+        # sampled Jacobian positivity: the diagonal of the central difference
+        probed = flowed[len(pts):].reshape(2, g.n, len(probe), g.n)
+        for ax in range(g.n):
+            jcol = (probed[0, ax] - probed[1, ax]) / (2 * eps)
+            if np.any(jcol[:, ax] <= 0.0):
+                raise FlowError("flow Jacobian lost positivity; reduce |t|")
+        state = flowed[inside]
+        _memo_put(state_key + (steps,), state)
 
-    ax = g.axis_coords()
-    idx = (flowed[:len(pts)] - ax[0]) / g.h
-    phi_adv = ndimage.map_coordinates(phi, idx.T, order=1, mode="nearest")
-    member = phi_adv <= 0.0
-    _memo_put(flow_key, np.packbits(member), keep=X.components)
+    # the state's leading rows are the flowed nodes inside the support
+    moved = inside[:len(pts)]
+    idx = (state[:np.count_nonzero(moved)] - g.axis_coords()[0]) / g.h
+    member = E.membership.flatten()
+    member[moved] = ndimage.map_coordinates(phi, idx.T, order=1, mode="nearest") <= 0.0
     return IndicatorSet(g, member.reshape(g.shape))
 
 

@@ -54,6 +54,28 @@ def test_cli_bad_key_without_flag_exits_2(tmp_path):
     assert "n_fields" in out.stderr and "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("experiment", ["op-check", "cone"])
+def test_cli_negative_seed_exits_2(experiment, tmp_path):
+    """A negative seed would reach numpy's generator and crash it."""
+    out = cli(experiment, "--seed", "-1", "--output-dir", str(tmp_path / "x"))
+    assert out.returncode == 2, out.stderr
+    assert "seed" in out.stderr and "Traceback" not in out.stderr
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_rejects_negative_seed():
+    with pytest.raises(ConfigurationError, match="seed"):
+        RunConfig("layer", {"seed": -1})
+
+
+def test_cli_cone_without_fields_exits_2(tmp_path):
+    """n_fields 0 would check no field and report a worst quotient of inf."""
+    out = cli("cone", "--key", "n_fields", "0", "--output-dir", str(tmp_path / "x"))
+    assert out.returncode == 2, out.stderr
+    assert "n_fields" in out.stderr and "Traceback" not in out.stderr
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("radii", ["2,abc", ","])
 def test_cli_bad_radii_exit_2(radii, tmp_path):
     """--radii is parsed inside the runner: a non-number and a list naming no

@@ -2,7 +2,6 @@
 shared by every kernel in the admissible class."""
 
 import tracemalloc
-import weakref
 from collections import OrderedDict
 from functools import lru_cache
 
@@ -589,18 +588,28 @@ def test_lru_cache_matches_an_ordered_dict_model(cap, ops):
     assert all(cache.get(k) == model[k][0] for k in kept)
 
 
-def test_lru_cache_holds_keep_while_the_entry_lives():
-    """`keep` lives as long as its entry, so an id in a key is never reused
-    by another object meanwhile."""
-    def f(p):
-        return p
-    ref = weakref.ref(f)
-    cache = LRUCache(1)
-    cache.put(("flow", id(f)), 1.0, keep=f)
-    del f
-    assert ref() is not None
-    cache.put("other", 2.0)                  # evicts the entry and its keep
-    assert ref() is None and cache.evictions == 1
+def test_transforms_run_with_the_callers_fft_workers(monkeypatch):
+    """fracac sets no FFT worker count of its own: inside a caller's
+    scipy.fft.set_workers(2), the engine's transforms and a periodic
+    operator's see 2 workers, and give the same bits as with one."""
+    import scipy.fft
+    seen = []
+    for name in ("rfft", "irfft", "fft", "ifft", "fftn", "ifftn"):
+        def spy(*a, _f=getattr(scipy.fft, name), **k):
+            seen.append(scipy.fft.get_workers())
+            return _f(*a, **k)
+        monkeypatch.setattr(scipy.fft, name, spy)
+    rng = np.random.default_rng(0)
+    kernel, f = rng.normal(size=(31, 31)), rng.normal(size=(16, 16))
+    g = make_grid(2, 1.0, 0.125)
+    op = DiscreteOperator(g, KernelSpec.fractional(0.5))
+    with scipy.fft.set_workers(2):
+        two = (FFTConvolver(kernel, f.shape)(f), op.conv(f))
+    assert seen and set(seen) == {2}
+    del seen[:]
+    one = (FFTConvolver(kernel, f.shape)(f), op.conv(f))
+    assert set(seen) == {1}
+    assert all(np.array_equal(a, b) for a, b in zip(one, two))
 
 
 @pytest.mark.parametrize("n", [1, 2])

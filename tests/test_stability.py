@@ -1,6 +1,9 @@
 """Quadratic forms, Rayleigh minimization, the gradient test, and
 perimeter stability under flows."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -443,27 +446,33 @@ def _count_flows(monkeypatch):
 
 
 def test_flow_memo_misses_on_changed_membership_and_new_field(monkeypatch):
-    """A deformed set is reused only for the same membership values, the same
-    components object and the same t; every hit is a set of its own."""
-    stability._flow_memo.clear()
+    """The signed distance is reused only for the same membership values, the
+    state only for the same field object and step size; every call is a set
+    of its own."""
+    memo, puts = _recording_memo(monkeypatch)
     E = halfplane_set()
-    X = radial_bump_vector_field(3)
+    X, evals = _counted(radial_bump_vector_field(3))
     first = flow_map(E, X, 0.08)
-    calls = _count_flows(monkeypatch)
+    assert [k[0] for k in puts] == ["sd", "state"]
+    del evals[:], puts[:]
     again = flow_map(IndicatorSet(E.grid, E.membership.copy()), X, 0.08)
-    assert not calls and np.array_equal(again.membership, first.membership)
+    assert not evals and not puts and np.array_equal(again.membership, first.membership)
     assert again.membership is not first.membership
-    again.membership[...] = False            # a hit hands out a copy
+    again.membership[...] = False            # every call builds its own set
     assert np.array_equal(flow_map(E, X, 0.08).membership, first.membership)
-    assert not calls
-    same_code = radial_bump_vector_field(3)  # same code, another closure
+    assert not evals and not puts
+    same_code, evals2 = _counted(radial_bump_vector_field(3))  # another object
     assert np.array_equal(flow_map(E, same_code, 0.08).membership, first.membership)
-    assert len(calls) == 1                   # the flow, its Jacobian probe riding along
-    flow_map(E, X, 0.04)
-    assert len(calls) == 2
-    E.membership[:, :3] = ~E.membership[:, :3]   # in place: a new key
-    flow_map(E, X, 0.08)
-    assert len(calls) == 3
+    assert len(evals2) == 4 * 4 and [k[0] for k in puts] == ["state"]
+    del puts[:]
+    flow_map(E, X, 0.04)                     # another step size: a new state
+    assert len(evals) == 4 * 4 and [k[0] for k in puts] == ["state"]
+    del evals[:], puts[:]
+    E.membership[:, :3] = ~E.membership[:, :3]   # in place: a new signed distance
+    changed = flow_map(E, X, 0.08).membership
+    assert not evals and [k[0] for k in puts] == ["sd"]
+    memo.clear()
+    assert np.array_equal(changed, flow_map(E, X, 0.08).membership)
 
 
 def _fold_field(amplitude):
@@ -484,32 +493,51 @@ def _fresh_flow_memo(monkeypatch):
     return memo
 
 
+def _recording_memo(monkeypatch, states=None):
+    """A fresh flow memo and the keys put into it, in order; the values of
+    the states put go to `states`, by key, if given."""
+    memo, puts = _fresh_flow_memo(monkeypatch), []
+    put = memo.put
+
+    def record(key, value, size=1):
+        puts.append(key)
+        if states is not None and key[0] == "state":
+            states[key] = value
+        put(key, value, size)
+    monkeypatch.setattr(memo, "put", record)
+    return memo, puts
+
+
 def test_flow_memo_keeps_no_failed_flow(monkeypatch):
-    """Only the signed distance is kept: the second failing flow hits it and
-    misses its set and its 25 states, as the first did."""
-    memo = _fresh_flow_memo(monkeypatch)
+    """Only the signed distance is kept: the second failing flow hits it,
+    misses its 25 states and evaluates X as often as the first did."""
+    memo, puts = _recording_memo(monkeypatch)
     E = halfplane_set()
-    X = _fold_field(30.0)
+    X, evals = _counted(_fold_field(30.0))
+    counts = []
     for _ in range(2):
         with pytest.raises(FlowError):
             flow_map(E, X, 0.5)
-    assert len(memo) == 1 and memo.hits == 1 and memo.misses == 2 * 27 - 1
+        counts.append(len(evals))
+    assert counts == [4 * 25, 2 * 4 * 25]
+    assert [k[0] for k in puts] == ["sd"]
+    assert len(memo) == 1 and memo.hits == 1 and memo.misses == 1 + 2 * 25
 
 
 def test_continued_flow_that_folds_keeps_nothing(monkeypatch):
     """t = 0.5 continues from the checked t = 0.32 state (both take steps of
-    0.02), folds, and leaves neither a state nor a set of its own."""
-    memo = _fresh_flow_memo(monkeypatch)
+    0.02), folds, and leaves no state of its own."""
+    memo, puts = _recording_memo(monkeypatch)
     E = halfplane_set()
     X, evals = _counted(_fold_field(10.0))
     flow_map(E, X, 0.32)
-    assert len(memo) == 3 and memo.hits == 0   # its signed distance, state and set
-    del evals[:]
+    assert [k[0] for k in puts] == ["sd", "state"] and memo.hits == 0
+    del evals[:], puts[:]
     with pytest.raises(FlowError):
         flow_map(E, X, 0.5)
     assert len(evals) == 4 * (25 - 16)      # only the nine steps past t = 0.32
     assert memo.hits == 2                   # the signed distance and the 16-step state
-    assert len(memo) == 3 and memo.evictions == 0
+    assert not puts and len(memo) == 2 and memo.evictions == 0
 
 
 @pytest.mark.parametrize("h, centered", [(1.0 / 16.0, False), (1.0 / 8.0, False),
@@ -518,7 +546,8 @@ def test_continued_flow_that_folds_keeps_nothing(monkeypatch):
 def test_continued_flow_equals_a_cold_one(monkeypatch, h, centered, sign):
     """+-0.16 continues from the +-0.08 state (0.16/8 and 0.08/4 are the same
     double), flows half the steps and gives a cold flow's state and set bit
-    for bit, probes included."""
+    for bit, probes included; a third flow reads the 8-step state back and
+    evaluates X no more."""
     ext = FieldExterior(lambda p: np.where(p[:, 1] <= 0.0, 1.0, -1.0))
     g = Grid(2, h, 2.0, ext, centered)
     E = IndicatorSet(g, (g.coords()[:, 1] <= 0.0).reshape(g.shape))
@@ -526,30 +555,51 @@ def test_continued_flow_equals_a_cold_one(monkeypatch, h, centered, sign):
     t = sign * 0.16
     assert t / 8 == (t / 2) / 4
 
-    def recording_memo():
-        """A fresh flow memo and the states put into it, by key."""
-        memo, states = _fresh_flow_memo(monkeypatch), {}
-        put = memo.put
-
-        def record(key, value, size=1, keep=None):
-            if key[0] == "state":
-                states[key] = value
-            put(key, value, size, keep)
-        monkeypatch.setattr(memo, "put", record)
-        return memo, states
-
-    _, cold_states = recording_memo()
+    cold_states = {}
+    _recording_memo(monkeypatch, cold_states)
     cold = flow_map(E, X, t).membership
     assert len(evals) == 4 * 8
-    memo, states = recording_memo()
+    states = {}
+    memo, puts = _recording_memo(monkeypatch, states)
     flow_map(E, X, t / 2)
-    del evals[:]
+    del evals[:], puts[:]
     warm = flow_map(E, X, t).membership
-    assert len(evals) == 4 * 4
+    assert len(evals) == 4 * 4 and [k[0] for k in puts] == ["state"]
     assert memo.hits == 2                   # the signed distance and the 4-step state
     assert np.array_equal(warm, cold)
     (key, state), = cold_states.items()
     assert key[-1] == 8 and np.array_equal(states[key], state)
+    del puts[:]
+    assert np.array_equal(flow_map(E, X, t).membership, cold)
+    assert len(evals) == 4 * 4 and not puts
+
+
+@pytest.mark.parametrize("centered", [False, True])
+def test_set_rebuilt_from_a_state_equals_a_cold_flow_on_inexact_nodes(monkeypatch, centered):
+    """On h = 0.1 the node indices (x - x_0)/h are not exact integers.  A set
+    rebuilt from another set's stored state, with the nodes outside the
+    support keeping their membership, equals a cold flow and the resampling
+    of every node at its flowed position, bit for bit."""
+    from scipy import ndimage
+    ext = FieldExterior(lambda p: np.where(p[:, 1] <= 0.0, 1.0, -1.0))
+    g = Grid(2, 0.1, 2.0, ext, centered)
+    pts = g.coords()
+    E = IndicatorSet(g, (pts[:, 1] <= 0.0).reshape(g.shape))
+    F = IndicatorSet(g, (pts[:, 0] * pts[:, 1] > 0.0).reshape(g.shape))
+    X, evals = _counted(radial_bump_vector_field(2))
+    _fresh_flow_memo(monkeypatch)
+    flow_map(E, X, 0.16)
+    del evals[:]
+    warm = flow_map(F, X, 0.16).membership
+    assert not evals
+    _fresh_flow_memo(monkeypatch)
+    cold = flow_map(F, X, 0.16).membership
+    idx = (_rk4_backward(pts, X, 0.16, 8, _in_support(pts, X)) - g.axis_coords()[0]) / g.h
+    assert not np.array_equal(idx, np.round(idx))
+    every = ndimage.map_coordinates(stability.signed_distance(F), idx.T, order=1,
+                                    mode="nearest") <= 0.0
+    assert np.array_equal(warm, cold) and np.array_equal(warm.ravel(), every)
+    assert not np.array_equal(warm, F.membership)
 
 
 def test_flow_state_is_shared_by_the_sets_of_a_layout():
@@ -568,17 +618,37 @@ def test_flow_state_is_shared_by_the_sets_of_a_layout():
     assert np.array_equal(warm, flow_map(F, X, -0.08).membership)
 
 
-def test_flow_memo_stays_within_its_byte_cap(monkeypatch):
-    memo = LRUCache(20_000)
-    monkeypatch.setattr(stability, "_flow_memo", memo)
-    E = halfplane_set(h=1.0 / 8.0)           # 32^2: an 8.3 kB signed distance per set
+def test_flow_memo_holds_the_field_while_its_state_lives(monkeypatch):
+    """A state's key holds X itself, so X lives as long as the entry (and no
+    other field can take its identity meanwhile) and goes with it."""
+    memo = _fresh_flow_memo(monkeypatch)
     X = radial_bump_vector_field(3)
+    ref = weakref.ref(X)
+    flow_map(halfplane_set(), X, 0.04)
+    del X
+    gc.collect()
+    assert ref() is not None
+    memo.put("filler", None, memo.cap)       # evicts the distance and the state
+    gc.collect()
+    assert ref() is None and memo.evictions == 2
+
+
+def test_flow_memo_stays_within_its_byte_cap(monkeypatch):
+    """Six memberships make six signed distances of 8.3 kB each, of which the
+    20 kB cap keeps the latest; the one state, read back by every flow after
+    the first, is never evicted."""
+    memo, puts = _recording_memo(monkeypatch)
+    monkeypatch.setattr(memo, "cap", 20_000)
+    E = halfplane_set(h=1.0 / 8.0)           # 32^2: an 8.3 kB signed distance per set
+    X, evals = _counted(radial_bump_vector_field(3))
     for k in range(6):
         E.membership[0, k] = not E.membership[0, k]
         flow_map(E, X, 0.04)
         assert memo.total <= memo.cap
-    assert 2 <= len(memo) < 12               # 6 distances and 6 flows made, some evicted
-    assert memo.evictions == 13 - len(memo)  # and one state
+        assert len(evals) == 4 * 4           # only the first flow evaluates X
+    assert [k[0] for k in puts] == ["sd", "state"] + ["sd"] * 5
+    assert 2 <= len(memo) < 7 and any(k[0] == "state" for k in memo._items)
+    assert memo.evictions == 7 - len(memo)
     small = LRUCache(1000)
     monkeypatch.setattr(stability, "_flow_memo", small)
     stability._memo_put(("sd", b"x"), np.zeros(125))   # 1,001 bytes with the key's
