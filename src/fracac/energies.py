@@ -294,11 +294,6 @@ class VariationMap:
             raise ConfigurationError("|t| must be below 1 to keep the map bijective")
         object.__setattr__(self, "direction", tuple(v))
 
-    def forward(self, y: np.ndarray) -> np.ndarray:
-        v = np.asarray(self.direction)
-        r = np.linalg.norm(y, axis=-1, keepdims=True)
-        return y + self.t * cutoff_profile(r) * v
-
     def inverse(self, x: np.ndarray) -> np.ndarray:
         """Fixed-point inversion; contraction factor |t|/2 < 1."""
         v = np.asarray(self.direction)

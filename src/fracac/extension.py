@@ -18,7 +18,7 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.special import betainc, gamma as gamma_fn, kv
 
-from ._lattice import (_xi_squared, axis_cell_bounds, exterior_asymptote,
+from ._lattice import (FFTConvolver, _xi_squared, axis_cell_bounds, exterior_asymptote,
                        exterior_departures, row_blocks)
 from .energies import Potential, _pot_weight
 from .errors import ConfigurationError
@@ -201,7 +201,7 @@ def _extend_exterior_1d(u: ScalarField, s: float, ylev: np.ndarray):
     for j, y in enumerate(ylev[1:], start=1):
         qe = _kernel_cdf_tail(k_edges / y, s)
         row = qe[:-1] - qe[1:]            # mass of each offset cell, symmetric
-        conv = np.convolve(u.values, row, mode="full")[N - 1:2 * N - 1]
+        conv = FFTConvolver(row, (N,))(u.values)
         out[j] = (conv + tails.values(x, y)) / total   # cells + tails tile R exactly
 
     edges = np.concatenate([x - g.h / 2.0, [x[-1] + g.h / 2.0]])

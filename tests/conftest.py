@@ -94,20 +94,22 @@ def _oracle_kernel_on_radii(spec, r, n):
     return out
 
 
-def enlarged_lattice_moments(grid, spec, factor=4):
-    """Oracle for the n-D exterior moments: the enlarged-lattice build that
-    materializes every coordinate of the (8m)^n lattice (meshgrids, a
-    stacked point array, one boundary call over all exterior nodes).  It
-    holds about 14x the lattice's float64 bytes in 2D, so small grids only."""
+def enlarged_lattice_moments(grid, spec, reach, factor=4):
+    """Oracle for the n-D exterior moments: the all-fine frame that reaches
+    the nodes |j|_inf <= reach (the box left out), closed by the isotropic
+    remainder beyond (factor - 1/2) box radii, built by materializing every
+    coordinate of the (2 reach + 1)^n lattice (meshgrids, a stacked point
+    array, one boundary call over all exterior nodes).  It holds about 14x
+    the lattice's float64 bytes in 2D, so small grids only."""
     n, h = grid.n, grid.h
     m = grid.half_count
-    mm = factor * m
+    mm = reach
     extra = 1 if grid.centered else 0
-    rng = h * np.arange(-mm, mm + extra)
+    rng = h * np.arange(-mm, mm + 1)
     meshes = np.meshgrid(*([rng] * n), indexing="ij")
     pts = np.stack([mesh.ravel() for mesh in meshes], axis=1)
 
-    idx = [np.arange(-mm, mm + extra)] * n
+    idx = [np.arange(-mm, mm + 1)] * n
     inner = np.ones(meshes[0].shape, dtype=bool)
     for ax in range(n):
         coord = idx[ax]
@@ -124,8 +126,7 @@ def enlarged_lattice_moments(grid, spec, factor=4):
         u_ext_flat = b(pts[ext_mask.ravel()])
         u_ext[ext_mask] = u_ext_flat
 
-    kern = h ** n * _oracle_kernel_on_radii(
-        spec, _oracle_offset_radii(n, mm + m + extra - 1, h), n)
+    kern = h ** n * _oracle_kernel_on_radii(spec, _oracle_offset_radii(n, mm + m, h), n)
     conv = FFTConvolver(kern, u_ext.shape, (slice(mm - m, mm + m + extra),) * n)
     del kern
 

@@ -457,21 +457,26 @@ def test_engine_call_holds_one_half_spectrum():
 
 def test_zero_exterior_moments_equal_the_convolved_ones(monkeypatch):
     """A zero exterior skips the t1 and t2 convolutions, and a unit one the
-    t2 convolution; the moments are the ones convolving gives, and t0 is
-    unaffected."""
+    t2 convolution, on every frame level (one level at box 1, the h- and
+    3h-cells at box 16); the moments are the ones convolving gives, and t0
+    is unaffected."""
     calls = []
     call = FFTConvolver.__call__
     monkeypatch.setattr(FFTConvolver, "__call__",
-                        lambda self, f: calls.append(self) or call(self, f))
+                        lambda self, f: calls.append((self, f.shape)) or call(self, f))
     spec = KernelSpec.fractional(0.5)
-    zero = _lattice.exterior_moments(Grid(2, 0.25, 1.0, ConstantExterior([(0.0, 0.0)] * 2)), spec)
-    unit = _lattice.exterior_moments(Grid(2, 0.25, 1.0, ConstantExterior([(1.0, 1.0)] * 2)), spec)
-    assert len(calls) == 1 + 2
-    convolved = call(calls[0], np.zeros((32, 32)))
-    for key in ("t1", "t2"):
-        assert np.array_equal(zero[key], convolved)
-        assert np.array_equal(unit[key], unit["t0"])
-    assert np.array_equal(zero["t0"], unit["t0"])
+    for box, levels in ((1.0, 1), (16.0, 2)):
+        del calls[:]
+        grids = [Grid(2, 0.25, box, ConstantExterior([(v, v)] * 2)) for v in (0.0, 1.0)]
+        zero, unit = (_lattice.exterior_moments(g, spec) for g in grids)
+        assert len(_lattice.frame_levels(grids[0])) == levels
+        assert len(calls) == levels * (1 + 2)
+        engine, shape = calls[0]
+        assert not call(engine, np.zeros(shape)).any()
+        for key in ("t1", "t2"):
+            assert np.array_equal(zero[key], np.zeros(grids[0].shape))
+            assert np.array_equal(unit[key], unit["t0"])
+        assert np.array_equal(zero["t0"], unit["t0"])
 
 
 @pytest.mark.parametrize("boundary", [ConstantExterior([(-1.0, 1.0)] * 2), None])
@@ -677,8 +682,9 @@ def test_sobolev_energy_memo_reads_back_a_region_bit_identically(monkeypatch):
 @pytest.mark.parametrize("cross", [False, True])
 def test_unit_square_exterior_reuses_t0_for_t2(monkeypatch, cross):
     """On a +-1 exterior (the half-plane and cross sets of the cone
-    experiment) u_ext^2 is the exterior mask, so t2 is t0 bit for bit and
-    its convolution is skipped."""
+    experiment, on their 128^2 grid) u_ext^2 is the exterior mask on both
+    frame levels, so t2 is t0 bit for bit and its convolution is skipped on
+    each level."""
     if cross:
         ext = FieldExterior(lambda p: np.sign(p[:, 0] * p[:, 1] + 1e-300))
     else:
@@ -687,8 +693,9 @@ def test_unit_square_exterior_reuses_t0_for_t2(monkeypatch, cross):
     call = FFTConvolver.__call__
     monkeypatch.setattr(FFTConvolver, "__call__",
                         lambda self, f: calls.append(1) or call(self, f))
-    mom = exterior_moments(Grid(2, 1.0 / 8.0, 2.0, ext), KernelSpec.fractional(0.5))
-    assert len(calls) == 2
+    g = Grid(2, 1.0 / 32.0, 2.0, ext)
+    mom = exterior_moments(g, KernelSpec.fractional(0.5))
+    assert len(_lattice.frame_levels(g)) == 2 and len(calls) == 2 * 2
     assert np.array_equal(mom["t2"], mom["t0"]) and mom["t2"] is not mom["t0"]
     assert not np.array_equal(mom["t1"], mom["t0"])
 
@@ -710,37 +717,95 @@ def oracle_exterior(name, n, layer):
     }[name]()
 
 
+def frame_reach(g):
+    """The frame's half-width in nodes: its outermost level's cells reach
+    step * cells + step // 2."""
+    step, cells, _ = _lattice.frame_levels(g)[-1]
+    return step * cells + step // 2
+
+
+def relative_moment_error(got, want):
+    """max |t_k - oracle t_k| / max |oracle t_k| over k = 0, 1, 2 (a zero
+    oracle moment must be matched exactly)."""
+    return max(np.max(np.abs(got[k] - want[k])) / np.max(np.abs(want[k]))
+               if want[k].any() else float(got[k].any()) for k in ("t0", "t1", "t2"))
+
+
 @pytest.mark.parametrize("kernel", ["fractional", "fractional_unit", "general"])
 @pytest.mark.parametrize("exterior", ["zero", "unit", "mixed", "halfplane", "cross", "embedded"])
 @pytest.mark.parametrize("n,centered", [(2, False), (2, True), (3, False), (3, True)])
 def test_exterior_moments_equal_the_enlarged_lattice_oracle(monkeypatch, n, centered,
                                                             exterior, kernel, layer_s05):
-    """The build that never materializes the lattice's coordinates gives the
-    coordinate-copy build's t0, t1 and t2 bit for bit, also when it samples
-    the exterior in blocks of 7 lattice slabs."""
+    """The two-level frame's t0, t1 and t2 lie within 1e-5 (relative to
+    the largest oracle value) of the all-fine frame of the same reach, whose
+    oracle materializes every coordinate.  The 2D grids (m = 16) carry 3h
+    cells and measure at most 4.0e-6; the 3D ones (m = 4) keep h-cells all
+    the way.  Sampling the exterior in blocks of 100 points changes no bit,
+    and a +-1 exterior keeps t2 equal to t0."""
     h = 1.0 / 16.0 if n == 2 else 0.25
     g = Grid(n, h, 1.0, oracle_exterior(exterior, n, layer_s05), centered)
     spec = {"fractional": KernelSpec.fractional(0.7),
             "fractional_unit": KernelSpec.fractional_unit(0.4, n),
             "general": wobble_kernel(0.6, n)}[kernel]
-    want = enlarged_lattice_moments(g, spec)
-    side = 8 * g.half_count + centered
+    assert len(_lattice.frame_levels(g)) == (2 if n == 2 else 1)
+    want = enlarged_lattice_moments(g, spec, frame_reach(g))
     whole = exterior_moments(g, spec)
-    monkeypatch.setattr(_lattice, "_ROW_BLOCK", 7 * n * side ** (n - 1))
-    assert len(_lattice.row_blocks(side, n * side ** (n - 1))) == -(-side // 7)
+    monkeypatch.setattr(_lattice, "_SAMPLE_BLOCK", 100)
     blocked = exterior_moments(g, spec)
+    assert relative_moment_error(whole, want) <= 1e-5
     for key in ("t0", "t1", "t2"):
-        assert np.array_equal(whole[key], want[key]), key
-        assert np.array_equal(blocked[key], want[key]), key
+        assert np.array_equal(blocked[key], whole[key]), key
+    assert np.array_equal(whole["t2"], whole["t0"]) == np.array_equal(want["t2"], want["t0"])
+
+
+@pytest.mark.parametrize("name", ["scaling", "halfplane", "cross"])
+def test_two_level_moments_match_the_oracle_on_the_pipeline_grids(name, quartic):
+    """On the grids of `fracac scaling` (256^2, the zoomed layer) and of
+    `fracac cone` (128^2, the +-1 half-plane and cross), the two-level
+    moments lie within 1e-5 of the all-fine frame of the same reach; they
+    measure 2.8e-7, 1.7e-6 and 3.0e-6."""
+    if name == "scaling":
+        from fracac import rescale_blowdown, solve_layer_1d
+        phi = solve_layer_1d(0.5, 40.0, 0.05, tol=1e-8, W=quartic)
+        g = embed_profile(rescale_blowdown(phi, 32.0), (1.0, 0.0),
+                          make_grid(2, 16.0, 0.125)).grid
+        spec = KernelSpec.fractional_unit(0.5, 2)
+    else:
+        g = Grid(2, 1.0 / 32.0, 2.0, oracle_exterior(name, 2, None))
+        spec = KernelSpec.perimeter(0.5)
+    assert [lv[0] for lv in _lattice.frame_levels(g)] == [1, 3]
+    err = relative_moment_error(exterior_moments(g, spec),
+                                enlarged_lattice_moments(g, spec, frame_reach(g)))
+    assert err <= 1e-5
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_exterior_moments_respect_the_reflection_symmetry(n):
+    """On a centered grid whose exterior is odd in x_1 (tanh x_1 tanh x_2 in
+    2D, sign x_1 in 3D), t1 is odd and t0 and t2 are even under x_1 -> -x_1
+    to 1e-13 of their largest values, with the 3h-cells active: their tiling
+    by cells centred on the nodes 3hk maps onto itself.  The same tiling
+    shifted by one node fails here (t0 off by 2.5e-4 of its largest value)."""
+    h, box = (1.0 / 16.0, 1.0) if n == 2 else (0.25, 4.0)
+    odd = (lambda p: np.tanh(p[:, 0]) * np.tanh(p[:, 1])) if n == 2 else \
+        (lambda p: np.sign(p[:, 0]))
+    g = Grid(n, h, box, FieldExterior(odd), centered=True)
+    assert [lv[0] for lv in _lattice.frame_levels(g)] == [1, 3]
+    mom = exterior_moments(g, KernelSpec.fractional_unit(0.5, n))
+    for key, sign in (("t0", 1.0), ("t1", -1.0), ("t2", 1.0)):
+        t = mom[key]
+        assert np.max(np.abs(t - sign * t[::-1])) <= 1e-13 * np.max(np.abs(t)), key
 
 
 @pytest.mark.parametrize("exterior", ["mixed", "embedded"])
-@pytest.mark.parametrize("n,bound", [(2, 7.5), (3, 9.0)])
+@pytest.mark.parametrize("n,bound", [(2, 2.5), (3, 6.0)])
 def test_exterior_moments_peak_stays_a_few_lattices(n, bound, exterior, layer_s05):
     """One moments build's traced allocations peak below `bound` times the
-    enlarged lattice's float64 bytes: 5.9-6.9x in 2D and 7.4-8.1x in 3D on
-    these grids, set by the exterior sampling and the kernel build (the
-    coordinate-copy build holds 14.2x in 2D and 18.2x in 3D)."""
+    bytes of the enlarged (8m + 1)^n float64 lattice: 2.1-2.2x in 2D (m = 64,
+    h- and 3h-cells, set by the temporaries of a 2^16-point sample block)
+    and 5.4x in 3D (m = 8, h-cells only, set by the kernel's spectrum and a
+    call's workspace).  The enlarged-lattice build peaked at 5.9-6.9x and
+    7.4-8.1x."""
     h = 1.0 / 32.0 if n == 2 else 0.25
     g = Grid(n, h, 2.0, oracle_exterior(exterior, n, layer_s05), centered=True)
     spec = KernelSpec.fractional(0.5)
