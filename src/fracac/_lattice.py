@@ -14,7 +14,8 @@ midpoint sum has a symbol c|xi|^s + O((h xi)^2), and adjusting the first
 shell cancels the quadratic defect, leaving O((h xi)^{4-s}).  The
 correction is found once per (dimension, order) by matching the lattice
 symbol to an exact power law at two reference frequencies; one cached
-pass over the offset lattice gives the symbol at both.
+pass over one orthant of the offset lattice, reduced to row sums along the
+frequency axis, gives the symbol at both.
 
 Every linear convolution against a fixed kernel (the free-space operator
 in every dimension and the exterior moments) goes through one overlap-save
@@ -125,32 +126,27 @@ _THETAS = (0.25, 0.5)  # the two reference frequencies of the calibration
 @lru_cache(maxsize=64)
 def _reference_symbols(n: int, s: float) -> tuple:
     """g(theta) = sum_{j != 0} (1 - cos(theta j_1)) |j|^{-n-s} at both
-    reference frequencies.  For n >= 2, one pass over the ball |j| <= rho
-    (slab by slab in 3D) builds |j|^{-n-s} once; 1 - cos(theta j_1) is a
-    table over j_1 repeated by the row counts, so every summand array is
-    the per-frequency brute-force one, in the same order.  Tails are added
-    asymptotically.  Squared radii are summed in float64 (exact integers
-    below 2^53) and freed once the ball is compressed out of them; the power
-    and the products are taken in place, so a 2D pass peaks at 30 MB traced."""
+    reference frequencies.  For n >= 2 the ball |j| <= rho is folded onto
+    its orthant j_i >= 0 (mirror multiplicity 1 at j_i = 0, 2 elsewhere), so
+    |j|^{-n-s} is taken there only, reduced to the row sums S(j_1) (slab by
+    slab in 3D), and both frequencies share them:
+    g(theta) = 2 sum_{j_1 >= 1} (1 - cos(theta j_1)) S(j_1) + tail, the tail
+    added asymptotically.  Squared radii are exact integers in float64; a 2D
+    pass holds one 700 x 701 array (4.4 MB traced), a 3D pass one 60 x 61."""
     if n == 1:
         return tuple(_lattice_sum_1d(s, t) for t in _THETAS)
     rho = 700.0 if n == 2 else 60.0
-    rng = np.arange(-int(rho), int(rho) + 1)
-    sq = (rng * rng).astype(float)
-    tables = [1.0 - np.cos(t * rng) for t in _THETAS]
-    core = [0.0] * len(_THETAS)
-    for jz in rng if n == 3 else (0,):
-        r2 = sq[:, None] + (sq + float(jz * jz))
-        mask = (r2 > 0) & (r2 <= rho * rho)
-        pw = r2[mask]
-        rows = mask.sum(axis=1)
-        del r2, mask
-        np.power(pw, -(n + s) / 2.0, out=pw)
-        for i, tab in enumerate(tables):
-            summand = np.repeat(tab, rows)
-            summand *= pw
-            core[i] += np.sum(summand)
-            del summand
+    k = np.arange(int(rho) + 1)
+    sq = (k * k).astype(float)
+    mult = np.where(k > 0, 2.0, 1.0)
+    rows = np.zeros(int(rho))
+    for sz, mz in zip(sq, mult) if n == 3 else ((0.0, 1.0),):
+        r2 = sq[1:, None] + (sq + sz)
+        r2[r2 > rho * rho] = np.inf  # outside the ball: a zero power
+        np.power(r2, -(n + s) / 2.0, out=r2)
+        r2 *= mult
+        rows += mz * r2.sum(axis=1)
+    core = [2.0 * np.sum((1.0 - np.cos(t * k[1:])) * rows) for t in _THETAS]
     return tuple(float(c) + _symbol_tail(n, s, t, rho) for c, t in zip(core, _THETAS))
 
 

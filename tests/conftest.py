@@ -1,3 +1,6 @@
+import math
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -155,9 +158,10 @@ def enlarged_lattice_moments(grid, spec, reach, factor=4):
 
 
 def plane_reference_symbols(n: int, s: float) -> tuple:
-    """Oracle for the calibration pass: the plane-based build, which sums
-    the squared radii as int64 on the full plane and then copies them to
-    float64 (55 MB traced in 2D)."""
+    """Oracle for the calibration pass in a second summation order: a
+    full-ball build that sums the squared radii as int64 on the full plane,
+    copies them to float64 (55 MB traced in 2D) and sums each slab's masked
+    ball terms in one flat array per frequency."""
     if n == 1:
         return tuple(_lattice_sum_1d(s, t) for t in _THETAS)
     rho = 700.0 if n == 2 else 60.0
@@ -174,6 +178,29 @@ def plane_reference_symbols(n: int, s: float) -> tuple:
         for i, tab in enumerate(tables):
             core[i] += np.sum(np.repeat(tab, rows) * pw)
     return tuple(float(c) + _symbol_tail(n, s, t, rho) for c, t in zip(core, _THETAS))
+
+
+@lru_cache(maxsize=None)
+def compensated_reference_symbols(n: int, s: float) -> tuple:
+    """The calibration symbols g(theta) (n = 2, 3) with a correctly rounded
+    core: every term (1 - cos(theta j_1)) |j|^{-n-s} of the ball is taken in
+    long double (the power once per distinct |j|^2), split into two float64
+    parts that hold it exactly, and the parts and the asymptotic tail are
+    summed by math.fsum."""
+    rho = 700 if n == 2 else 60
+    rng = np.arange(-rho, rho + 1)
+    j = np.indices((len(rng),) * n).reshape(n, -1) - rho
+    r2 = (j * j).sum(axis=0)
+    ball = (r2 > 0) & (r2 <= rho * rho)
+    radii, which = np.unique(r2[ball], return_inverse=True)
+    power = radii.astype(np.longdouble) ** (-(n + np.longdouble(s)) / 2)
+    out = []
+    for t in _THETAS:
+        term = (1.0 - np.cos(np.longdouble(t) * rng))[j[0][ball] + rho] * power[which]
+        hi = term.astype(float)
+        parts = hi.tolist() + (term - hi).astype(float).tolist()
+        out.append(math.fsum(parts + [_symbol_tail(n, s, t, float(rho))]))
+    return tuple(out)
 
 
 def mode_field(grid, coeffs):

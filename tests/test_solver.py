@@ -339,8 +339,7 @@ def test_layer_solve_memory_stays_matrix_free():
             "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])")
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={"PYTHONPATH": src, "FRACAC_THREADS": "1",
-                              "OPENBLAS_NUM_THREADS": "1"}, check=True)
+                         env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}, check=True)
     assert int(out.stdout) / 1024.0 <= 150.0
 
 
