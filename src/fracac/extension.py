@@ -6,7 +6,9 @@ U(.,0) = u (Caffarelli-Silvestre), in closed form on both routes: periodic
 levels are the exact extension of the trigonometric interpolant of u (a
 Bessel multiplier per Fourier mode); 1D exterior levels and gradients are
 exact for the piecewise-constant interpolant, through the kernel
-y^s / (z^2 + y^2)^{(1+s)/2}.
+y^s / (z^2 + y^2)^{(1+s)/2}.  The 1D kernel is even, so every closed-form
+1D route evaluates its tail or density once per distinct |argument| and
+reads the negative arguments by symmetry.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.special import betainc, gamma as gamma_fn, kv
 
-from ._lattice import (FFTConvolver, _xi_squared, axis_cell_bounds, exterior_asymptote,
-                       exterior_departures, row_blocks)
+from ._lattice import (FFTConvolver, _xi_squared, exterior_asymptote, exterior_departures,
+                       row_blocks)
 from .energies import Potential, _pot_weight
 from .errors import ConfigurationError
 from .fields import Grid, Periodic, ScalarField
@@ -64,8 +66,11 @@ def _kernel_total_mass(s: float) -> float:
 
 
 def _kernel_density(eta: np.ndarray, s: float) -> np.ndarray:
-    """q(eta) = (1 + eta^2)^{-(1+s)/2}, the 1D kernel in the variable z/y."""
-    return (1.0 + eta * eta) ** (-(1.0 + s) / 2.0)
+    """q(eta) = (1 + eta^2)^{-(1+s)/2}, the 1D kernel in the variable z/y,
+    built in one array: square, shift and power in place."""
+    q = np.square(eta, out=np.empty(np.shape(eta)))
+    q += 1.0
+    return np.power(q, -(1.0 + s) / 2.0, out=q)
 
 
 def _kernel_cdf_tail(eta: np.ndarray, s: float) -> np.ndarray:
@@ -138,22 +143,23 @@ def _extend_periodic(u: ScalarField, s: float, ylev: np.ndarray) -> np.ndarray:
 
 
 class _Exterior1DTail:
-    """Per-level boundary tails of the extension kernel for 1D exterior grids."""
+    """Far values and departing-field tails of a 1D exterior grid."""
 
     def __init__(self, u: ScalarField, s: float):
         g = u.grid
-        self.b_lo, self.b_hi = axis_cell_bounds(g)
         self.s = s
         self.g_lo, self.g_hi = exterior_asymptote(g)
         # per departing side: sign, nodes t, exterior minus its far value
         self.field_sides = [(sgn, t, u_ext - far) for sgn, t, u_ext, far
                             in exterior_departures(g, np.geomspace(1e-3, 2e4, 1200))]
 
-    def values(self, x: np.ndarray, y: float) -> np.ndarray:
-        """Tail integral of u_ext against the kernel beyond each boundary."""
+    def values(self, x: np.ndarray, y: float):
+        """Tail integrals of the exterior's departures from its far values
+        against the kernel; the far values' own tails are closed form."""
         s = self.s
-        v = (self.g_hi * _kernel_cdf_tail((self.b_hi - x) / y, s)
-             + self.g_lo * _kernel_cdf_tail((x - self.b_lo) / y, s))
+        if not self.field_sides:
+            return 0.0
+        v = np.zeros(x.shape)
         for sgn, t, p in self.field_sides:
             for b in row_blocks(x.size, t.size):
                 ker = y ** s / ((x[b, None] - t[None, :]) ** 2 + y ** 2) ** ((1 + s) / 2.0)
@@ -183,10 +189,21 @@ def _extend_exterior_1d(u: ScalarField, s: float, ylev: np.ndarray):
     Cell weights are CDF differences of the kernel, so each level is the
     exact continuum convolution of the piecewise-constant interpolant of u;
     levels below the grid spacing stay meaningful, which the Neumann trace
-    extraction relies on.  `grad_eval` differentiates the same masses: the
-    mass Q((e - x)/y) beyond an edge e has gradient (q, eta q)/y, so grad U is
-    q and eta q at the edges weighted by the jumps of the interpolant, the
-    exterior limits included.
+    extraction relies on.  Every edge the level needs lies at a distance
+    a_k = (k - 1/2) h, k = 1..N, from a node: the cell at offset k has edges
+    (k -+ 1/2) h, and the box's outer edges lie a_1..a_N beyond the nodes.
+    So one call of the tail Q per level, on the a_k / y, gives the masses
+    beyond the positive edges, total - Q those beyond the negative ones, and
+    the far values' side tails (Q reversed above the box, as is below it).
+
+    `grad_eval` differentiates the same masses: the mass Q((e - x)/y) beyond
+    an edge e has gradient (q, eta q)/y, so grad U is q and eta q at the
+    edges weighted by the jumps of the interpolant, the exterior limits
+    included.  The jumps sit on the edges -+a_k, k = 1..m+1, which are
+    symmetric about 0 (a grid without a node at 0 lacks the edge a_{m+1}, and
+    its jump there is 0); q is even, so a point at -x reads the densities of
+    x against the mirrored jumps, and each height evaluates q once per
+    distinct |x|.
     """
     g = u.grid
     x = g.axis_coords()
@@ -196,28 +213,39 @@ def _extend_exterior_1d(u: ScalarField, s: float, ylev: np.ndarray):
     out = np.empty((len(ylev), N))
     out[0] = u.values
 
-    # offsets k = -(N-1)..(N-1); the cell at offset k has edges (k -+ 1/2)h
-    k_edges = (np.arange(-(N - 1), N + 1, dtype=float) - 0.5) * g.h
+    a = (np.arange(1, N + 1, dtype=float) - 0.5) * g.h
     for j, y in enumerate(ylev[1:], start=1):
-        qe = _kernel_cdf_tail(k_edges / y, s)
+        qa = _kernel_cdf_tail(a / y, s)
+        qe = np.concatenate([total - qa[::-1], qa])   # beyond the edges -a_N..a_N
         row = qe[:-1] - qe[1:]            # mass of each offset cell, symmetric
         conv = FFTConvolver(row, (N,))(u.values)
-        out[j] = (conv + tails.values(x, y)) / total   # cells + tails tile R exactly
+        sides = tails.g_hi * qa[::-1] + tails.g_lo * qa
+        out[j] = (conv + (sides + tails.values(x, y))) / total   # cells + tails tile R
 
-    edges = np.concatenate([x - g.h / 2.0, [x[-1] + g.h / 2.0]])
-    jumps = np.diff(u.values, prepend=tails.g_lo, append=tails.g_hi)
+    half = a[:g.half_count + 1]
+    edges = np.concatenate([-half[::-1], half])
+    jumps = np.zeros((edges.size, 2))   # columns: the jumps, and the jumps mirrored
+    jumps[:N + 1, 0] = np.diff(u.values, prepend=tails.g_lo, append=tails.g_hi)
+    jumps[:, 1] = jumps[::-1, 0]
 
     def grad_eval(px, py):
         px = np.asarray(px, dtype=float).ravel()
         py = np.asarray(py, dtype=float).ravel()
         ux, uy = np.empty(px.shape), np.empty(px.shape)
-        for y in np.unique(py):            # one height at a time bounds memory
-            sel = py == y
-            eta = (edges[None, :] - px[sel][:, None]) / y
+        order = np.argsort(py, kind="stable")
+        heights, starts = np.unique(py[order], return_index=True)
+        for y, sel in zip(heights, np.split(order, starts[1:])):   # one height at a time
+            p = px[sel]
+            dist, inv = np.unique(np.abs(p), return_inverse=True)
+            eta = (edges[None, :] - dist[:, None]) / y
             q = _kernel_density(eta, s)
-            tx, ty = tails.field_gradient(px[sel], y)
-            ux[sel] = (q @ jumps / y + tx) / total
-            uy[sel] = ((eta * q) @ jumps / y + ty) / total
+            cx = q @ jumps
+            eta *= q
+            cy = eta @ jumps
+            neg = (p < 0.0).astype(int)     # -x reads x's row against the mirrored jumps
+            tx, ty = tails.field_gradient(p, y)
+            ux[sel] = (cx[inv, neg] / y + tx) / total
+            uy[sel] = ((1 - 2 * neg) * cy[inv, neg] / y + ty) / total
         return ux, uy
 
     return out, grad_eval
@@ -329,8 +357,10 @@ def halfspace_extension(s: float, grid: Grid, y_max: float) -> ExtensionField:
     ylev = _levels(s, grid.h, y_max, None)
     vals = np.empty((len(ylev), x.size))
     vals[0] = np.sign(x)
+    dist, inv = np.unique(np.abs(x), return_inverse=True)
     for j, y in enumerate(ylev[1:], start=1):
-        vals[j] = 1.0 - 2.0 * _kernel_cdf_tail(x / y, s) / total
+        q = _kernel_cdf_tail(dist / y, s)[inv]       # Q(-eta) = total - Q(eta)
+        vals[j] = 1.0 - 2.0 * np.where(x >= 0.0, q, total - q) / total
     base = ScalarField(grid, np.sign(x))
     return ExtensionField(base, float(s), ylev, vals, grad_eval)
 

@@ -1,10 +1,12 @@
 """The weighted harmonic extension: construction backends, the Neumann
 trace, the half-ball energy, and the monotone scale-normalized quantity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn, kv
+from scipy.special import betainc, gamma as gamma_fn, kv
 
 from fracac import (
     ConstantExterior,
@@ -23,8 +25,9 @@ from fracac import (
     rescale_blowdown,
     solve_layer_1d,
 )
+from fracac import extension
 from fracac.errors import ConfigurationError
-from fracac._lattice import exterior_moments
+from fracac._lattice import axis_cell_bounds, exterior_moments
 
 
 def test_extension_constant_reference_values():
@@ -471,3 +474,113 @@ def test_blocked_extension_tails_equal_unblocked(monkeypatch):
     bvals, (bx, by) = run()
     assert np.array_equal(bvals, vals)
     assert np.array_equal(bx, gx) and np.array_equal(by, gy)
+
+
+def _per_edge_reference(u, s, ylev, px, py):
+    """The 1D extension from per-edge formulas: the kernel tail at all 2N
+    cell edges of every offset, a direct convolution, side tails from the
+    box edges (b_hi - x)/y and (x - b_lo)/y, and a density row per point on
+    the x -+ h/2 edges."""
+    g = u.grid
+    x = g.axis_coords()
+    N = x.size
+    total = extension._kernel_total_mass(s)
+    tails = extension._Exterior1DTail(u, s)
+    b_lo, b_hi = axis_cell_bounds(g)
+    k_edges = (np.arange(-(N - 1), N + 1, dtype=float) - 0.5) * g.h
+    vals = [u.values]
+    for y in ylev[1:]:
+        qe = extension._kernel_cdf_tail(k_edges / y, s)
+        conv = np.convolve(u.values, qe[:-1] - qe[1:])[N - 1:2 * N - 1]
+        v = (tails.g_hi * extension._kernel_cdf_tail((b_hi - x) / y, s)
+             + tails.g_lo * extension._kernel_cdf_tail((x - b_lo) / y, s))
+        vals.append((conv + v + tails.values(x, y)) / total)
+    edges = np.concatenate([x - g.h / 2.0, [x[-1] + g.h / 2.0]])
+    jumps = np.diff(u.values, prepend=tails.g_lo, append=tails.g_hi)
+    ux, uy = np.empty(px.shape), np.empty(px.shape)
+    for i, (p, y) in enumerate(zip(px, py)):
+        eta = (edges - p) / y
+        q = (1.0 + eta ** 2) ** (-(1.0 + s) / 2.0)
+        tx, ty = tails.field_gradient(np.array([p]), y)
+        ux[i] = (q @ jumps / y + np.ravel(tx)[0]) / total
+        uy[i] = ((eta * q) @ jumps / y + np.ravel(ty)[0]) / total
+    return np.array(vals), ux, uy
+
+
+_PX_MIRRORED = np.array([-4.6, -2.3, -0.7, -0.0, 0.0, 0.7, 2.3, 4.6])
+_PX_UNPAIRED = np.array([-5.0, -1.3, -0.0, 0.45, 1.1, 3.9, 7.2])
+
+
+@pytest.mark.parametrize("centered", [True, False])
+@pytest.mark.parametrize("boundary", [
+    ConstantExterior([(-0.4, 0.9)]),
+    FieldExterior(lambda p: np.tanh(p[:, 0] / 3.0), (-1.0, 1.0)),
+], ids=["constant", "departing"])
+@pytest.mark.parametrize("px", [_PX_MIRRORED, _PX_UNPAIRED], ids=["mirrored", "unpaired"])
+def test_exterior_extension_matches_per_edge_reference(centered, boundary, px):
+    """Levels and gradients read each kernel value once per distinct
+    |argument| and agree with the per-edge formulas to round-off, on both
+    grid layouts, with a constant or a departing exterior, at points with
+    and without mirror partners, at -0.0 and outside the box."""
+    s = 0.5
+    g = Grid(1, 0.25, 4.0, boundary, centered=centered)
+    x = g.axis_coords()
+    u = ScalarField(g, np.tanh(x / 2.0) + 0.1 * np.cos(x))
+    U = extend(u, s, y_max=4.0)
+    heights = np.array([0.05, 0.3, 1.5])
+    qx, qy = np.tile(px, heights.size), np.repeat(heights, px.size)
+    ref, rx, ry = _per_edge_reference(u, s, U.y_levels, qx, qy)
+    assert np.max(np.abs(U.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+    ux, uy = U.grad_eval(qx, qy)
+    scale = max(np.max(np.abs(rx)), np.max(np.abs(ry)))
+    assert np.max(np.abs(ux - rx)) <= 1e-13 * scale
+    assert np.max(np.abs(uy - ry)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("centered", [True, False])
+def test_extension_levels_evaluate_each_kernel_tail_once(centered, monkeypatch):
+    """One incomplete-beta call of N arguments per level on an N-node grid:
+    the edge distances (k - 1/2) h serve the cell masses at both signs and
+    the side tails alike (per-edge formulas pass 4N)."""
+    sizes = []
+
+    def counting(a, b, z):
+        sizes.append(np.size(z))
+        return betainc(a, b, z)
+
+    g = Grid(1, 0.25, 4.0, ConstantExterior([(-1.0, 1.0)]), centered=centered)
+    u = ScalarField(g, np.tanh(g.axis_coords()))
+    monkeypatch.setattr(extension, "betainc", counting)
+    U = extend(u, 0.5, y_max=4.0)
+    assert sizes == [g.shape[0]] * (len(U.y_levels) - 1)
+
+
+def test_corner_patch_evaluates_each_density_once_per_distinct_distance(layer_s05,
+                                                                        monkeypatch):
+    """The corner patch reads 64 heights x 128 points; its 64 distinct |x|
+    per height against the 2(m + 1) symmetric edges make 64 * 64 * 1602
+    density values on the h = 0.05, box 40 layer (per-point rows make
+    64 * 128 * 1602 = 13.1M)."""
+    U = extend(layer_s05, 0.5, y_max=18.0)
+    count = []
+    density = extension._kernel_density
+    monkeypatch.setattr(extension, "_kernel_density",
+                        lambda eta, s: count.append(np.size(eta)) or density(eta, s))
+    extension._corner_patch_energy(U, 0.525, 0.5)
+    assert 2 * (layer_s05.grid.half_count + 1) == 1602
+    assert sum(count) == 64 * 64 * 1602
+
+
+def test_corner_patch_peak(layer_s05):
+    """The corner patch holds one height's eta and density arrays, 64 x 1602
+    each (2.9 MB traced on the h = 0.05, box 40 layer; per-point rows over
+    all 128 points peaked at 6.8 MB)."""
+    U = extend(layer_s05, 0.5, y_max=18.0)
+    y_c = U.y_levels[int(np.searchsorted(U.y_levels, 0.5))]
+    tracemalloc.start()
+    try:
+        extension._corner_patch_energy(U, 0.525, y_c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
