@@ -39,13 +39,16 @@ to the box by a cubic.  Both tilings map onto themselves under every
 reflection x_i -> -x_i, and the moments lie within 1e-5 (relative) of the
 all-fine frame of the same reach.  Kernel tables are built in place over
 the radii of one orthant and mirrored, bit for bit as over the whole cube.
-The sweep caches are instances of one class, `LRUCache`, each with its own
-bound: the operator registry (64 operators); per operator, the convolutions
-of its last two boolean masks, so perimeters of sets that share a pair
-family convolve it once, and the energies of up to 64 regions on its last
-field (one slot compared by value), so a radius sweep sums each region
-once; and `stability`'s flow memo of signed distances and flow states
-(32 MiB of array and key bytes).
+Region sums are convolved on the region's own bounding box: an energy's
+pairs inside the region by an engine built for that box, a perimeter's
+pair families by the engine windowed to it.  The sweep caches are
+instances of one class, `LRUCache`, each with its own bound: the operator
+registry (64 operators); per operator, the windowed convolutions of its
+last two boolean masks, so perimeters of sets that share a pair family
+convolve it once, and the energies of up to 64 regions on its last field
+(one slot compared by value), so a radius sweep sums each region once; and
+`stability`'s flow memo of signed distances and flow states (32 MiB of
+array and key bytes).
 """
 
 from __future__ import annotations
@@ -352,6 +355,18 @@ def row_blocks(rows: int, cols: int, block: int | None = None) -> list:
     return [slice(i, i + step) for i in range(0, rows, step)]
 
 
+def bounding_box(mask: np.ndarray) -> tuple | None:
+    """The smallest box of slices (one per axis) that holds every True node
+    of a mask, or None for an empty mask."""
+    if not mask.any():
+        return None
+    box = []
+    for ax in range(mask.ndim):
+        hit = np.flatnonzero(mask.any(axis=tuple(a for a in range(mask.ndim) if a != ax)))
+        box.append(slice(int(hit[0]), int(hit[-1]) + 1))
+    return tuple(box)
+
+
 def _moments_1d(grid: Grid, spec) -> dict:
     """Closed-form half-line tails at the far values plus a graded
     correction on each side where the exterior departs from them."""
@@ -395,7 +410,7 @@ def _moments_1d(grid: Grid, spec) -> dict:
 
 _REACH = 4   # the frame's half-width in box radii, to within one node
 _NEAR = 42   # h-cells, at least, between the box and the 3h-cells
-_SAMPLE_BLOCK = 1 << 16  # exterior points per boundary call
+_SAMPLE_BLOCK = 1 << 14  # exterior points per boundary call
 
 # 4-point Lagrange cubic from the 3h nodes q-1 .. q+2 to the node 3q + r, rows r = 0, 1, 2;
 # the rows of r = 1 and r = 2 mirror each other, so x -> -x maps the interpolation onto itself
@@ -449,9 +464,12 @@ def _sample_level(grid: Grid, step: int, cells: int, hole: tuple, ring_radius: f
 
     The level less its hole is cut into 2n boxes, each sampled a block of
     cell rows at a time on its dense sub-node lattice, with at most
-    _SAMPLE_BLOCK points per boundary call.  The count, sum u and sum u^2 of
-    the nodes farther than `ring_radius` from the origin are added to `ring`
-    row by row, so no sum depends on the blocks."""
+    _SAMPLE_BLOCK points per boundary call: a field exterior interpolates
+    in numpy (`fields.evaluate_field`), whose temporaries hold several
+    floats per point, so blocks of 2^14 points keep them below the
+    engine's workspace.  The count, sum u and sum u^2 of the nodes farther
+    than `ring_radius` from the origin are added to `ring` row by row, so
+    no sum depends on the blocks."""
     n, h = grid.n, grid.h
     per, side = step ** n, 2 * cells + 1
     # per axis and cell, the coordinates of its sub-nodes: h (step k + e)
@@ -742,9 +760,10 @@ class DiscreteOperator:
     on every grid and callers never branch on the boundary.
 
     All heavy tables are built lazily and cached on the instance: the
-    free-space convolution engine, the diagonal and, on periodic grids,
-    the spectrum of the periodized row.  The memos of `sobolev_energy` and
-    `conv_mask` serve sweeps; instances are shared through `get_operator`.
+    free-space convolution engine, the engine windowed to the last
+    `conv_mask` window, the diagonal and, on periodic grids, the spectrum
+    of the periodized row.  The memos of `sobolev_energy` and `conv_mask`
+    serve sweeps; instances are shared through `get_operator`.
     """
 
     def __init__(self, grid: Grid, spec):
@@ -768,13 +787,23 @@ class DiscreteOperator:
         self._box_memo = None
         self._energy_memo = LRUCache(64)
         self._mask_memo = LRUCache(2)
+        self._window_engine = None
 
     # -- tables -------------------------------------------------------------
 
     @property
     def weights(self) -> np.ndarray:
+        """The weight of every pair of box nodes by their offset, over the
+        centred offsets -(p-1)..(p-1) of each axis: the pair-weight table,
+        or on a periodic grid the periodized row unwrapped, so that a linear
+        convolution with it equals `conv` on every grid."""
         if self._weights is None:
-            self._weights = pair_weight_table(self.grid, self.spec)
+            g = self.grid
+            if isinstance(g.boundary, Periodic):
+                p = g.nodes_per_axis
+                self._weights = self.row[np.ix_(*[np.arange(1 - p, p) % p] * g.n)]
+            else:
+                self._weights = pair_weight_table(g, self.spec)
         return self._weights
 
     @property
@@ -812,15 +841,20 @@ class DiscreteOperator:
             return self.conv_periodic(f)
         return self.conv_free(f)
 
-    def conv_mask(self, mask: np.ndarray) -> np.ndarray:
-        """conv of a boolean mask, read-only.  The last two masks are kept
-        with their convolutions, keyed by their packed bits, so a set and its
-        deformations, which share their part outside the region, convolve
-        that part once."""
-        key = np.packbits(mask).tobytes()
+    def conv_mask(self, mask: np.ndarray, window: tuple) -> np.ndarray:
+        """conv of a boolean mask read on a window (one slice per axis, as
+        `bounding_box` gives), read-only, by the engine windowed there; the
+        last window's engine is kept.  The last two (mask, window) pairs are
+        kept with their convolutions, keyed by the mask's packed bits, so a
+        set and its deformations, which share their part outside the region,
+        convolve that part once."""
+        bounds = tuple((w.start, w.stop) for w in window)
+        key = (np.packbits(mask).tobytes(), bounds)
         out = self._mask_memo.get(key)
         if out is None:
-            out = self.conv(mask.astype(float))
+            if self._window_engine is None or self._window_engine[0] != bounds:
+                self._window_engine = (bounds, FFTConvolver(self.weights, mask.shape, window))
+            out = self._window_engine[1](mask.astype(float))
             out.flags.writeable = False
             self._mask_memo.put(key, out)
         return out
@@ -849,18 +883,6 @@ class DiscreteOperator:
         """Exact eigenvalues of the periodic operator on DFT modes (>= 0)."""
         return np.maximum(self.colsum - self.row_spectrum.real, 0.0)
 
-    def sobolev_pair_sum(self, values: np.ndarray, mask_a: np.ndarray,
-                         mask_b: np.ndarray) -> float:
-        """sum over x in A, xbar in B of |u(x) - u(xbar)|^2 w(x - xbar)."""
-        u = values
-        if mask_b.all():
-            c1, (cu, cuu) = self.colsum, self._field_memo(u)[1:]
-        else:
-            cb = mask_b.astype(float)
-            c1, cu, cuu = self.conv(cb), self.conv(u * cb), self.conv(u * u * cb)
-        inner = u * u * c1 + cuu - 2.0 * u * cu
-        return float(inner[mask_a].sum())
-
     def _field_memo(self, values: np.ndarray) -> tuple:
         """(u, conv(u), conv(u^2)) for the last field, compared by value.  A
         new field empties the energy memo, which keeps the `sobolev_energy`
@@ -873,22 +895,40 @@ class DiscreteOperator:
     def sobolev_energy(self, values: np.ndarray, region_mask: np.ndarray) -> float:
         """Quarter pair-sum over pairs with >= 1 endpoint in the region, plus
         half the tail u^2 t0 - 2 u t1 + t2 over the region (zero if periodic).
-        A region already summed on the same field values is read back."""
+
+        With S(A, B) the sum over x in A, xbar in B of |u(x) - u(xbar)|^2
+        w(x - xbar), the pairs are S(A, box) + S(A, box less A) =
+        2 S(A, box) - S(A, A).  S(A, box) reads the field's memoized box
+        convolutions; S(A, A) = 2 (<u^2 chi_A, w * chi_A> - <u chi_A,
+        w * (u chi_A)>) takes two convolutions of fields cropped to A's
+        bounding box, by an engine built for that box and not kept.  A
+        region already summed on the same field values is read back.
+
+        The exterior moments are built first: their build sets a large
+        grid's peak memory, and it then runs before the box convolutions,
+        their engine and the weight table are held."""
+        mom = self.moments
         self._field_memo(values)
         key = np.packbits(region_mask).tobytes()
         e = self._energy_memo.get(key)
         if e is None:
-            e = self._sobolev_energy(values, region_mask)
+            e = self._sobolev_energy(values, region_mask, mom)
             self._energy_memo.put(key, e)
         return e
 
-    def _sobolev_energy(self, values: np.ndarray, region_mask: np.ndarray) -> float:
-        g = self.grid
-        box = np.ones(g.shape, dtype=bool)
-        total = self.sobolev_pair_sum(values, region_mask, box)
-        total += self.sobolev_pair_sum(values, region_mask, box & ~region_mask)
+    def _sobolev_energy(self, values: np.ndarray, region_mask: np.ndarray, mom: dict) -> float:
+        g, u = self.grid, values
+        cu, cuu = self._box_memo[1:]
+        total = 2.0 * float((u * u * self.colsum + cuu - 2.0 * u * cu)[region_mask].sum())
+        near = bounding_box(region_mask)
+        if near is not None:
+            a, v = region_mask[near], u[near]
+            chi = a.astype(float)
+            uchi = v * chi
+            conv = FFTConvolver(self.weights, a.shape)
+            inner = v * (v * conv(chi) - conv(uchi))
+            total -= 2.0 * float(inner[a].sum())
         e = 0.25 * g.cell_volume() * total
-        mom, u = self.moments, values
         tail = (u * u * mom["t0"] - 2.0 * u * mom["t1"] + mom["t2"])[region_mask].sum()
         e += 0.5 * g.cell_volume() * tail
         return float(e)

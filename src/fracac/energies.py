@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._lattice import get_operator
+from ._lattice import bounding_box, get_operator
 from .errors import ConfigurationError
 from .fields import (
     BallRegion,
@@ -222,10 +222,12 @@ def fractional_perimeter(E: IndicatorSet, region: BallRegion, s: float) -> float
     """Interaction perimeter of E in the region, kernel |z|^{-n-s}.
 
     Two pair families: (E in region) against the complement anywhere, and
-    (region minus E) against the part of E outside the region; each
-    family's convolution goes through the operator's mask memo.  Exterior
-    tails come from the grid's boundary model, which must take values in
-    {-1, +1} outside: a grid whose tail moments t2 and t0 differ is refused.
+    (region minus E) against the part of E outside the region.  Both are
+    read on the region's bounding box only, so each family's convolution
+    goes through the operator's engine windowed to that box and its mask
+    memo.  Exterior tails come from the grid's boundary model, which must
+    take values in {-1, +1} outside: a grid whose tail moments t2 and t0
+    differ is refused.
     """
     if not (0.0 < s < 1.0):
         raise ConfigurationError("perimeter order must lie in (0, 1)")
@@ -238,12 +240,13 @@ def fractional_perimeter(E: IndicatorSet, region: BallRegion, s: float) -> float
             f"the perimeter needs an exterior with values in {{-1, +1}}; {g.boundary!r} is not")
     chi = E.membership
     omega = region.mask(g)
+    window = bounding_box(omega)
     hvol = g.cell_volume()
 
     def family(mask_a, mask_b):
         if not mask_a.any() or not mask_b.any():
             return 0.0
-        return float(op.conv_mask(mask_b)[mask_a].sum())
+        return float(op.conv_mask(mask_b, window)[mask_a[window]].sum())
 
     total = family(chi & omega, ~chi)
     total += family(omega & ~chi, chi & ~omega)

@@ -302,35 +302,74 @@ def make_grid(n: int, box_radius: float, h: float, boundary=None) -> Grid:
     return Grid(n=int(n), h=float(h), box_radius=float(box_radius), boundary=boundary)
 
 
-def _periodic_interp(u: ScalarField, points: np.ndarray) -> np.ndarray:
-    from scipy import ndimage    # lazy: keeps scipy.ndimage out of `import fracac`
-    g = u.grid
-    # map to fractional index space; mode='grid-wrap' handles the wrap
-    idx = (points + g.box_radius) / g.h
-    return ndimage.map_coordinates(u.values, idx.T, order=1, mode="grid-wrap")
+def _multilinear(values: np.ndarray, idx: np.ndarray, wrap: bool) -> np.ndarray:
+    """Order-1 interpolation of a lattice at fractional indices, one point
+    per row of idx, bit for bit as scipy's map_coordinates(values, idx.T,
+    order=1) in mode "grid-wrap" (wrap) or "nearest".
+
+    Along each axis a coordinate c falls in the cell i0 = floor(c), i0 + 1,
+    whose nodes carry the weights w0 = 1 - (c - i0) and 1 - w0.  "nearest"
+    clamps both indices into the lattice; "grid-wrap" first reduces c into
+    (-1, N) the way scipy does, then takes both indices mod N.  The 2^n
+    corner terms (value times the weights in axis order) are summed in C
+    order, starting from 0.0.
+    """
+    legs, stride = [], 1
+    for ax in range(values.ndim - 1, -1, -1):
+        N = values.shape[ax]
+        c = idx[:, ax].copy()
+        if wrap:
+            low = c < 0.0
+            c[low] += N * (np.trunc((-1.0 - c[low]) / N) + 1.0)
+            high = c > N - 1
+            c[high] -= N * np.trunc(c[high] / N)
+        i0 = np.floor(c)
+        c -= i0
+        w0 = np.subtract(1.0, c, out=c)
+        i0 = i0.astype(np.intp)
+        i1 = i0 + 1
+        for i in (i0, i1):
+            if wrap:
+                i %= N
+            else:
+                np.clip(i, 0, N - 1, out=i)
+            i *= stride
+        legs.insert(0, ((i0, w0), (i1, 1.0 - w0)))
+        stride *= N
+    flat = values.ravel()
+    out = np.zeros(len(idx))
+    for corner in np.ndindex(*(2,) * values.ndim):
+        pick = [leg[k] for leg, k in zip(legs, corner)]
+        term = flat[sum(i for i, _ in pick)]
+        for _, w in pick:
+            term *= w
+        out += term
+    return out
 
 
 def evaluate_field(u: ScalarField, points: np.ndarray) -> np.ndarray:
     """Evaluate u anywhere in R^n: multilinear inside, boundary model outside.
 
+    A periodic grid wraps every point into the box; an exterior grid
+    interpolates the points inside the outermost nodes and asks the
+    boundary model for the rest.  Both interpolations are `_multilinear`,
+    which equals scipy's map_coordinates at order 1 bit for bit.
     Multilinear interpolation never overshoots the nodal range, so fields
     with values in [-1, 1] stay there.
     """
-    from scipy import ndimage
     g = u.grid
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != g.n:
         raise ConfigurationError("point dimension mismatch")
     if isinstance(g.boundary, Periodic):
-        return _periodic_interp(u, points)
+        return _multilinear(u.values, (points + g.box_radius) / g.h, wrap=True)
 
     ax = g.axis_coords()
     lo, hi = ax[0], ax[-1]
     inside = np.all((points >= lo) & (points <= hi), axis=1)
     out = np.empty(len(points))
     if inside.any():
-        idx = (points[inside] - lo) / g.h
-        out[inside] = ndimage.map_coordinates(u.values, idx.T, order=1, mode="nearest")
+        out[inside] = _multilinear(u.values, (points[inside] - lo) / g.h, wrap=False)
     if (~inside).any():
         out[~inside] = g.boundary(points[~inside])
     return out

@@ -7,6 +7,7 @@ exterior enters only through the kernel mass each node sees there.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass
 from typing import Callable
@@ -22,6 +23,7 @@ from .fields import (
     Grid,
     IndicatorSet,
     ScalarField,
+    _multilinear,
     gradient_components,
 )
 from .kernels import KernelSpec
@@ -210,12 +212,34 @@ def gradient_test_inequality(u: ScalarField, spec: KernelSpec, W: Potential,
 # ---------------------------------------------------------------------------
 
 def signed_distance(E: IndicatorSet) -> np.ndarray:
-    """Positive outside the set, negative inside, in physical units."""
-    from scipy import ndimage    # lazy: keeps scipy.ndimage out of `import fracac`
+    """Distance from each node to the nearest node of the other kind,
+    positive outside the set and negative inside, in physical units,
+    clamped to +-2h.
+
+    For n <= 3 no lattice offset has a length strictly between sqrt(n) and
+    2 (in units of h), and those of length at most sqrt(n) are the 3^n - 1
+    neighbour offsets.  So a node within sqrt(n) h of the other kind finds
+    its nearest such node among its neighbours, and any other node is at
+    least 2h from it.  The values are therefore exactly
+    the Euclidean distance transform's where |d| <= sqrt(n) h, and +-2h
+    beyond.  That band is all `flow_map` needs: every corner of a cell that
+    straddles the interface lies within sqrt(n) h of a node of the other
+    kind, and a cell whose corners share one sign interpolates to that
+    sign.  A set with no interface is at +-2h everywhere.
+    """
     inside = E.membership
-    d_out = ndimage.distance_transform_edt(~inside)
-    d_in = ndimage.distance_transform_edt(inside)
-    return (d_out - d_in) * E.grid.h
+    d2 = np.full(inside.shape, 4.0)
+    for off in itertools.product((-1, 0, 1), repeat=inside.ndim):
+        if not any(off):
+            continue
+        here = tuple(slice(max(0, -o), a - max(0, o)) for o, a in zip(off, inside.shape))
+        there = tuple(slice(max(0, o), a - max(0, -o)) for o, a in zip(off, inside.shape))
+        other = inside[here] != inside[there]
+        near = d2[here]
+        near[other] = np.minimum(near[other], sum(o * o for o in off))
+    d = np.sqrt(d2, out=d2)
+    d *= E.grid.h
+    return np.where(inside, -d, d)
 
 
 def _in_support(pts: np.ndarray, X: VectorFieldSpec) -> np.ndarray:
@@ -263,13 +287,15 @@ def _memo_put(key: tuple, value: np.ndarray) -> None:
 def flow_map(E: IndicatorSet, X: VectorFieldSpec, t: float) -> IndicatorSet:
     """Deform the set by the integral flow of X at time t.
 
-    Advects a signed-distance sampling along fourth-order backward
-    characteristics (max(4, ceil(|t|/0.02)) RK4 steps) and re-thresholds at
-    zero.  Only the nodes inside the support ball of X are integrated and
-    resampled; the rest keep their membership.  The Jacobian of the flow is
-    probed by central differences at 64 nodes, whose 2n shifted copies ride
-    in the same RK4 pass; a non-positive diagonal entry (a fold) raises a
-    flow error.
+    Advects a signed-distance sampling (`signed_distance`, exact in the
+    band that decides membership) along fourth-order backward
+    characteristics (max(4, ceil(|t|/0.02)) RK4 steps), interpolates it
+    multilinearly at the flowed nodes (`fields._multilinear`, clamped to the
+    lattice) and re-thresholds at zero.  Only the nodes inside the support
+    ball of X are integrated and resampled; the rest keep their membership.
+    The Jacobian of the flow is probed by central differences at 64 nodes,
+    whose 2n shifted copies ride in the same RK4 pass; a non-positive
+    diagonal entry (a fold) raises a flow error.
 
     One bounded memo holds two kinds of entries, each keyed by what it
     depends on: the signed distance of a (layout, membership), and the
@@ -283,7 +309,6 @@ def flow_map(E: IndicatorSet, X: VectorFieldSpec, t: float) -> IndicatorSet:
     Nothing of a flow that fails its check is kept.  Every call returns a
     set of its own.
     """
-    from scipy import ndimage
     g = E.grid
     layout = (g.n, g.h, g.box_radius, g.centered)
     sd_key = ("sd", layout, np.packbits(E.membership).tobytes())
@@ -323,7 +348,7 @@ def flow_map(E: IndicatorSet, X: VectorFieldSpec, t: float) -> IndicatorSet:
     moved = inside[:len(pts)]
     idx = (state[:np.count_nonzero(moved)] - g.axis_coords()[0]) / g.h
     member = E.membership.flatten()
-    member[moved] = ndimage.map_coordinates(phi, idx.T, order=1, mode="nearest") <= 0.0
+    member[moved] = _multilinear(phi, idx, wrap=False) <= 0.0
     return IndicatorSet(g, member.reshape(g.shape))
 
 

@@ -24,7 +24,7 @@ from fracac import (
     sobolev_energy,
     translation_comparison,
 )
-from fracac._lattice import LRUCache, get_operator
+from fracac._lattice import FFTConvolver, LRUCache, get_operator
 from fracac.energies import energy_breakdown, cutoff_profile
 from fracac.errors import ConfigurationError
 from fracac.fields import gradient_l1_norm
@@ -433,8 +433,9 @@ def test_perimeter_refuses_an_exterior_off_plus_minus_one(n, exterior):
 
 def test_perimeters_sharing_the_outer_part_convolve_it_once(monkeypatch):
     """A set changed only inside the region shares the second family's
-    mask with the original, so two perimeters take three convolutions and
-    give the bits of a cold operator."""
+    mask with the original, so two perimeters take three convolutions, all
+    by one engine windowed to the region's bounding box and none on the
+    whole box, and give the bits of a cold operator."""
     g = Grid(2, 0.125, 2.0, FieldExterior(lambda p: np.where(p[:, 1] <= 0.0, 1.0, -1.0)))
     pts = g.coords()
     region = BallRegion((0.0, 0.0), 1.0)
@@ -448,8 +449,12 @@ def test_perimeters_sharing_the_outer_part_convolve_it_once(monkeypatch):
         cold.append(fractional_perimeter(ind, region, 0.5))
     memo = LRUCache(2)
     monkeypatch.setattr(op, "_mask_memo", memo)
-    calls = []
-    conv = op.conv
-    monkeypatch.setattr(op, "conv", lambda f: calls.append(1) or conv(f))
+    calls, whole = [], []
+    conv, call = op.conv, FFTConvolver.__call__
+    monkeypatch.setattr(op, "conv", lambda f: whole.append(1) or conv(f))
+    monkeypatch.setattr(FFTConvolver, "__call__",
+                        lambda self, f: calls.append(self) or call(self, f))
     assert [fractional_perimeter(ind, region, 0.5) for ind in (E, F)] == cold
-    assert len(calls) == 3 and (memo.hits, memo.misses) == (1, 3)
+    assert len(calls) == 3 and len(set(calls)) == 1 and not whole
+    assert calls[0].crop[0].stop - calls[0].crop[0].start == 17
+    assert (memo.hits, memo.misses) == (1, 3)

@@ -26,6 +26,7 @@ from fracac import (
     save_field,
 )
 from fracac.errors import ConfigurationError, GridMismatchError, UnsupportedDimensionError
+from fracac.fields import _multilinear
 
 
 def test_make_grid_node_counts():
@@ -242,8 +243,11 @@ def test_level_set_layer_crossing(layer_s05):
     assert abs(np.interp(x0, x, layer_s05.values)) <= lip * layer_s05.grid.h
 
 
-def _loaded_by_import(module):
-    code = f"import sys, fracac; print({module!r} in sys.modules)"
+def _loaded_by_import(module, calls=""):
+    """Whether a fresh process has `module` loaded after `import fracac`
+    and the statements `calls` (which see numpy as np and fracac as fa)."""
+    code = f"import sys\nimport numpy as np\nimport fracac as fa\n{calls}\n" \
+        f"print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     return out.stdout.strip() != "False"
@@ -253,8 +257,56 @@ def test_import_leaves_scipy_spatial_unloaded():
     assert not _loaded_by_import("scipy.spatial")
 
 
+_INTERPOLATING_CALLS = """
+torus = fa.ScalarField(fa.make_grid(2, 1.0, 0.25), np.arange(64.0).reshape(8, 8))
+fa.evaluate_field(torus, [[0.3, -0.7], [5.1, 0.2]])
+line = fa.Grid(1, 0.25, 4.0, fa.ConstantExterior([(-1.0, 1.0)]), centered=True)
+layer = fa.ScalarField(line, np.tanh(line.axis_coords()))
+fa.evaluate_field(layer, [[0.3], [9.0]])
+zoomed = fa.rescale_blowdown(layer, 2.0)
+plane = fa.Grid(2, 0.125, 1.0, fa.ConstantExterior([(-1.0, 1.0)] * 2))
+u = fa.embed_profile(zoomed, (0.6, 0.8), plane)
+X = fa.VectorFieldSpec(lambda p: np.full_like(p, 0.5), 0.9)
+fa.flow_map(fa.IndicatorSet(plane, u.values <= 0.0), X, 0.1)
+"""
+
+
 def test_import_leaves_scipy_ndimage_unloaded():
+    """Neither `import fracac` nor interpolating a field (periodic and
+    exterior), rescaling, embedding a profile and flowing a set loads
+    scipy.ndimage."""
     assert not _loaded_by_import("scipy.ndimage")
+    assert not _loaded_by_import("scipy.ndimage", _INTERPOLATING_CALLS)
+
+
+def _edge_indices(rng, shape, count):
+    """Fractional indices at and next to the lattice's edges and nodes, and
+    several periods out, one point per row."""
+    cols = []
+    for N in shape:
+        picks = np.array([0.0, N - 1.0, np.nextafter(N - 1.0, N), np.nextafter(N - 1.0, 0.0),
+                          -1e-300, -0.5, -1.0, N - 0.5, float(N), N + 0.25, -N - 0.5,
+                          -N - 1.0, 3.0 * N + 0.75, -4.0 * N + 0.5, 7.0 * N])
+        cols.append(rng.choice(picks, count))
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["nearest", "grid-wrap"])
+def test_multilinear_equals_map_coordinates_bit_for_bit(n, mode):
+    """The numpy interpolation gives scipy's order-1 map_coordinates bit for
+    bit: at random points several periods out of the lattice, at exact and
+    half nodes, and at and next to its edges."""
+    from scipy.ndimage import map_coordinates
+    rng = np.random.default_rng(80 + n)
+    shape = (7, 5, 6)[:n]
+    values = rng.normal(size=shape)
+    spread = rng.uniform(-3.0, 4.0, size=(3000, n)) * np.array(shape)
+    idx = np.concatenate([spread, np.round(spread[:1000]), np.round(2.0 * spread[:1000]) / 2.0,
+                          _edge_indices(rng, shape, 2000)])
+    got = _multilinear(values, idx, wrap=mode == "grid-wrap")
+    want = map_coordinates(values, idx.T, order=1, mode=mode)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_hausdorff_identity_translation_and_empty():

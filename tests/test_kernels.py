@@ -325,29 +325,44 @@ def test_cone_sweep_orders_stay_near_the_import_peak():
     assert int(out.stdout) / 1024.0 <= 10.0
 
 
-def test_mask_convolutions_keep_the_last_two(monkeypatch):
-    """`conv_mask` equals the convolution of the mask as floats bit for bit,
-    hands out read-only arrays, keeps the two most recently used masks and
-    convolves a repeated one once."""
-    g = Grid(2, 0.25, 2.0, ConstantExterior([(-1.0, 1.0), (-1.0, 1.0)]))
-    op = get_operator(g, KernelSpec.perimeter(0.5))
-    memo = LRUCache(2)
-    monkeypatch.setattr(op, "_mask_memo", memo)
+def _counted_engine_calls(monkeypatch):
+    """Every `FFTConvolver` call from now on, as (engine, field shape)."""
     calls = []
-    conv = op.conv
-    monkeypatch.setattr(op, "conv", lambda f: calls.append(1) or conv(f))
+    call = FFTConvolver.__call__
+    monkeypatch.setattr(FFTConvolver, "__call__",
+                        lambda self, f: calls.append((self, f.shape)) or call(self, f))
+    return calls
+
+
+def test_mask_convolutions_keep_the_last_two(monkeypatch):
+    """`conv_mask` equals the convolution of the mask as floats on the
+    window bit for bit, hands out read-only arrays, keeps the two most
+    recently used (mask, window) pairs, convolves a repeated one once, and
+    builds one engine per window."""
+    g = Grid(2, 0.25, 2.0, ConstantExterior([(-1.0, 1.0), (-1.0, 1.0)]))
+    op = DiscreteOperator(g, KernelSpec.perimeter(0.5))
+    memo = op._mask_memo
+    window = (slice(2, 13), slice(3, 12))
+    calls = _counted_engine_calls(monkeypatch)
     pts = g.coords()
     masks = [(pts[:, 0] <= c).reshape(g.shape) for c in (-0.5, 0.0, 0.5)]
-    a = op.conv_mask(masks[0])
-    assert np.array_equal(a, conv(masks[0].astype(float))) and not a.flags.writeable
-    op.conv_mask(masks[1])
-    assert op.conv_mask(masks[0]) is a and len(calls) == 2 and memo.hits == 1
-    op.conv_mask(masks[2])                   # evicts masks[1], the least recent
-    assert len(memo) == 2 and len(calls) == 3 and memo.evictions == 1
-    op.conv_mask(masks[0])
-    op.conv_mask(masks[1])
-    assert len(memo) == 2 and len(calls) == 4
+    a = op.conv_mask(masks[0], window)
+    engine = calls[0][0]
+    want = FFTConvolver(op.weights, g.shape, window)(masks[0].astype(float))
+    assert np.array_equal(a, want) and not a.flags.writeable and a.shape == (11, 9)
+    assert np.max(np.abs(a - op.conv(masks[0].astype(float))[window])) <= 1e-13 * np.max(a)
+    del calls[:]
+    op.conv_mask(masks[1], window)
+    assert op.conv_mask(masks[0], window) is a and len(calls) == 1 and memo.hits == 1
+    op.conv_mask(masks[2], window)           # evicts masks[1], the least recent
+    assert len(memo) == 2 and len(calls) == 2 and memo.evictions == 1
+    op.conv_mask(masks[0], window)
+    op.conv_mask(masks[1], window)
+    assert len(memo) == 2 and len(calls) == 3
+    assert {e for e, _ in calls} == {engine}
     assert (memo.hits, memo.misses, memo.evictions) == (2, 4, 2)
+    other = op.conv_mask(masks[0], (slice(0, 16),) * 2)
+    assert other.shape == g.shape and len(calls) == 4 and calls[-1][0] is not engine
 
 
 def test_unit_kernel_dimension_guard():
@@ -529,32 +544,113 @@ def test_zero_exterior_moments_equal_the_convolved_ones(monkeypatch):
         assert np.array_equal(zero["t0"], unit["t0"])
 
 
+def _pair_sum(op, u, mask_a, mask_b):
+    """The three-convolution pair sum over x in A, xbar in B of
+    |u(x) - u(xbar)|^2 w(x - xbar), through the operator's box convolution."""
+    cb = mask_b.astype(float)
+    inner = u * u * op.conv(cb) + op.conv(u * u * cb) - 2.0 * u * op.conv(u * cb)
+    return float(inner[mask_a].sum())
+
+
+def _energy_oracle(op, u, mask):
+    """sobolev_energy from the two pair families A x box and A x (box - A),
+    each convolved on the whole box, plus the tails."""
+    g = op.grid
+    box = np.ones(g.shape, dtype=bool)
+    pair = _pair_sum(op, u, mask, box) + _pair_sum(op, u, mask, box & ~mask)
+    mom = op.moments
+    tail = (u * u * mom["t0"] - 2.0 * u * mom["t1"] + mom["t2"])[mask].sum()
+    return 0.25 * g.cell_volume() * pair + 0.5 * g.cell_volume() * tail
+
+
 @pytest.mark.parametrize("boundary", [ConstantExterior([(-1.0, 1.0)] * 2), None])
 def test_sobolev_energy_reuses_box_convolutions_bit_identically(monkeypatch, boundary):
-    """A radius sweep on one field computes conv(u) and conv(u^2) once; each
-    energy equals the uncached six-convolution pair sum bit for bit, and an
-    in-place change of the field is seen."""
+    """A radius sweep on one field computes conv(u) and conv(u^2) once and
+    no other box convolution; each energy equals a cold operator's bit for
+    bit and the six-convolution pair sum to round-off, and an in-place
+    change of the field is seen."""
     g = Grid(2, 0.25, 2.0, boundary) if boundary else make_grid(2, 2.0, 0.25)
-    op = get_operator(g, KernelSpec.fractional(0.5))
+    spec = KernelSpec.fractional(0.5)
+    op = get_operator(g, spec)
     op.colsum  # noqa: B018 - built once, before counting
     calls = []
     conv = op.conv
     monkeypatch.setattr(op, "conv", lambda f: calls.append(1) or conv(f))
     u = np.random.default_rng(13).normal(size=g.shape)
     r = np.sqrt(sum(c * c for c in np.meshgrid(*[g.axis_coords()] * 2, indexing="ij")))
-    ones = np.ones(g.shape)
     for sweep, radius in enumerate((0.5, 1.0, 1.5, 1.5)):
         if sweep == 3:
             u[0, 0] += 0.5
         mask = r < radius
         before = len(calls)
         got = op.sobolev_energy(u, mask)
-        assert len(calls) - before == (3 if sweep in (1, 2) else 5)
-        inner = u * u * conv(ones) + conv(u * u * ones) - 2.0 * u * conv(u * ones)
-        total = float(inner[mask].sum()) + op.sobolev_pair_sum(u, mask, ~mask)
-        mom = op.moments
-        tail = (u * u * mom["t0"] - 2.0 * u * mom["t1"] + mom["t2"])[mask].sum()
-        assert got == 0.25 * g.cell_volume() * total + 0.5 * g.cell_volume() * tail
+        assert len(calls) - before == (0 if sweep in (1, 2) else 2)
+        assert got == DiscreteOperator(g, spec).sobolev_energy(u, mask)
+        monkeypatch.undo()
+        want = _energy_oracle(op, u, mask)
+        monkeypatch.setattr(op, "conv", lambda f: calls.append(1) or conv(f))
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def _region_masks(rng, g):
+    """Balls (one touching the box's edge), random masks, an edge slab, a
+    single node and the empty mask."""
+    n, p = g.n, g.nodes_per_axis
+    pts = g.coords()
+    edge = np.zeros(g.shape, dtype=bool)
+    edge[(slice(0, 2),) + (slice(None),) * (n - 1)] = True
+    one = np.zeros(g.shape, dtype=bool)
+    one[(p - 1,) * n] = True
+    return [BallRegion((0.0,) * n, 0.6 * g.box_radius).mask(g),
+            (np.sum((pts + 0.5 * g.box_radius) ** 2, axis=1)
+             <= (0.5 * g.box_radius) ** 2).reshape(g.shape),
+            rng.random(g.shape) < 0.3, rng.random(g.shape) < 0.8, edge, one,
+            np.zeros(g.shape, dtype=bool)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("periodic", [False, True], ids=["exterior", "periodic"])
+def test_region_sums_equal_the_three_convolution_oracle(n, periodic):
+    """sobolev_energy, which sums A x A on A's bounding box, agrees to
+    1e-13 (relative) with the pair sums of A against the box and against
+    the box less A, each from three whole-box convolutions: on balls, on
+    random masks (whose box spans the whole lattice, a whole period when
+    periodic), on masks touching the box's edge and on one node; the empty
+    mask has energy 0."""
+    rng = np.random.default_rng(90 + n)
+    box, h = {1: (4.0, 0.125), 2: (2.0, 0.125), 3: (1.0, 0.125)}[n]
+    g = make_grid(n, box, h) if periodic else Grid(
+        n, h, box, ConstantExterior([(-1.0, 0.5), (0.3, 1.0), (1.0, -1.0)][:n]))
+    spec = KernelSpec.fractional_unit(0.6, n)
+    u = np.tanh(g.coords() @ rng.normal(size=n) / box).reshape(g.shape) \
+        + 0.1 * rng.normal(size=g.shape)
+    for mask in _region_masks(rng, g):
+        got = DiscreteOperator(g, spec).sobolev_energy(u, mask)
+        want = _energy_oracle(get_operator(g, spec), u, mask)
+        if not mask.any():
+            assert got == want == 0.0
+        assert abs(got - want) <= 1e-13 * abs(want), (got, want)
+
+
+def test_cold_region_takes_two_bounding_box_convolutions(monkeypatch):
+    """A cold region on a known field costs two convolutions on its
+    bounding box, by an engine of its own (the old pair sum took three on
+    the whole box); a warm one costs none."""
+    g = Grid(2, 0.125, 2.0, ConstantExterior([(-1.0, 1.0)] * 2))
+    op = DiscreteOperator(g, KernelSpec.fractional(0.5))
+    u = np.random.default_rng(4).normal(size=g.shape)
+    empty = np.zeros(g.shape, dtype=bool)
+    op.sobolev_energy(u, empty)              # the field's two box convolutions
+    mask = BallRegion((0.5, -0.25), 0.75).mask(g)
+    assert [w.stop - w.start for w in _lattice.bounding_box(mask)] == [13, 13]
+    calls = _counted_engine_calls(monkeypatch)
+    op.sobolev_energy(u, mask)
+    assert [shape for _, shape in calls] == [(13, 13)] * 2
+    assert calls[0][0] is calls[1][0] is not op._engine
+    del calls[:]
+    op.sobolev_energy(u, mask)
+    op.sobolev_energy(u, empty)
+    assert not calls
 
 
 def test_periodic_free_twin_is_the_registry_operator():
@@ -669,8 +765,9 @@ def test_transforms_run_with_the_callers_fft_workers(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_periodic_tails_are_zero_and_change_no_bit(n):
-    """A periodic grid's moments are zero, and apply, sobolev_energy and
-    fractional_perimeter equal the tail-free formulas bit for bit."""
+    """A periodic grid's moments are zero; apply equals the tail-free
+    formula bit for bit, and sobolev_energy and fractional_perimeter, which
+    sum on a bounding box, equal the tail-free whole-box sums to round-off."""
     g = make_grid(n, 2.0, 0.25)
     op = get_operator(g, KernelSpec.fractional(0.5))
     assert all(np.all(np.asarray(t) == 0.0) for t in op.moments.values())
@@ -679,15 +776,16 @@ def test_periodic_tails_are_zero_and_change_no_bit(n):
 
     region = BallRegion((0.0,) * n, 1.0)
     mask, box = region.mask(g), np.ones(g.shape, dtype=bool)
-    pair = op.sobolev_pair_sum(u, mask, box)
-    pair += op.sobolev_pair_sum(u, mask, box & ~mask)
-    assert op.sobolev_energy(u, mask) == 0.25 * g.cell_volume() * pair
+    pair = _pair_sum(op, u, mask, box) + _pair_sum(op, u, mask, box & ~mask)
+    want = 0.25 * g.cell_volume() * pair
+    assert abs(op.sobolev_energy(u, mask) - want) <= 1e-13 * want
 
     E = IndicatorSet(g, u > 0.0)
     chi, per = E.membership, get_operator(g, KernelSpec.perimeter(0.5))
     want = float(per.conv((~chi).astype(float))[chi & mask].sum())
     want += float(per.conv((chi & ~mask).astype(float))[mask & ~chi].sum())
-    assert fractional_perimeter(E, region, 0.5) == want * g.cell_volume()
+    want *= g.cell_volume()
+    assert abs(fractional_perimeter(E, region, 0.5) - want) <= 1e-13 * want
 
 
 @pytest.mark.parametrize("n, boundary", [
@@ -719,7 +817,7 @@ def test_sobolev_energy_memo_reads_back_a_region_bit_identically(monkeypatch):
     assert warm == cold and not calls and (memo.hits, memo.misses) == (3, 3)
     u[3, 4] += 0.25
     changed = op.sobolev_energy(u, masks[1])
-    assert len(calls) == 5 and changed != cold[1]
+    assert len(calls) == 2 and changed != cold[1]
     assert len(memo) == 1 and memo.misses == 4
     assert DiscreteOperator(g, spec).sobolev_energy(u, masks[1]) == changed
     rng = np.random.default_rng(3)
@@ -851,11 +949,13 @@ def test_exterior_moments_respect_the_reflection_symmetry(n):
 @pytest.mark.parametrize("n,bound", [(2, 2.5), (3, 6.0)])
 def test_exterior_moments_peak_stays_a_few_lattices(n, bound, exterior, layer_s05):
     """One moments build's traced allocations peak below `bound` times the
-    bytes of the enlarged (8m + 1)^n float64 lattice: 2.1-2.2x in 2D (m = 64,
-    h- and 3h-cells, set by the temporaries of a 2^16-point sample block)
-    and 5.4x in 3D (m = 8, h-cells only, set by the kernel's spectrum and a
-    call's workspace).  The enlarged-lattice build peaked at 5.9-6.9x and
-    7.4-8.1x."""
+    bytes of the enlarged (8m + 1)^n float64 lattice: 2.1x in 2D (m = 64,
+    h- and 3h-cells) and 5.4x in 3D (m = 8, h-cells only), set in both by
+    the kernel's spectrum and a call's workspace.  The exterior is sampled
+    in blocks of 2^14 points, so the temporaries of the embedded layer's
+    numpy interpolation stay below that; blocks of 2^16 points raised the
+    2D embedded build to 3.9x.  The enlarged-lattice build peaked at
+    5.9-6.9x and 7.4-8.1x."""
     h = 1.0 / 32.0 if n == 2 else 0.25
     g = Grid(n, h, 2.0, oracle_exterior(exterior, n, layer_s05), centered=True)
     spec = KernelSpec.fractional(0.5)

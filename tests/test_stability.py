@@ -73,7 +73,7 @@ def test_quadratic_form_parallelogram(quartic):
 def test_second_variation_pair_part_is_twice_the_free_twin_energy(quartic, n, periodic):
     """Two independent routes to the pair part of Q: second_variation goes
     through stability_apply, the energy of xi over the whole box on the
-    zero-exterior twin through sobolev_pair_sum and t0."""
+    zero-exterior twin through its region sums and t0."""
     rng = np.random.default_rng(40 + n)
     h, box = (0.125, 4.0) if n == 1 else (0.25, 2.0)
     g = make_grid(n, box, h) if periodic else Grid(n, h, box, ConstantExterior([(-1.0, 1.0)] * n))
@@ -403,23 +403,21 @@ def test_flow_map_tiny_support_never_evaluates_empty_arrays():
     assert sizes and set(sizes) == {1}
 
 
-def _count_edt(monkeypatch):
-    from scipy import ndimage
+def _count_distances(monkeypatch):
     calls = []
-    edt = ndimage.distance_transform_edt
-    monkeypatch.setattr(ndimage, "distance_transform_edt",
-                        lambda *a, **k: calls.append(1) or edt(*a, **k))
+    sd = stability.signed_distance
+    monkeypatch.setattr(stability, "signed_distance", lambda E: calls.append(1) or sd(E))
     return calls
 
 
 def test_quotients_compute_each_signed_distance_once(monkeypatch):
     """One quotient call flows the set and its coarsening 2 len(t) times
-    each, but each set's signed distance (two EDTs) is computed once."""
+    each, but each set's signed distance is computed once."""
     stability._flow_memo.clear()
-    calls = _count_edt(monkeypatch)
+    calls = _count_distances(monkeypatch)
     perimeter_stability_quotients(halfplane_set(), radial_bump_vector_field(3),
                                   BallRegion((0.0, 0.0), 1.0), 0.9, (0.04, 0.08, 0.16))
-    assert len(calls) == 4
+    assert len(calls) == 2
 
 
 def test_flow_map_recomputes_distance_after_membership_change(monkeypatch):
@@ -427,14 +425,76 @@ def test_flow_map_recomputes_distance_after_membership_change(monkeypatch):
     E = halfplane_set()
     X = radial_bump_vector_field(3)
     before = flow_map(E, X, 0.08).membership
-    calls = _count_edt(monkeypatch)
+    calls = _count_distances(monkeypatch)
     assert np.array_equal(flow_map(E, X, 0.08).membership, before) and not calls
     pts = E.grid.coords()
     E.membership[...] = (np.sum(pts ** 2, axis=1) <= 0.5).reshape(E.grid.shape)
     after = flow_map(E, X, 0.08).membership
     fresh = flow_map(IndicatorSet(E.grid, E.membership.copy()), X, 0.08).membership
-    assert len(calls) == 2 and np.array_equal(after, fresh)
+    assert len(calls) == 1 and np.array_equal(after, fresh)
     assert not np.array_equal(after, before)
+
+
+def _exact_signed_distance(m, h):
+    """The two-sided Euclidean distance transform, scaled by h."""
+    from scipy.ndimage import distance_transform_edt
+    return (distance_transform_edt(~m) - distance_transform_edt(m)) * h
+
+
+def _random_sets(rng, shape):
+    """Random memberships of several densities, a ball, one node, and the
+    two sets without an interface."""
+    sets = [rng.random(shape) < p for p in (0.03, 0.5, 0.97)]
+    c = np.indices(shape) - (np.array(shape) // 2).reshape((-1,) + (1,) * len(shape))
+    sets.append(np.sum(c * c, axis=0) <= (shape[0] // 3) ** 2)
+    one = np.zeros(shape, dtype=bool)
+    one[tuple(a // 3 for a in shape)] = True
+    return sets + [one, np.ones(shape, dtype=bool), np.zeros(shape, dtype=bool)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_signed_distance_is_the_exact_transform_in_its_band(n):
+    """Where the exact signed distance is at most sqrt(n) h it is matched
+    bit for bit, and beyond it the distance is clamped to +-2h; a set with
+    no interface is at +-2h everywhere."""
+    rng = np.random.default_rng(60 + n)
+    h = 0.1
+    g = Grid(n, h, {1: 4.0, 2: 1.6, 3: 0.6}[n], ConstantExterior([(-1.0, 1.0)] * n))
+    for m in _random_sets(rng, g.shape):
+        got = stability.signed_distance(IndicatorSet(g, m))
+        if m.all() or not m.any():
+            assert np.array_equal(got, np.full(g.shape, -2.0 * h if m.all() else 2.0 * h))
+            continue
+        exact = _exact_signed_distance(m, h)
+        band = np.abs(exact) <= np.sqrt(n) * h
+        assert got[band].tobytes() == exact[band].tobytes()
+        assert np.array_equal(got, np.clip(exact, -2.0 * h, 2.0 * h))
+
+
+@pytest.mark.parametrize("t", [-0.16, 0.08])
+def test_flow_map_memberships_equal_the_exact_distance_route(monkeypatch, t):
+    """flow_map on random sets gives, bit for bit, the memberships of the
+    exact route: the whole Euclidean distance transform resampled by
+    scipy's map_coordinates at every flowed node inside the support.  A set
+    without an interface is returned as it is."""
+    from scipy.ndimage import map_coordinates
+    rng = np.random.default_rng(7)
+    g = Grid(2, 0.1, 2.0, FieldExterior(lambda p: np.where(p[:, 1] <= 0.0, 1.0, -1.0)))
+    pts = g.coords()
+    X = radial_bump_vector_field(4)
+    inside = _in_support(pts, X)
+    steps = max(4, int(np.ceil(abs(t) / 0.02)))
+    idx = (_rk4_backward(pts, X, t, steps, inside)[inside] - g.axis_coords()[0]) / g.h
+    for m in _random_sets(rng, g.shape):
+        _fresh_flow_memo(monkeypatch)
+        got = flow_map(IndicatorSet(g, m), X, t).membership
+        if m.all() or not m.any():
+            assert np.array_equal(got, m)
+            continue
+        want = m.ravel().copy()
+        want[inside] = map_coordinates(_exact_signed_distance(m, g.h), idx.T, order=1,
+                                       mode="nearest") <= 0.0
+        assert np.array_equal(got.ravel(), want)
 
 
 def _count_flows(monkeypatch):
