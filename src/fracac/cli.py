@@ -20,14 +20,14 @@ import numpy as np
 
 from .energies import Potential, energy_breakdown
 from .errors import ConfigurationError, FracacError
-from .fields import BallRegion, Grid, ScalarField, make_grid, save_field, embed_profile, rescale_blowdown, ConstantExterior, FieldExterior, IndicatorSet
+from .fields import BallRegion, Grid, ScalarField, make_grid, save_field, embed_profile, rescale_blowdown, ConstantExterior, FieldExterior, evaluate_field
 from .kernels import KernelSpec, operator_consistency
 from .extension import extend, halfspace_extension, monotonicity_trace
-from .scaling import (DensityCheckConfig, bv_scaling, density_check,
-                      blowdown_convergence, flatness_profile, full_energy_scaling,
-                      potential_vs_sobolev, sobolev_scaling)
+from .scaling import (SLOPE_TOLERANCE, DensityCheckConfig, density_check,
+                      blowdown_convergence, energy_growth, flatness_profile,
+                      potential_vs_sobolev)
 from .solver import solve_layer_1d, residual_field
-from .stability import VectorFieldSpec, min_rayleigh, perimeter_stability_quotients
+from .stability import cone_set, cone_sweep, min_rayleigh, radial_bump_vector_field
 
 __all__ = ["RunConfig", "RunReport", "run", "report_merge", "main"]
 
@@ -240,18 +240,14 @@ def _exp_scaling(cfg: RunConfig, out: Path) -> RunReport:
     spec2 = KernelSpec.fractional_unit(s, 2)
     radii = [4.0, 6.0, 8.0, 10.0, 12.0, 14.0]
     checks = []
-    for name, runner, expected, tol in (
-            ("bv", lambda: bv_scaling(u2, radii), u2.grid.n - 1, 0.15),
-            ("sobolev", lambda: sobolev_scaling(u2, radii, spec2), u2.grid.n - s, 0.15),
-            ("full_energy", lambda: full_energy_scaling(u2, radii, spec2, W),
-             u2.grid.n - s, 0.15)):
-        exp, fit = runner()
+    for name, growth in energy_growth(u2, radii, spec2, W).items():
+        exp = growth.trace
         write_csv(out / f"{name}.csv", ["abscissa", "value"], exp.rows())
         write_svg_line(out / f"{name}.svg", np.log(exp.abscissae),
                        np.log(exp.values), f"log-log {name}")
-        checks.append({"name": f"{name}_slope", "value": fit.slope,
-                       "expected": expected, "tolerance": tol,
-                       "pass": abs(fit.slope - expected) <= tol})
+        checks.append({"name": f"{name}_slope", "value": growth.fit.slope,
+                       "expected": growth.target, "tolerance": SLOPE_TOLERANCE,
+                       "pass": growth.passed})
     rep = potential_vs_sobolev(u2, [6.0, 8.0, 10.0, 12.0, 14.0], 2.0, spec2, W)
     write_csv(out / "pot_over_sob.csv", ["abscissa", "value"],
               zip(rep["radii"], rep["ratios"]))
@@ -324,7 +320,6 @@ def _exp_density(cfg: RunConfig, out: Path) -> RunReport:
               FieldExterior(lambda p, _f=phi: np.interp((p[:, 0] - 24.0),
                                                         _f.grid.axis_coords(),
                                                         _f.values, left=-1.0, right=1.0)))
-    from .fields import evaluate_field
     shifted = evaluate_field(phi, (gs.coords() - 24.0)).reshape(gs.shape)
     zoo["layer_translated"] = ScalarField(gs, shifted)
     rows = []
@@ -358,69 +353,24 @@ def _exp_blowdown(cfg: RunConfig, out: Path) -> RunReport:
     return RunReport("blowdown", dec and fdec, checks, cfg.params)
 
 
-def radial_bump_vector_field(seed: int) -> VectorFieldSpec:
-    """A smooth random bump field supported in the annulus 0.05 < |x| < 0.95."""
-    rng = np.random.default_rng(seed)
-    r0 = rng.uniform(0.25, 0.7)
-    width = rng.uniform(0.1, 0.25)
-    alpha = rng.uniform(0.0, 2.0 * np.pi)
-    m = rng.integers(0, 3)
-    phase = rng.uniform(0.0, 2.0 * np.pi)
-
-    def bump(r):
-        lo, hi = max(0.05, r0 - width), min(0.95, r0 + width)
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        xi = (r - mid) / half
-        out = np.zeros_like(r)
-        ok = np.abs(xi) < 1.0
-        out[ok] = np.exp(1.0 - 1.0 / (1.0 - xi[ok] ** 2))
-        return out
-
-    def comps(pts):
-        r = np.linalg.norm(pts, axis=1)
-        th = np.arctan2(pts[:, 1], pts[:, 0])
-        amp = bump(r) * np.cos(m * th + phase)
-        return np.stack([amp * np.cos(alpha), amp * np.sin(alpha)], axis=1)
-
-    return VectorFieldSpec(comps, support_radius=0.95)
-
-
 def _exp_cone(cfg: RunConfig, out: Path) -> RunReport:
     s = cfg.get("s")
     seed = cfg.get("seed", int)
     n_fields = cfg.get("n_fields", int, default=8)
     if n_fields < 1:
         raise ConfigurationError("n_fields must be at least 1")
-    h = 1.0 / 32.0
-    ext = FieldExterior(lambda p: np.where(p[:, 1] <= 0.0, 1.0, -1.0))
-    g2 = Grid(2, h, 2.0, ext)
-    pts = g2.coords()
-    half = IndicatorSet(g2, (pts[:, 1] <= 0.0).reshape(g2.shape))
     region = BallRegion((0.0, 0.0), 1.0)
-    rows = []
-    worst = np.inf
-    for k in range(n_fields):
-        X = radial_bump_vector_field(seed * 1000 + k)
-        q = perimeter_stability_quotients(half, X, region, s, (0.04, 0.08, 0.16))
-        for t, qv, eb in zip(q["t"], q["q"], q["error_bar"]):
-            rows.append((k, t, qv, eb))
-            worst = min(worst, qv + eb)
+    fields = [radial_bump_vector_field(seed * 1000 + k) for k in range(n_fields)]
+    sweep = cone_sweep(cone_set("halfplane"), fields, region, (s,), (0.04, 0.08, 0.16))
+    rows = [(k, t, qv, eb) for k, q in enumerate(sweep[s])
+            for t, qv, eb in zip(q["t"], q["q"], q["error_bar"])]
+    worst = min(qv + eb for _, _, qv, eb in rows)
     write_csv(out / "halfplane_quotients.csv", ["field", "t", "q", "error_bar"], rows)
     # exploratory sweep for the cross cone; recorded, not asserted
-    cross_rows = []
-    extc = FieldExterior(lambda p: np.sign(p[:, 0] * p[:, 1] + 1e-300))
-    gc = Grid(2, h, 2.0, extc)
-    pc = gc.coords()
-    cross = IndicatorSet(gc, (pc[:, 0] * pc[:, 1] > 0.0).reshape(gc.shape))
-    # one field object per seed, so the flows (which do not depend on s) are reused
     cross_fields = [radial_bump_vector_field(seed * 2000 + k)
                     for k in range(max(4, n_fields // 2))]
-    for sv in (0.5, 0.7, 0.9):
-        qmin = np.inf
-        for X in cross_fields:
-            q = perimeter_stability_quotients(cross, X, region, sv, (0.08, 0.16))
-            qmin = min(qmin, min(q["q"]))
-        cross_rows.append((sv, qmin))
+    cross = cone_sweep(cone_set("cross"), cross_fields, region, (0.5, 0.7, 0.9), (0.08, 0.16))
+    cross_rows = [(sv, min(v for q in qs for v in q["q"])) for sv, qs in cross.items()]
     write_csv(out / "cross_cone_sweep.csv", ["s", "min_quotient"], cross_rows)
     ok = worst >= 0.0
     checks = [{"name": "halfplane_nonnegative_within_bars", "value": worst, "pass": ok},

@@ -33,6 +33,9 @@ __all__ = [
     "bv_scaling",
     "sobolev_scaling",
     "full_energy_scaling",
+    "GrowthFit",
+    "SLOPE_TOLERANCE",
+    "energy_growth",
     "potential_vs_sobolev",
     "potential_decay",
     "layer_decay",
@@ -150,6 +153,35 @@ def full_energy_scaling(u: ScalarField, radii: Sequence[float], spec: KernelSpec
                        [sobolev_energy(u, _region(u, R), spec)
                         + potential_energy(u, _region(u, R), W, epsilon, spec.s)
                         for R in radii])
+
+
+# the window around each sharp growth exponent that a fitted slope must hit
+SLOPE_TOLERANCE = 0.15
+
+
+@dataclass
+class GrowthFit:
+    """A trace over the radii, its log-log fit and the exponent it targets."""
+    trace: ScalingExperiment
+    fit: FitResult
+    target: float
+
+    @property
+    def passed(self) -> bool:
+        return abs(self.fit.slope - self.target) <= SLOPE_TOLERANCE
+
+
+def energy_growth(u: ScalarField, radii: Sequence[float], spec: KernelSpec,
+                  W: Potential) -> dict:
+    """The growth of u over balls B_R, keyed "bv", "sobolev" and "full_energy":
+    the gradient mass against R^{n-1}, and the interaction and full energies
+    against the sharp R^{n-s}."""
+    n, s = u.grid.n, spec.s
+    return {
+        "bv": GrowthFit(*bv_scaling(u, radii), n - 1),
+        "sobolev": GrowthFit(*sobolev_scaling(u, radii, spec), n - s),
+        "full_energy": GrowthFit(*full_energy_scaling(u, radii, spec, W), n - s),
+    }
 
 
 def potential_vs_sobolev(u: ScalarField, radii: Sequence[float], R0: float,

@@ -20,6 +20,7 @@ from .energies import Potential, _pot_weight, fractional_perimeter
 from .errors import ConfigurationError, FlowError
 from .fields import (
     BallRegion,
+    FieldExterior,
     Grid,
     IndicatorSet,
     ScalarField,
@@ -36,6 +37,9 @@ __all__ = [
     "min_rayleigh",
     "gradient_test_inequality",
     "flow_map",
+    "radial_bump_vector_field",
+    "cone_set",
+    "cone_sweep",
     "perimeter_stability_quotients",
 ]
 
@@ -352,13 +356,85 @@ def flow_map(E: IndicatorSet, X: VectorFieldSpec, t: float) -> IndicatorSet:
     return IndicatorSet(g, member.reshape(g.shape))
 
 
-def _coarsen_indicator(E: IndicatorSet) -> IndicatorSet:
+def radial_bump_vector_field(seed: int) -> VectorFieldSpec:
+    """A smooth random bump field supported in the annulus 0.05 < |x| < 0.95."""
+    rng = np.random.default_rng(seed)
+    r0 = rng.uniform(0.25, 0.7)
+    width = rng.uniform(0.1, 0.25)
+    alpha = rng.uniform(0.0, 2.0 * np.pi)
+    m = rng.integers(0, 3)
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+
+    def bump(r):
+        lo, hi = max(0.05, r0 - width), min(0.95, r0 + width)
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        xi = (r - mid) / half
+        out = np.zeros_like(r)
+        ok = np.abs(xi) < 1.0
+        out[ok] = np.exp(1.0 - 1.0 / (1.0 - xi[ok] ** 2))
+        return out
+
+    def comps(pts):
+        r = np.linalg.norm(pts, axis=1)
+        th = np.arctan2(pts[:, 1], pts[:, 0])
+        amp = bump(r) * np.cos(m * th + phase)
+        return np.stack([amp * np.cos(alpha), amp * np.sin(alpha)], axis=1)
+
+    return VectorFieldSpec(comps, support_radius=0.95)
+
+
+# the 2D cones of the stability sweep: (exterior value, membership) by kind
+_CONES = {
+    "halfplane": (lambda p: np.where(p[:, 1] <= 0.0, 1.0, -1.0), lambda p: p[:, 1] <= 0.0),
+    "cross": (lambda p: np.sign(p[:, 0] * p[:, 1] + 1e-300), lambda p: p[:, 0] * p[:, 1] > 0.0),
+}
+
+
+def cone_set(kind: str, h: float = 1.0 / 32.0, box_radius: float = 2.0) -> IndicatorSet:
+    """The half-plane {x_2 <= 0} ("halfplane") or the cross cone {x_1 x_2 > 0}
+    ("cross") on the 2D grid of spacing h, whose exterior continues it as +-1."""
+    exterior, inside = _CONES[kind]
+    g = Grid(2, h, box_radius, FieldExterior(exterior))
+    return IndicatorSet(g, inside(g.coords()).reshape(g.shape))
+
+
+def cone_sweep(E: IndicatorSet, fields, region: BallRegion, orders, t_list) -> dict:
+    """`perimeter_stability_quotients` of E under each field at every order:
+    per order, one dict per field, in the order of `fields`.
+
+    Each deformed set flow_map(., X, +-t), of E and of its 2x coarsening, is
+    built once and its perimeter read at every order; t is looped outside
+    the orders, so at most two deformed sets are alive.  Empty field, order
+    or time lists, and flow times that are 0 or not finite, are refused.
+    """
+    fields, orders, t_list = list(fields), tuple(dict.fromkeys(orders)), list(t_list)
+    if not (fields and orders and t_list) or not all(np.isfinite(t) and t != 0.0
+                                                      for t in t_list):
+        raise ConfigurationError("a cone sweep needs fields, orders and flow times, "
+                                 f"each time finite and nonzero; got t = {t_list!r}")
     g = E.grid
     if g.half_count % 2 != 0:
         raise ConfigurationError("coarsening needs an even node count per half-axis")
-    coarse = Grid(g.n, 2 * g.h, g.box_radius, g.boundary, g.centered)
-    sl = tuple(slice(0, None, 2) for _ in range(g.n))
-    return IndicatorSet(coarse, E.membership[sl])
+    g2 = Grid(g.n, 2 * g.h, g.box_radius, g.boundary, g.centered)
+    sets = (E, IndicatorSet(g2, E.membership[(slice(0, None, 2),) * g.n]))
+    q = {s: np.empty((len(sets), len(fields), len(t_list))) for s in orders}
+    for i, ind in enumerate(sets):
+        base = {s: fractional_perimeter(ind, region, s) for s in orders}
+        for k, X in enumerate(fields):
+            for j, t in enumerate(t_list):
+                plus, minus = flow_map(ind, X, +t), flow_map(ind, X, -t)
+                for s in orders:
+                    pp = fractional_perimeter(plus, region, s)
+                    pm = fractional_perimeter(minus, region, s)
+                    q[s][i, k, j] = (pp + pm - 2.0 * base[s]) / t ** 2
+    out = {}
+    for s, (fine, coarse) in q.items():
+        out[s] = []
+        for q_fine, q_coarse in zip(fine, coarse):
+            err = np.abs(q_fine - q_coarse) + 1e-6 * max(1.0, float(np.max(np.abs(q_fine))))
+            out[s].append({"t": list(t_list), "q": q_fine.tolist(),
+                           "error_bar": err.tolist(), "q_coarse": q_coarse.tolist()})
+    return out
 
 
 def perimeter_stability_quotients(E: IndicatorSet, X: VectorFieldSpec,
@@ -369,22 +445,4 @@ def perimeter_stability_quotients(E: IndicatorSet, X: VectorFieldSpec,
     q(t) = [P(flow_t E) + P(flow_{-t} E) - 2 P(E)] / t^2, with an error bar
     per t from repeating the computation on a 2x-coarsened grid.
     """
-
-    def trace_on(ind: IndicatorSet):
-        base = fractional_perimeter(ind, region, s)
-        out = []
-        for t in t_list:
-            pp = fractional_perimeter(flow_map(ind, X, +t), region, s)
-            pm = fractional_perimeter(flow_map(ind, X, -t), region, s)
-            out.append((pp + pm - 2.0 * base) / t ** 2)
-        return np.array(out)
-
-    q_fine = trace_on(E)
-    q_coarse = trace_on(_coarsen_indicator(E))
-    err = np.abs(q_fine - q_coarse) + 1e-6 * max(1.0, float(np.max(np.abs(q_fine))))
-    return {
-        "t": list(t_list),
-        "q": q_fine.tolist(),
-        "error_bar": err.tolist(),
-        "q_coarse": q_coarse.tolist(),
-    }
+    return cone_sweep(E, [X], region, (s,), t_list)[s][0]

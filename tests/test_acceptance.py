@@ -19,15 +19,14 @@ from fracac import (
     KernelSpec,
     ScalarField,
     apply_laplacian,
-    bv_scaling,
     density_check,
     DensityCheckConfig,
     blowdown_convergence,
     embed_profile,
     euler_lagrange_consistency,
     extend,
+    energy_growth,
     flatness_profile,
-    full_energy_scaling,
     gradient_flow,
     gradient_test_inequality,
     halfspace_extension,
@@ -43,10 +42,10 @@ from fracac import (
     potential_decay,
     potential_vs_sobolev,
     residual_field,
-    sobolev_scaling,
     solve_layer_1d,
 )
-from fracac.cli import radial_bump_vector_field
+from fracac.scaling import SLOPE_TOLERANCE
+from fracac.stability import cone_set, cone_sweep, radial_bump_vector_field
 from fracac.fields import FieldExterior, evaluate_field
 
 
@@ -174,17 +173,13 @@ def test_criterion_06_monotonicity(layer_s05, quartic, capsys):
 
 
 def test_criterion_07_scaling_exponents(embedded_layer_zoomed, quartic, spec2_unit, capsys):
-    u2 = embedded_layer_zoomed
-    radii = [4.0, 6.0, 8.0, 10.0, 12.0, 14.0]
-    _, fb = bv_scaling(u2, radii)
-    _, fs = sobolev_scaling(u2, radii, spec2_unit)
-    _, ff = full_energy_scaling(u2, radii, spec2_unit, quartic)
-    ok = (abs(fb.slope - 1.0) <= 0.15 and abs(fs.slope - 1.5) <= 0.15
-          and abs(ff.slope - 1.5) <= 0.15)
+    growth = energy_growth(embedded_layer_zoomed, [4.0, 6.0, 8.0, 10.0, 12.0, 14.0],
+                           spec2_unit, quartic)
+    ok = all(g.passed for g in growth.values())
     with capsys.disabled():
-        verdict(7, "scaling exponents", ok,
-                f"bv {fb.slope:.3f} = 1 +- 0.15, sobolev {fs.slope:.3f} "
-                f"= 1.5 +- 0.15, full {ff.slope:.3f} = 1.5 +- 0.15")
+        verdict(7, "scaling exponents", ok, ", ".join(
+            f"{label} {g.fit.slope:.3f} = {g.target:g} +- {SLOPE_TOLERANCE:g}"
+            for label, g in zip(("bv", "sobolev", "full"), growth.values())))
     assert ok
 
 
@@ -310,16 +305,11 @@ def test_criterion_12_perimeter_and_cone_stability(capsys, tmp_path):
     E1 = IndicatorSet(g1, rng.random(g1.shape) < 0.5)
     resid = perimeter_identity_residual(E1, BallRegion((0.0,), 2.0), 0.5)
 
-    ext = FieldExterior(lambda p: np.where(p[:, 1] <= 0.0, 1.0, -1.0))
-    g2 = Grid(2, 1.0 / 32.0, 2.0, ext)
-    pts = g2.coords()
-    half = IndicatorSet(g2, (pts[:, 1] <= 0.0).reshape(g2.shape))
+    half = cone_set("halfplane")
     region = BallRegion((0.0, 0.0), 1.0)
-    worst = np.inf
-    for k in range(20):
-        X = radial_bump_vector_field(100 + k)
-        q = perimeter_stability_quotients(half, X, region, 0.9, (0.04, 0.08, 0.16))
-        worst = min(worst, min(v + e for v, e in zip(q["q"], q["error_bar"])))
+    fields = [radial_bump_vector_field(100 + k) for k in range(20)]
+    quotients = cone_sweep(half, fields, region, (0.9,), (0.04, 0.08, 0.16))[0.9]
+    worst = min(v + e for q in quotients for v, e in zip(q["q"], q["error_bar"]))
 
     from fracac import VectorFieldSpec
     Xt = VectorFieldSpec(lambda p: np.stack(
@@ -329,20 +319,9 @@ def test_criterion_12_perimeter_and_cone_stability(capsys, tmp_path):
     translation_zero = max(abs(v) for v in qt["q"]) <= 1e-9
 
     # exploratory cross-cone sweep, recorded but not asserted
-    extc = FieldExterior(lambda p: np.sign(p[:, 0] * p[:, 1] + 1e-300))
-    gc = Grid(2, 1.0 / 32.0, 2.0, extc)
-    pc = gc.coords()
-    cross = IndicatorSet(gc, (pc[:, 0] * pc[:, 1] > 0.0).reshape(gc.shape))
-    # the fields are built once, as `fracac cone` does: the flow memo matches
-    # a field by identity, so the later orders reuse the first order's flows
     cross_fields = [radial_bump_vector_field(500 + k) for k in range(6)]
-    rows = []
-    for sv in (0.5, 0.7, 0.9):
-        qmin = np.inf
-        for X in cross_fields:
-            q = perimeter_stability_quotients(cross, X, region, sv, (0.08, 0.16))
-            qmin = min(qmin, min(q["q"]))
-        rows.append((sv, qmin))
+    cross = cone_sweep(cone_set("cross"), cross_fields, region, (0.5, 0.7, 0.9), (0.08, 0.16))
+    rows = [(sv, min(v for q in qs for v in q["q"])) for sv, qs in cross.items()]
     sweep = tmp_path / "cross_cone_sweep.csv"
     sweep.write_text("s,min_quotient\n" +
                      "\n".join(f"{sv},{qv!r}" for sv, qv in rows) + "\n")

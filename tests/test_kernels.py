@@ -23,6 +23,7 @@ from fracac import (
     apply_laplacian,
     apply_quadrature,
     apply_spectral,
+    cone_set,
     embed_profile,
     fractional_perimeter,
     kernel_value,
@@ -833,15 +834,11 @@ def test_unit_square_exterior_reuses_t0_for_t2(monkeypatch, cross):
     experiment, on their 128^2 grid) u_ext^2 is the exterior mask on both
     frame levels, so t2 is t0 bit for bit and its convolution is skipped on
     each level."""
-    if cross:
-        ext = FieldExterior(lambda p: np.sign(p[:, 0] * p[:, 1] + 1e-300))
-    else:
-        ext = FieldExterior(lambda p: np.where(p[:, 1] <= 0.0, 1.0, -1.0))
+    g = cone_set("cross" if cross else "halfplane").grid
     calls = []
     call = FFTConvolver.__call__
     monkeypatch.setattr(FFTConvolver, "__call__",
                         lambda self, f: calls.append(1) or call(self, f))
-    g = Grid(2, 1.0 / 32.0, 2.0, ext)
     mom = exterior_moments(g, KernelSpec.fractional(0.5))
     assert len(_lattice.frame_levels(g)) == 2 and len(calls) == 2 * 2
     assert np.array_equal(mom["t2"], mom["t0"]) and mom["t2"] is not mom["t0"]

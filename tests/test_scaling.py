@@ -14,8 +14,10 @@ from fracac import (
     ScalingExperiment,
     bv_scaling,
     density_check,
+    energy_growth,
     fit_loglog,
     flatness_profile,
+    full_energy_scaling,
     interpolation_check,
     layer_decay,
     potential_decay,
@@ -24,6 +26,7 @@ from fracac import (
 )
 from fracac.fields import evaluate_field, gradient_l1_norm
 from fracac.errors import ConfigurationError
+from fracac.scaling import SLOPE_TOLERANCE
 
 # one-time calibration over the declared field zoo (see the runs in the
 # repository history of this test's constants): max observed 5.04 and 2.67
@@ -253,3 +256,20 @@ def test_fixed_field_two_kernel_orders(embedded_layer_zoomed):
         slopes[sk] = fit.slope
         assert abs(fit.slope - (2.0 - sk)) <= 0.15
     assert abs(slopes[0.3] - slopes[0.7]) > 0.2
+
+
+
+def test_energy_growth_is_the_three_fits_against_the_sharp_exponents(layer_s05, quartic):
+    """In 1D the targets are n - 1 = 0 and n - s = 0.5; each trace and fit is
+    the one its own scaling call gives, and passes within SLOPE_TOLERANCE."""
+    from fracac import rescale_blowdown
+    prof, radii = rescale_blowdown(layer_s05, 32.0), [2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0]
+    spec = KernelSpec.fractional_unit(0.5, 1)
+    growth = energy_growth(prof, radii, spec, quartic)
+    assert {k: g.target for k, g in growth.items()} == {"bv": 0, "sobolev": 0.5,
+                                                        "full_energy": 0.5}
+    for g, (exp, fit) in zip(growth.values(), (
+            bv_scaling(prof, radii), sobolev_scaling(prof, radii, spec),
+            full_energy_scaling(prof, radii, spec, quartic))):
+        assert np.array_equal(g.trace.values, exp.values) and g.fit == fit
+        assert g.passed == (abs(fit.slope - g.target) <= SLOPE_TOLERANCE)

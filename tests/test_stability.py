@@ -26,12 +26,12 @@ from fracac import (
     perimeter_stability_quotients,
     second_variation,
 )
-from fracac.cli import radial_bump_vector_field
 from conftest import dense_matrix
 from fracac.errors import ConfigurationError, FlowError
 from fracac._lattice import LRUCache, _free_twin, get_operator
 from fracac import stability
-from fracac.stability import _in_support, _rk4_backward
+from fracac.stability import (_in_support, _rk4_backward, cone_set, cone_sweep,
+                              radial_bump_vector_field)
 
 
 def compact_field(grid, rng, radius):
@@ -246,15 +246,8 @@ def test_gradient_test_requires_convergence(quartic, spec2_unit, grid2d):
         gradient_test_inequality(u, spec2_unit, quartic, residual_bound=1e-4)
 
 
-def halfplane_set(h=1.0 / 32.0, box=2.0):
-    ext = FieldExterior(lambda p: np.where(p[:, 1] <= 0.0, 1.0, -1.0))
-    g = Grid(2, h, box, ext)
-    pts = g.coords()
-    return IndicatorSet(g, (pts[:, 1] <= 0.0).reshape(g.shape))
-
-
 def test_flow_map_identity_and_translation():
-    E = halfplane_set()
+    E = cone_set("halfplane")
     zero = VectorFieldSpec(lambda p: np.zeros_like(p), support_radius=10.0)
     assert np.array_equal(flow_map(E, zero, 0.1).membership, E.membership)
     # constant horizontal field: tangential to the boundary, set invariant
@@ -273,7 +266,7 @@ def test_flow_map_identity_and_translation():
 
 
 def test_flow_map_symmetric_difference_slope_matches_boundary_integral():
-    E = halfplane_set()
+    E = cone_set("halfplane")
     g = E.grid
 
     def bump(p):
@@ -295,7 +288,7 @@ def test_flow_map_symmetric_difference_slope_matches_boundary_integral():
 
 
 def test_quotients_translation_field_vanish():
-    E = halfplane_set()
+    E = cone_set("halfplane")
     Xh = VectorFieldSpec(lambda p: np.stack([np.exp(-np.sum(p ** 2, axis=1)),
                                              np.zeros(len(p))], axis=1),
                          support_radius=0.95)
@@ -305,7 +298,7 @@ def test_quotients_translation_field_vanish():
 
 
 def test_quotients_sign_flip_invariance():
-    E = halfplane_set()
+    E = cone_set("halfplane")
     X = radial_bump_vector_field(7)
     Xm = VectorFieldSpec(lambda p, _X=X: -_X(p), support_radius=X.support_radius)
     region = BallRegion((0.0, 0.0), 1.0)
@@ -315,20 +308,16 @@ def test_quotients_sign_flip_invariance():
 
 
 def test_halfplane_quotients_nonnegative_within_bars():
-    E = halfplane_set()
-    region = BallRegion((0.0, 0.0), 1.0)
-    for seed in range(4):
-        X = radial_bump_vector_field(seed)
-        q = perimeter_stability_quotients(E, X, region, 0.9, (0.08, 0.16))
-        for v, e in zip(q["q"], q["error_bar"]):
-            assert v >= -e
+    sweep = cone_sweep(cone_set("halfplane"), [radial_bump_vector_field(k) for k in range(4)],
+                       BallRegion((0.0, 0.0), 1.0), (0.9,), (0.08, 0.16))
+    assert all(v >= -e for q in sweep[0.9] for v, e in zip(q["q"], q["error_bar"]))
 
 
 def test_flow_map_degeneracy_guard():
     """Smooth flows are diffeomorphisms, but an under-resolved discrete
     integration can fold; the sampled-Jacobian guard catches it along
     either axis, and reads only the diagonal of the probed Jacobian."""
-    E = halfplane_set()
+    E = cone_set("halfplane")
     for ax in (0, 1):
         def fold(p, ax=ax):
             out = np.zeros_like(p)
@@ -389,7 +378,7 @@ def test_rk4_backward_matches_full_array_reference(n, t):
 def test_flow_map_tiny_support_never_evaluates_empty_arrays():
     """Every grid holds the origin, so the smallest support still meets one
     node; the probe points miss it and must not reach X as an empty array."""
-    E = halfplane_set()
+    E = cone_set("halfplane")
     sizes = []
 
     def comps(p):
@@ -410,19 +399,29 @@ def _count_distances(monkeypatch):
     return calls
 
 
-def test_quotients_compute_each_signed_distance_once(monkeypatch):
-    """One quotient call flows the set and its coarsening 2 len(t) times
-    each, but each set's signed distance is computed once."""
+def _count_flow_maps(monkeypatch):
+    calls = []
+    fm = stability.flow_map
+    monkeypatch.setattr(stability, "flow_map", lambda *a: calls.append(a[2]) or fm(*a))
+    return calls
+
+
+@pytest.mark.parametrize("orders", [(0.9,), (0.5, 0.7, 0.9)])
+def test_quotients_compute_each_signed_distance_once(monkeypatch, orders):
+    """A sweep flows the set and its coarsening 2 len(t) times per field,
+    whatever the number of orders (a negative t is a flow time like any),
+    but computes each set's signed distance once."""
     stability._flow_memo.clear()
-    calls = _count_distances(monkeypatch)
-    perimeter_stability_quotients(halfplane_set(), radial_bump_vector_field(3),
-                                  BallRegion((0.0, 0.0), 1.0), 0.9, (0.04, 0.08, 0.16))
-    assert len(calls) == 2
+    distances, flows = _count_distances(monkeypatch), _count_flow_maps(monkeypatch)
+    cone_sweep(cone_set("halfplane"), [radial_bump_vector_field(k) for k in (3, 4)],
+               BallRegion((0.0, 0.0), 1.0), orders, (0.04, -0.08, 0.16))
+    assert len(distances) == 2 and len(flows) == 2 * 2 * 3 * 2
+    assert sorted(set(flows)) == [-0.16, -0.08, -0.04, 0.04, 0.08, 0.16]
 
 
 def test_flow_map_recomputes_distance_after_membership_change(monkeypatch):
     stability._flow_memo.clear()
-    E = halfplane_set()
+    E = cone_set("halfplane")
     X = radial_bump_vector_field(3)
     before = flow_map(E, X, 0.08).membership
     calls = _count_distances(monkeypatch)
@@ -479,7 +478,7 @@ def test_flow_map_memberships_equal_the_exact_distance_route(monkeypatch, t):
     without an interface is returned as it is."""
     from scipy.ndimage import map_coordinates
     rng = np.random.default_rng(7)
-    g = Grid(2, 0.1, 2.0, FieldExterior(lambda p: np.where(p[:, 1] <= 0.0, 1.0, -1.0)))
+    g = cone_set("halfplane", 0.1).grid
     pts = g.coords()
     X = radial_bump_vector_field(4)
     inside = _in_support(pts, X)
@@ -497,20 +496,12 @@ def test_flow_map_memberships_equal_the_exact_distance_route(monkeypatch, t):
         assert np.array_equal(got.ravel(), want)
 
 
-def _count_flows(monkeypatch):
-    calls = []
-    rk4 = stability._rk4_backward
-    monkeypatch.setattr(stability, "_rk4_backward",
-                        lambda *a, **k: calls.append(1) or rk4(*a, **k))
-    return calls
-
-
 def test_flow_memo_misses_on_changed_membership_and_new_field(monkeypatch):
     """The signed distance is reused only for the same membership values, the
     state only for the same field object and step size; every call is a set
     of its own."""
     memo, puts = _recording_memo(monkeypatch)
-    E = halfplane_set()
+    E = cone_set("halfplane")
     X, evals = _counted(radial_bump_vector_field(3))
     first = flow_map(E, X, 0.08)
     assert [k[0] for k in puts] == ["sd", "state"]
@@ -572,7 +563,7 @@ def test_flow_memo_keeps_no_failed_flow(monkeypatch):
     """Only the signed distance is kept: the second failing flow hits it,
     misses its 25 states and evaluates X as often as the first did."""
     memo, puts = _recording_memo(monkeypatch)
-    E = halfplane_set()
+    E = cone_set("halfplane")
     X, evals = _counted(_fold_field(30.0))
     counts = []
     for _ in range(2):
@@ -588,7 +579,7 @@ def test_continued_flow_that_folds_keeps_nothing(monkeypatch):
     """t = 0.5 continues from the checked t = 0.32 state (both take steps of
     0.02), folds, and leaves no state of its own."""
     memo, puts = _recording_memo(monkeypatch)
-    E = halfplane_set()
+    E = cone_set("halfplane")
     X, evals = _counted(_fold_field(10.0))
     flow_map(E, X, 0.32)
     assert [k[0] for k in puts] == ["sd", "state"] and memo.hits == 0
@@ -666,9 +657,7 @@ def test_flow_state_is_shared_by_the_sets_of_a_layout():
     """The flow state depends on the layout, X and t, not on the set: a
     second set is deformed without evaluating X and as a cold flow would."""
     stability._flow_memo.clear()
-    E = halfplane_set()
-    pts = E.grid.coords()
-    F = IndicatorSet(E.grid, (pts[:, 0] * pts[:, 1] > 0.0).reshape(E.grid.shape))
+    E, F = cone_set("halfplane"), cone_set("cross")
     X, evals = _counted(radial_bump_vector_field(2))
     flow_map(E, X, -0.08)
     del evals[:]
@@ -684,7 +673,7 @@ def test_flow_memo_holds_the_field_while_its_state_lives(monkeypatch):
     memo = _fresh_flow_memo(monkeypatch)
     X = radial_bump_vector_field(3)
     ref = weakref.ref(X)
-    flow_map(halfplane_set(), X, 0.04)
+    flow_map(cone_set("halfplane"), X, 0.04)
     del X
     gc.collect()
     assert ref() is not None
@@ -699,7 +688,7 @@ def test_flow_memo_stays_within_its_byte_cap(monkeypatch):
     the first, is never evicted."""
     memo, puts = _recording_memo(monkeypatch)
     monkeypatch.setattr(memo, "cap", 20_000)
-    E = halfplane_set(h=1.0 / 8.0)           # 32^2: an 8.3 kB signed distance per set
+    E = cone_set("halfplane", h=1.0 / 8.0)           # 32^2: an 8.3 kB signed distance per set
     X, evals = _counted(radial_bump_vector_field(3))
     for k in range(6):
         E.membership[0, k] = not E.membership[0, k]
@@ -718,17 +707,34 @@ def test_flow_memo_stays_within_its_byte_cap(monkeypatch):
     assert len(small) == 1 and small.total == 993
 
 
-def test_warm_quotients_equal_cold_ones():
-    E = halfplane_set()
-    X = radial_bump_vector_field(5)
-    region = BallRegion((0.0, 0.0), 1.0)
-    stability._flow_memo.clear()
-    cold = perimeter_stability_quotients(E, X, region, 0.5, (0.04, 0.08))
-    warm = perimeter_stability_quotients(E, X, region, 0.5, (0.04, 0.08))
-    other_s = perimeter_stability_quotients(E, X, region, 0.7, (0.04, 0.08))
-    stability._flow_memo.clear()
-    assert warm == cold
-    assert other_s == perimeter_stability_quotients(E, X, region, 0.7, (0.04, 0.08))
+@pytest.mark.parametrize("kind", ["halfplane", "cross"])
+def test_warm_quotients_equal_cold_ones(kind):
+    """A sweep over three orders gives, per order and field, exactly the
+    dict of a one-order call, whether that call reads the sweep's flows (the
+    same field object) or flows afresh (a new one)."""
+    E, region, t_list = cone_set(kind), BallRegion((0.0, 0.0), 1.0), (0.08, 0.16)
+    fields = [radial_bump_vector_field(k) for k in (2, 9)]
+    sweep = cone_sweep(E, fields, region, (0.5, 0.7, 0.9), t_list)
+    for s, quotients in sweep.items():
+        for k, X, got in zip((2, 9), fields, quotients):
+            assert got == perimeter_stability_quotients(E, X, region, s, t_list)
+            X = radial_bump_vector_field(k)
+            assert got == perimeter_stability_quotients(E, X, region, s, t_list)
+
+
+@pytest.mark.parametrize("n_fields, orders, t_list", [
+    (0, (0.5,), (0.08,)), (1, (), (0.08,)), (1, (0.5,), ()), (1, (0.5,), (0.08, 0.0)),
+    (1, (0.5,), (-0.0,)), (1, (0.5,), (float("nan"),)), (1, (0.5,), (np.inf, 0.08)),
+], ids=["no_fields", "no_orders", "no_times", "zero_t", "minus_zero_t", "nan_t", "inf_t"])
+def test_cone_sweep_refuses_empty_lists_and_bad_flow_times(monkeypatch, n_fields, orders,
+                                                           t_list):
+    """A flow time of 0 would give q = 0/0 = nan, which a min() fold drops;
+    every refusal comes before the first flow."""
+    calls = _count_flow_maps(monkeypatch)
+    with pytest.raises(ConfigurationError, match="cone sweep"):
+        cone_sweep(cone_set("halfplane", h=1.0 / 8.0), [radial_bump_vector_field(1)] * n_fields,
+                   BallRegion((0.0, 0.0), 1.0), orders, t_list)
+    assert not calls
 
 
 def test_vector_field_call_leaves_the_components_array_alone():
@@ -743,7 +749,7 @@ def test_vector_field_call_leaves_the_components_array_alone():
     Y = VectorFieldSpec(lambda p: np.broadcast_to(np.array([0.1, 0.0]), p.shape),
                         support_radius=1.0)
     assert np.array_equal(Y(pts), [[0.1, 0.0], [0.0, 0.0], [0.0, 0.0]])
-    E = halfplane_set()
+    E = cone_set("halfplane")
     assert np.array_equal(flow_map(E, Y, 0.1).membership, E.membership)
 
 
