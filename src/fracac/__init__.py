@@ -50,13 +50,10 @@ from .solver import (
 from .stability import (
     StabilityReport,
     VectorFieldSpec,
-    cone_set,
-    cone_sweep,
     flow_map,
     gradient_test_inequality,
     min_rayleigh,
     perimeter_stability_quotients,
-    radial_bump_vector_field,
     second_variation,
 )
 from .extension import (
@@ -73,12 +70,10 @@ from .extension import (
 from .scaling import (
     DensityCheckConfig,
     FitResult,
-    GrowthFit,
     ScalingExperiment,
     blowdown_convergence,
     bv_scaling,
     density_check,
-    energy_growth,
     fit_loglog,
     flatness_profile,
     full_energy_scaling,

@@ -390,11 +390,12 @@ _CONES = {
 }
 
 
-def cone_set(kind: str, h: float = 1.0 / 32.0, box_radius: float = 2.0) -> IndicatorSet:
+def cone_set(kind: str) -> IndicatorSet:
     """The half-plane {x_2 <= 0} ("halfplane") or the cross cone {x_1 x_2 > 0}
-    ("cross") on the 2D grid of spacing h, whose exterior continues it as +-1."""
+    ("cross") on the 2D grid of spacing 1/32 and box radius 2, whose exterior
+    continues it as +-1."""
     exterior, inside = _CONES[kind]
-    g = Grid(2, h, box_radius, FieldExterior(exterior))
+    g = Grid(2, 1.0 / 32.0, 2.0, FieldExterior(exterior))
     return IndicatorSet(g, inside(g.coords()).reshape(g.shape))
 
 
@@ -407,7 +408,7 @@ def cone_sweep(E: IndicatorSet, fields, region: BallRegion, orders, t_list) -> d
     the orders, so at most two deformed sets are alive.  Empty field, order
     or time lists, and flow times that are 0 or not finite, are refused.
     """
-    fields, orders, t_list = list(fields), tuple(dict.fromkeys(orders)), list(t_list)
+    fields, t_list = list(fields), list(t_list)
     if not (fields and orders and t_list) or not all(np.isfinite(t) and t != 0.0
                                                       for t in t_list):
         raise ConfigurationError("a cone sweep needs fields, orders and flow times, "
@@ -415,25 +416,27 @@ def cone_sweep(E: IndicatorSet, fields, region: BallRegion, orders, t_list) -> d
     g = E.grid
     if g.half_count % 2 != 0:
         raise ConfigurationError("coarsening needs an even node count per half-axis")
-    g2 = Grid(g.n, 2 * g.h, g.box_radius, g.boundary, g.centered)
-    sets = (E, IndicatorSet(g2, E.membership[(slice(0, None, 2),) * g.n]))
-    q = {s: np.empty((len(sets), len(fields), len(t_list))) for s in orders}
-    for i, ind in enumerate(sets):
+
+    def trace_on(ind: IndicatorSet) -> dict:
+        """Per order, one row q(t) per field."""
         base = {s: fractional_perimeter(ind, region, s) for s in orders}
+        rows = {s: np.empty((len(fields), len(t_list))) for s in base}
         for k, X in enumerate(fields):
             for j, t in enumerate(t_list):
                 plus, minus = flow_map(ind, X, +t), flow_map(ind, X, -t)
-                for s in orders:
-                    pp = fractional_perimeter(plus, region, s)
-                    pm = fractional_perimeter(minus, region, s)
-                    q[s][i, k, j] = (pp + pm - 2.0 * base[s]) / t ** 2
+                for s, q in rows.items():
+                    q[k, j] = (fractional_perimeter(plus, region, s)
+                               + fractional_perimeter(minus, region, s) - 2.0 * base[s]) / t ** 2
+        return rows
+
+    fine = trace_on(E)
+    coarse = trace_on(IndicatorSet(Grid(g.n, 2 * g.h, g.box_radius, g.boundary, g.centered),
+                                   E.membership[(slice(0, None, 2),) * g.n]))
     out = {}
-    for s, (fine, coarse) in q.items():
-        out[s] = []
-        for q_fine, q_coarse in zip(fine, coarse):
-            err = np.abs(q_fine - q_coarse) + 1e-6 * max(1.0, float(np.max(np.abs(q_fine))))
-            out[s].append({"t": list(t_list), "q": q_fine.tolist(),
-                           "error_bar": err.tolist(), "q_coarse": q_coarse.tolist()})
+    for s, q in fine.items():
+        err = np.abs(q - coarse[s]) + 1e-6 * np.maximum(1.0, np.abs(q).max(axis=1, keepdims=True))
+        out[s] = [{"t": list(t_list), "q": qf.tolist(), "error_bar": e.tolist(),
+                   "q_coarse": qc.tolist()} for qf, e, qc in zip(q, err, coarse[s])]
     return out
 
 

@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 
 from fracac import (
+    Grid,
+    IndicatorSet,
     KernelSpec,
     Periodic,
     Potential,
     embed_profile,
+    flow_map,
+    fractional_perimeter,
     make_grid,
     rescale_blowdown,
     solve_layer_1d,
@@ -61,6 +65,29 @@ def spec1_unit():
 @pytest.fixture(scope="session")
 def spec2_unit():
     return KernelSpec.fractional_unit(0.5, 2)
+
+
+def composed_quotients(E, X, region, s, t_list):
+    """The perimeter stability quotients of E under X at the one order s,
+    composed from flow_map and fractional_perimeter: the per-order loop
+    that stability.cone_sweep replaced, kept as its oracle."""
+
+    def trace_on(ind):
+        base = fractional_perimeter(ind, region, s)
+        out = []
+        for t in t_list:
+            pp = fractional_perimeter(flow_map(ind, X, +t), region, s)
+            pm = fractional_perimeter(flow_map(ind, X, -t), region, s)
+            out.append((pp + pm - 2.0 * base) / t ** 2)
+        return np.array(out)
+
+    g = E.grid
+    coarse = Grid(g.n, 2 * g.h, g.box_radius, g.boundary, g.centered)
+    q_fine = trace_on(E)
+    q_coarse = trace_on(IndicatorSet(coarse, E.membership[(slice(0, None, 2),) * g.n]))
+    err = np.abs(q_fine - q_coarse) + 1e-6 * max(1.0, float(np.max(np.abs(q_fine))))
+    return {"t": list(t_list), "q": q_fine.tolist(), "error_bar": err.tolist(),
+            "q_coarse": q_coarse.tolist()}
 
 
 def dense_matrix(op):

@@ -230,13 +230,14 @@ def test_cli_byte_identical_on_rerun(experiment, outputs, tmp_path):
         assert header == "radius,sobolev,potential"
 
 
-
 def test_cone_run_flows_once_for_all_orders_and_keeps_the_per_order_fold(monkeypatch,
                                                                           tmp_path):
     """With 2 fields, `cone` flows each deformed set once for all three cross
-    orders, and its cross sweep is the fold of one call per order and field."""
+    orders, and its cross sweep is the fold of the per-order composition of
+    flow_map and fractional_perimeter, one order and field at a time."""
     import numpy as np
-    from fracac import BallRegion, perimeter_stability_quotients, stability
+    from conftest import composed_quotients
+    from fracac import BallRegion, stability
     calls, fm = [], stability.flow_map
     monkeypatch.setattr(stability, "flow_map", lambda *a: calls.append(1) or fm(*a))
     run(RunConfig("cone", {"output_dir": str(tmp_path / "o"), "n_fields": 2}))
@@ -248,7 +249,6 @@ def test_cone_run_flows_once_for_all_orders_and_keeps_the_per_order_fold(monkeyp
     for sv in (0.5, 0.7, 0.9):
         qmin = np.inf
         for X in fields:
-            qmin = min(qmin, min(perimeter_stability_quotients(cross, X, region, sv,
-                                                               (0.08, 0.16))["q"]))
+            qmin = min(qmin, min(composed_quotients(cross, X, region, sv, (0.08, 0.16))["q"]))
         rows.append(f"{sv!r},{qmin!r}")
     assert (tmp_path / "o" / "cone" / "cross_cone_sweep.csv").read_text().splitlines() == rows

@@ -16,7 +16,6 @@ from fracac import (
     Potential,
     ScalarField,
     VariationMap,
-    cone_set,
     domain_variation,
     fractional_perimeter,
     maxmin_residual,
@@ -437,8 +436,10 @@ def test_perimeters_sharing_the_outer_part_convolve_it_once(monkeypatch):
     mask with the original, so two perimeters take three convolutions, all
     by one engine windowed to the region's bounding box and none on the
     whole box, and give the bits of a cold operator."""
-    E = cone_set("halfplane", h=0.125)
-    g, pts, region = E.grid, E.grid.coords(), BallRegion((0.0, 0.0), 1.0)
+    g = Grid(2, 0.125, 2.0, FieldExterior(lambda p: np.where(p[:, 1] <= 0.0, 1.0, -1.0)))
+    pts = g.coords()
+    region = BallRegion((0.0, 0.0), 1.0)
+    E = IndicatorSet(g, (pts[:, 1] <= 0.0).reshape(g.shape))
     F = IndicatorSet(g, (pts[:, 1] <= 0.3 * np.exp(-4.0 * np.sum(pts ** 2, axis=1)))
                      .reshape(g.shape))
     op = get_operator(g, KernelSpec.perimeter(0.5))

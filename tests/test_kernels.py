@@ -23,7 +23,6 @@ from fracac import (
     apply_laplacian,
     apply_quadrature,
     apply_spectral,
-    cone_set,
     embed_profile,
     fractional_perimeter,
     kernel_value,
@@ -32,6 +31,7 @@ from fracac import (
 )
 from fracac.errors import ConfigurationError, SingularityError
 from fracac.kernels import kernel_bounds_audit
+from fracac.stability import cone_set
 from fracac import _lattice
 from fracac._lattice import (
     DiscreteOperator,

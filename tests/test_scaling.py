@@ -14,7 +14,6 @@ from fracac import (
     ScalingExperiment,
     bv_scaling,
     density_check,
-    energy_growth,
     fit_loglog,
     flatness_profile,
     full_energy_scaling,
@@ -26,7 +25,7 @@ from fracac import (
 )
 from fracac.fields import evaluate_field, gradient_l1_norm
 from fracac.errors import ConfigurationError
-from fracac.scaling import SLOPE_TOLERANCE
+from fracac.scaling import SLOPE_TOLERANCE, energy_growth
 
 # one-time calibration over the declared field zoo (see the runs in the
 # repository history of this test's constants): max observed 5.04 and 2.67
@@ -256,7 +255,6 @@ def test_fixed_field_two_kernel_orders(embedded_layer_zoomed):
         slopes[sk] = fit.slope
         assert abs(fit.slope - (2.0 - sk)) <= 0.15
     assert abs(slopes[0.3] - slopes[0.7]) > 0.2
-
 
 
 def test_energy_growth_is_the_three_fits_against_the_sharp_exponents(layer_s05, quartic):

@@ -26,7 +26,7 @@ from fracac import (
     perimeter_stability_quotients,
     second_variation,
 )
-from conftest import dense_matrix
+from conftest import composed_quotients, dense_matrix
 from fracac.errors import ConfigurationError, FlowError
 from fracac._lattice import LRUCache, _free_twin, get_operator
 from fracac import stability
@@ -478,7 +478,7 @@ def test_flow_map_memberships_equal_the_exact_distance_route(monkeypatch, t):
     without an interface is returned as it is."""
     from scipy.ndimage import map_coordinates
     rng = np.random.default_rng(7)
-    g = cone_set("halfplane", 0.1).grid
+    g = Grid(2, 0.1, 2.0, FieldExterior(lambda p: np.where(p[:, 1] <= 0.0, 1.0, -1.0)))
     pts = g.coords()
     X = radial_bump_vector_field(4)
     inside = _in_support(pts, X)
@@ -688,7 +688,8 @@ def test_flow_memo_stays_within_its_byte_cap(monkeypatch):
     the first, is never evicted."""
     memo, puts = _recording_memo(monkeypatch)
     monkeypatch.setattr(memo, "cap", 20_000)
-    E = cone_set("halfplane", h=1.0 / 8.0)           # 32^2: an 8.3 kB signed distance per set
+    g = Grid(2, 1.0 / 8.0, 2.0, FieldExterior(lambda p: np.where(p[:, 1] <= 0.0, 1.0, -1.0)))
+    E = IndicatorSet(g, (g.coords()[:, 1] <= 0.0).reshape(g.shape))  # 32^2: 8.3 kB distances
     X, evals = _counted(radial_bump_vector_field(3))
     for k in range(6):
         E.membership[0, k] = not E.membership[0, k]
@@ -709,17 +710,21 @@ def test_flow_memo_stays_within_its_byte_cap(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["halfplane", "cross"])
 def test_warm_quotients_equal_cold_ones(kind):
-    """A sweep over three orders gives, per order and field, exactly the
-    dict of a one-order call, whether that call reads the sweep's flows (the
-    same field object) or flows afresh (a new one)."""
+    """A sweep over three orders on a cold flow memo gives, per order and
+    field, exactly the per-order composition of flow_map and
+    fractional_perimeter and the dict of a one-order call; a warm sweep
+    repeats it."""
     E, region, t_list = cone_set(kind), BallRegion((0.0, 0.0), 1.0), (0.08, 0.16)
     fields = [radial_bump_vector_field(k) for k in (2, 9)]
-    sweep = cone_sweep(E, fields, region, (0.5, 0.7, 0.9), t_list)
-    for s, quotients in sweep.items():
-        for k, X, got in zip((2, 9), fields, quotients):
+    stability._flow_memo.clear()
+    cold = cone_sweep(E, fields, region, (0.5, 0.7, 0.9), t_list)
+    assert list(cold) == [0.5, 0.7, 0.9] and all(len(q) == 2 for q in cold.values())
+    for s, quotients in cold.items():
+        for X, got in zip(fields, quotients):
+            assert got == composed_quotients(E, X, region, s, t_list)
             assert got == perimeter_stability_quotients(E, X, region, s, t_list)
-            X = radial_bump_vector_field(k)
-            assert got == perimeter_stability_quotients(E, X, region, s, t_list)
+    assert cone_sweep(E, fields, region, (0.5, 0.7, 0.9), t_list) == cold
+    stability._flow_memo.clear()
 
 
 @pytest.mark.parametrize("n_fields, orders, t_list", [
@@ -732,7 +737,7 @@ def test_cone_sweep_refuses_empty_lists_and_bad_flow_times(monkeypatch, n_fields
     every refusal comes before the first flow."""
     calls = _count_flow_maps(monkeypatch)
     with pytest.raises(ConfigurationError, match="cone sweep"):
-        cone_sweep(cone_set("halfplane", h=1.0 / 8.0), [radial_bump_vector_field(1)] * n_fields,
+        cone_sweep(cone_set("halfplane"), [radial_bump_vector_field(1)] * n_fields,
                    BallRegion((0.0, 0.0), 1.0), orders, t_list)
     assert not calls
 
