@@ -17,11 +17,12 @@ symbol to an exact power law at two reference frequencies; one cached
 pass over one orthant of the offset lattice, reduced to row sums along the
 frequency axis, gives the symbol at both.
 
-Every linear convolution against a fixed kernel (the free-space operator
-in every dimension and the exterior moments) goes through one overlap-save
-engine, `FFTConvolver`.  It keeps only the kernel offsets that its output
-window can reach, transforms them once, and pads each axis to the window
-plus the field (N + P - 1), not to the full linear length N + K - 1.
+Every linear convolution against a fixed kernel (the operator, region sums
+and perimeters on every grid, periodic grids included, and the exterior
+moments) goes through one overlap-save engine, `FFTConvolver`.  It keeps
+only the kernel offsets that its output window can reach, transforms them
+once, and pads each axis to the window plus the field (N + P - 1), not to
+the full linear length N + K - 1.
 Its transforms are pruned and in place in one half-spectrum array: the
 forward pass skips the lines that are all zero padding (the r2c runs over
 the field's own lines, each c2c over the lines that can be nonzero), and
@@ -241,20 +242,21 @@ def far_kernel_mass(spec, n: int, rho: float) -> float:
 
 
 def pair_weight_table(grid: Grid, spec) -> np.ndarray:
-    """w(z) = h^n K(z) over all offsets reachable within the box, w(0) = 0.
+    """w(z) = h^n K(z) over all offsets reachable within the box, w(0) = 0:
+    the h-cell kernel of the moments' frame.
 
-    The nearest-neighbor shell carries the calibrated correction factor
-    (1 + shell_correction); every kernel of the same order gets the same
-    multiplicative factor, which preserves two-sided kernel comparisons.
+    The nearest-neighbor shell +-e_ax carries the calibrated correction
+    factor (1 + shell_correction); every kernel of the same order gets the
+    same multiplicative factor, which preserves two-sided kernel comparisons.
     """
-    n, h = grid.n, grid.h
-    p = grid.nodes_per_axis
-    r = _offset_radii(n, p - 1, h)
-    near = np.abs(r - h) < 1e-12 * h
-    w = kernel_on_radii(spec, r, n, out=r)  # in place over the radii
-    w *= h ** n
-    w[near] *= 1.0 + shell_correction(n, spec.s)
-    return _mirror(w)
+    n, c = grid.n, grid.nodes_per_axis - 1
+    factor = 1.0 + shell_correction(n, spec.s)  # calibrated first: its pass holds no table
+    w = _level_kernel(spec, n, grid.h, 1, c)
+    for ax in range(n):  # the nearest shell: the offsets +-e_ax
+        near = [c] * n
+        near[ax] = [c - 1, c + 1]
+        w[tuple(near)] *= factor
+    return w
 
 
 def periodized_weight_row(grid: Grid, spec) -> np.ndarray:
@@ -760,9 +762,8 @@ class DiscreteOperator:
     on every grid and callers never branch on the boundary.
 
     All heavy tables are built lazily and cached on the instance: the
-    free-space convolution engine, the engine windowed to the last
-    `conv_mask` window, the diagonal and, on periodic grids, the spectrum
-    of the periodized row.  The memos of `sobolev_energy` and `conv_mask`
+    convolution engine, the engine windowed to the last `conv_mask`
+    window and the diagonal.  The memos of `sobolev_energy` and `conv_mask`
     serve sweeps; instances are shared through `get_operator`.
     """
 
@@ -779,8 +780,6 @@ class DiscreteOperator:
         self.spec = spec
         self._weights = None
         self._engine = None
-        self._row = None
-        self._row_spectrum = None
         self._moments = None
         self._colsum = None
         self._diagonal = None
@@ -795,28 +794,18 @@ class DiscreteOperator:
     def weights(self) -> np.ndarray:
         """The weight of every pair of box nodes by their offset, over the
         centred offsets -(p-1)..(p-1) of each axis: the pair-weight table,
-        or on a periodic grid the periodized row unwrapped, so that a linear
-        convolution with it equals `conv` on every grid."""
+        or on a periodic grid the periodized row unwrapped, so that the
+        linear convolution `conv` equals the circular one with the row up
+        to round-off."""
         if self._weights is None:
             g = self.grid
             if isinstance(g.boundary, Periodic):
                 p = g.nodes_per_axis
-                self._weights = self.row[np.ix_(*[np.arange(1 - p, p) % p] * g.n)]
+                row = periodized_weight_row(g, self.spec)
+                self._weights = row[np.ix_(*[np.arange(1 - p, p) % p] * g.n)]
             else:
                 self._weights = pair_weight_table(g, self.spec)
         return self._weights
-
-    @property
-    def row(self) -> np.ndarray:
-        if self._row is None:
-            self._row = periodized_weight_row(self.grid, self.spec)
-        return self._row
-
-    @property
-    def row_spectrum(self) -> np.ndarray:
-        if self._row_spectrum is None:
-            self._row_spectrum = sfft.fftn(self.row)
-        return self._row_spectrum
 
     @property
     def moments(self) -> dict:
@@ -826,20 +815,11 @@ class DiscreteOperator:
 
     # -- convolution primitives ---------------------------------------------
 
-    def conv_free(self, f: np.ndarray) -> np.ndarray:
+    def conv(self, f: np.ndarray) -> np.ndarray:
         """sum_{xbar in box} w(x - xbar) f(xbar) at every box node."""
         if self._engine is None:
             self._engine = FFTConvolver(self.weights, self.grid.shape)
         return self._engine(f)
-
-    def conv_periodic(self, f: np.ndarray) -> np.ndarray:
-        """Circular correlation with the periodized row."""
-        return sfft.ifftn(sfft.fftn(f) * self.row_spectrum).real
-
-    def conv(self, f: np.ndarray) -> np.ndarray:
-        if isinstance(self.grid.boundary, Periodic):
-            return self.conv_periodic(f)
-        return self.conv_free(f)
 
     def conv_mask(self, mask: np.ndarray, window: tuple) -> np.ndarray:
         """conv of a boolean mask read on a window (one slice per axis, as
@@ -880,8 +860,13 @@ class DiscreteOperator:
         return values * self.diagonal - self.conv(values) - self.moments["t1"]
 
     def symbol(self) -> np.ndarray:
-        """Exact eigenvalues of the periodic operator on DFT modes (>= 0)."""
-        return np.maximum(self.colsum - self.row_spectrum.real, 0.0)
+        """Exact eigenvalues of the periodic operator on DFT modes (>= 0),
+        from the periodized row: the p^n corner of `weights` at offset 0."""
+        g = self.grid
+        if not isinstance(g.boundary, Periodic):
+            raise ConfigurationError("the symbol needs a periodic grid")
+        row = self.weights[(slice(g.nodes_per_axis - 1, None),) * g.n]
+        return np.maximum(self.colsum - sfft.fftn(row).real, 0.0)
 
     def _field_memo(self, values: np.ndarray) -> tuple:
         """(u, conv(u), conv(u^2)) for the last field, compared by value.  A

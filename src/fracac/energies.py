@@ -177,10 +177,10 @@ def sobolev_energy(u: ScalarField, region: BallRegion, spec: KernelSpec) -> floa
     """Interaction energy over pairs meeting the region, with exterior tails.
 
     Exact in every dimension: the pair sum runs over the one weight table
-    (FFT correlations, exact to round-off), on the periodized row for
-    periodic grids, plus the tail moments of the operator, which are zero on
-    periodic grids.  The classical kind is the local Dirichlet energy over
-    the region.
+    (FFT correlations, exact to round-off; on a periodic grid the table is
+    the periodized row unwrapped), plus the tail moments of the operator,
+    which are zero on periodic grids.  The classical kind is the local
+    Dirichlet energy over the region.
     """
     g = u.grid
     if not isinstance(g.boundary, Periodic):

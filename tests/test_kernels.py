@@ -19,6 +19,7 @@ from fracac import (
     Grid,
     IndicatorSet,
     KernelSpec,
+    Periodic,
     ScalarField,
     apply_laplacian,
     apply_quadrature,
@@ -41,6 +42,8 @@ from fracac._lattice import (
     continuum_symbol_constant,
     exterior_moments,
     get_operator,
+    kernel_on_radii,
+    periodized_weight_row,
     shell_correction,
     symbol_constant,
 )
@@ -418,20 +421,89 @@ def _direct_convolution(f, kernel, window):
     return out
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_free_convolution_matches_direct_sum(n):
-    """The free-space operator against a direct double loop; the engine pads
-    each axis to next_fast_len(2p - 1), the window plus the field."""
+def _circular_convolution(f, row):
+    """sum_j f[j] row[(x - j) mod p] at every node x, one node at a time."""
+    p = f.shape[0]
+    j = np.indices(f.shape)
+    out = np.zeros(f.shape)
+    for x in np.ndindex(f.shape):
+        out[x] = np.sum(f * row[tuple((xk - jk) % p for xk, jk in zip(x, j))])
+    return out
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_free_convolution_matches_direct_sum(n, periodic):
+    """The operator's convolution against a direct double loop: the linear
+    sum over the pair-weight table on an exterior grid, the circular sum
+    over the periodized row on a torus.  On both the engine pads each axis
+    to next_fast_len(2p - 1), the window plus the field."""
     from scipy.fft import next_fast_len
     rng = np.random.default_rng(11)
-    g = Grid(n, 0.25, 1.0, ConstantExterior([(-1.0, 1.0)] * n))
-    op = get_operator(g, KernelSpec.fractional(0.5))
+    h = 0.5 if n == 3 else 0.25
+    g = Grid(n, h, 1.0, Periodic() if periodic else ConstantExterior([(-1.0, 1.0)] * n))
+    spec = KernelSpec.fractional(0.5)
+    op = get_operator(g, spec)
     f = rng.normal(size=g.shape)
-    got = op.conv_free(f)
+    got = op.conv(f)
     p = g.nodes_per_axis
     assert op._engine.fshape == [next_fast_len(2 * p - 1, real=True)] * n
-    want = _direct_convolution(f, op.weights, (slice(0, p),) * n)
+    if periodic:
+        want = _circular_convolution(f, periodized_weight_row(g, spec))
+    else:
+        want = _direct_convolution(f, op.weights, (slice(0, p),) * n)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_symbol_refuses_an_exterior_grid():
+    g = Grid(1, 0.25, 2.0, ConstantExterior([(-1.0, 1.0)]))
+    with pytest.raises(ConfigurationError):
+        get_operator(g, KernelSpec.fractional(0.5)).symbol()
+
+
+@pytest.mark.parametrize("n, modes", [(1, [(1,), (5,), (16,)]), (2, [(1, 0), (3, 2), (8, 5)])])
+def test_symbol_is_the_eigenvalue_of_cosine_modes(n, modes):
+    """apply(cos(2 pi k.j / p)) = symbol()[k] cos(2 pi k.j / p) on a torus of
+    p = 32 (1D) or 16 (2D) nodes per axis.  A row read one node off in
+    `weights` is a cyclic shift, which changes the real part of its
+    spectrum."""
+    g = Grid(n, 0.25, 4.0 if n == 1 else 2.0, Periodic())
+    op = get_operator(g, KernelSpec.fractional_unit(0.6, n))
+    sym = op.symbol()
+    assert sym.shape == g.shape and np.all(sym >= 0.0)
+    p = g.nodes_per_axis
+    j = np.indices(g.shape)
+    for k in modes:
+        mode = np.cos(2.0 * np.pi * sum(kk * jj for kk, jj in zip(k, j)) / p)
+        want = sym[k] * mode
+        assert np.max(np.abs(op.apply(mode) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", ["unit", "perimeter", "general"])
+@pytest.mark.parametrize("centered", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pair_weight_table_is_the_kernel_over_the_cube(n, centered, kind):
+    """`weights` on an exterior grid is h^n K(|h j|) over the whole cube
+    |j_i| <= p - 1, bit for bit, with w(0) = 0 and the factor
+    (1 + shell_correction) on the 2n offsets +-e_ax."""
+    s = 0.5
+    spec = {"unit": KernelSpec.fractional_unit(s, n),
+            "perimeter": KernelSpec.perimeter(s),
+            "general": KernelSpec.general(
+                s, lambda r: (2.0 - s) * r ** (-(n + s)) * (1.0 + 0.2 * np.cos(np.log(r))),
+                lam=0.8, Lam=4.0)}[kind]  # value pinching is sharp at 1.2
+    h = 0.25
+    g = Grid(n, h, 1.0 if n == 3 else 2.0, ConstantExterior([(-1.0, 1.0)] * n), centered)
+    p = g.nodes_per_axis
+    j = np.arange(1 - p, p)
+    r = np.sqrt(sum(np.ix_(*[(h * j.astype(float)) ** 2] * n)))
+    want = h ** n * kernel_on_radii(spec, r, n)
+    near = sum(np.ix_(*[j * j] * n)) == 1
+    assert near.sum() == 2 * n
+    want[near] *= 1.0 + shell_correction(n, s)
+    got = get_operator(g, spec).weights
+    assert got[(p - 1,) * n] == 0.0
+    assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("centered", [False, True])
