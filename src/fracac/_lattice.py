@@ -38,8 +38,12 @@ four box radii, each carrying its sub-nodes' mean exterior values and its
 sub-offsets' summed kernel, convolved onto the 3h nodes and interpolated
 to the box by a cubic.  Both tilings map onto themselves under every
 reflection x_i -> -x_i, and the moments lie within 1e-5 (relative) of the
-all-fine frame of the same reach.  Kernel tables are built in place over
-the radii of one orthant and mirrored, bit for bit as over the whole cube.
+all-fine frame of the same reach.  Every kernel table (the box table, each
+frame level's kernel and the torus row) is one `_kernel_sum`, h^n times
+the kernel summed over integer shifts, built in place one shift at a
+time; box and frame tables are built over one orthant and mirrored, bit
+for bit as over the whole cube.  `_near_shell` alone applies the
+calibrated factor to the offsets +-e_ax.
 Region sums are convolved on the region's own bounding box: an energy's
 pairs inside the region by an engine built for that box, a perimeter's
 pair families by the engine windowed to it.  The sweep caches are
@@ -75,7 +79,7 @@ def sphere_area(n: int) -> float:
 def _xi_squared(g: Grid) -> np.ndarray:
     """|xi|^2 over the FFT modes of a periodic grid (shape g.shape)."""
     freqs = _TWO_PI * sfft.fftfreq(g.nodes_per_axis, d=g.h)
-    return sum(m * m for m in np.meshgrid(*([freqs] * g.n), indexing="ij"))
+    return sum(np.ix_(*[freqs * freqs] * g.n))
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +191,28 @@ def continuum_symbol_constant(n: int, s: float) -> float:
 # pair weight tables
 # ---------------------------------------------------------------------------
 
-def _offset_radii(n: int, count: int, h: float, step: int = 1, shift=None) -> np.ndarray:
-    """|z| over the offsets z = h (step j + shift), j in the orthant
-    {0..count}^n, summed from n broadcast copies of the squared axes (one
-    array of the orthant's size).  The tables built on them are even in
-    every coordinate, and `_mirror` unfolds them to the whole cube."""
-    j = step * np.arange(count + 1, dtype=float)
-    r = sum(np.ix_(*[(h * (j + e)) ** 2 for e in shift or [0] * n]))
-    return np.sqrt(r, out=r)
+def _kernel_sum(spec, n: int, h: float, axis: np.ndarray, shifts) -> np.ndarray:
+    """h^n sum_c K(|h (j + c)|) over j in axis^n, for the integer n-tuples c
+    in `shifts`: each shift's radii are summed from n broadcast copies of
+    the squared axes, turned into kernel values in place and added to the
+    first shift's array, so a build holds two float tables at a time."""
+    out = None
+    for c in shifts:
+        r = sum(np.ix_(*[(h * (axis + e)) ** 2 for e in c]))
+        r = kernel_on_radii(spec, np.sqrt(r, out=r), n, out=r)
+        out = r if out is None else np.add(out, r, out=out)
+    out *= h ** n
+    return out
+
+
+def _near_shell(w: np.ndarray, centre: int, factor: float) -> np.ndarray:
+    """w with its offsets +-e_ax scaled by `factor` in place, offset 0 at
+    index `centre` on every axis (a torus row's centre is 0: -1 wraps)."""
+    for ax in range(w.ndim):
+        near = [centre] * w.ndim
+        near[ax] = [centre - 1, centre + 1]
+        w[tuple(near)] *= factor
+    return w
 
 
 def _mirror(orth: np.ndarray) -> np.ndarray:
@@ -249,57 +267,34 @@ def pair_weight_table(grid: Grid, spec) -> np.ndarray:
     factor (1 + shell_correction); every kernel of the same order gets the
     same multiplicative factor, which preserves two-sided kernel comparisons.
     """
-    n, c = grid.n, grid.nodes_per_axis - 1
-    factor = 1.0 + shell_correction(n, spec.s)  # calibrated first: its pass holds no table
-    w = _level_kernel(spec, n, grid.h, 1, c)
-    for ax in range(n):  # the nearest shell: the offsets +-e_ax
-        near = [c] * n
-        near[ax] = [c - 1, c + 1]
-        w[tuple(near)] *= factor
-    return w
+    c = grid.nodes_per_axis - 1
+    factor = 1.0 + shell_correction(grid.n, spec.s)  # calibrated first: its pass holds no table
+    return _near_shell(_level_kernel(spec, grid.n, grid.h, 1, c), c, factor)
 
 
 def periodized_weight_row(grid: Grid, spec) -> np.ndarray:
     """Pair weights between torus offsets, folding lattice images of the kernel.
 
-    Entry [k1, .., kn] corresponds to the offset (k*h) mod L with symmetric
-    representative in (-L/2, L/2]^n.  Includes the calibrated near-shell
-    factor on the base image and an isotropic integral correction for the
-    neglected far images.
+    Entry [k1, .., kn] corresponds to the offset h k with each k_i taken as
+    its representative in (-p/2, p/2] (p nodes per axis; k = p/2 stays +p/2),
+    summed over the images h (k + p m), |m_i| <= M.  The base image m = 0
+    carries the calibrated near-shell factor, an isotropic integral stands
+    in for the far images, and the diagonal's images weigh 0.
     """
     if not isinstance(grid.boundary, Periodic):
         raise ConfigurationError("periodized rows need a periodic grid")
-    n, h, L = grid.n, grid.h, grid.period
-    p = grid.nodes_per_axis
-    k = np.arange(p, dtype=float)
-    zed = h * k
-    zed = np.where(zed > L / 2.0, zed - L, zed)  # symmetric representative
-    meshes = np.meshgrid(*([zed] * n), indexing="ij")
-
+    n, h, L, p = grid.n, grid.h, grid.period, grid.nodes_per_axis
+    factor = 1.0 + shell_correction(n, spec.s)  # calibrated first: its pass holds no table
+    k = np.arange(p)
+    k[k > p // 2] -= p
     m_img = 128 if n == 1 else (6 if n == 2 else 3)
-    img = L * np.arange(-m_img, m_img + 1, dtype=float)
-    # the image shifts, one per row, the last axis varying fastest
-    shifts = np.stack(np.meshgrid(*([img] * n), indexing="ij"), axis=-1).reshape(-1, n)
-    if n <= 2:
-        # every node against every shift at once, shifts along the last axis
-        r = np.sqrt(sum((m[..., None] + c) ** 2 for m, c in zip(meshes, shifts.T)))
-        row = (h ** n) * kernel_on_radii(spec, r, n).sum(axis=-1)
-    else:
-        row = np.zeros((p,) * n)
-        for off in shifts:
-            r = np.sqrt(sum((m + c) ** 2 for m, c in zip(meshes, off)))
-            row += (h ** n) * kernel_on_radii(spec, r, n)
-
+    row = _near_shell(_kernel_sum(spec, n, h, k, [(0,) * n]), 0, factor)
+    images = p * (np.indices((2 * m_img + 1,) * n).reshape(n, -1).T - m_img)
+    row += _kernel_sum(spec, n, h, k, images[images.any(axis=1)])
     # far images approximated by the integral of the kernel density:
     # sum over |m| > M of K(z + mL) ~ (1/L^n) integral over |y| > (M+1/2)L of K
     row += h ** n * far_kernel_mass(spec, n, (m_img + 0.5) * L) / L ** n
-
-    row[tuple([0] * n)] = 0.0  # images of the diagonal carry zero difference
-    # calibrated correction on the base-image nearest shell
-    base_r = np.sqrt(sum(m * m for m in meshes))
-    near = np.abs(base_r - h) < 1e-12 * h
-    row[near] += shell_correction(n, spec.s) * (
-        (h ** n) * kernel_on_radii(spec, base_r[near], n))
+    row[(0,) * n] = 0.0  # images of the diagonal carry zero difference
     return row
 
 
@@ -443,19 +438,10 @@ def frame_levels(grid: Grid) -> list:
 
 def _level_kernel(spec, n: int, h: float, step: int, count: int) -> np.ndarray:
     """h^n times the kernel summed over the step^n sub-offsets of each cell
-    offset, over the cell offsets {-count..count}^n.  Each sub-offset's kernel
-    is built in place over its orthant's radii and the sum is mirrored; the
-    h-cell kernel is h^n K bit for bit."""
-    kern = None
-    for e in np.ndindex(*(step,) * n):
-        r = _offset_radii(n, count, h, step, [i - step // 2 for i in e])
-        r = kernel_on_radii(spec, r, n, out=r)
-        if kern is None:
-            kern = r
-        else:
-            kern += r
-    kern *= h ** n
-    return _mirror(kern)
+    offset, over the cell offsets {-count..count}^n: the orthant's
+    `_kernel_sum`, mirrored.  The h-cell kernel is h^n K bit for bit."""
+    subs = np.indices((step,) * n).reshape(n, -1).T - step // 2
+    return _mirror(_kernel_sum(spec, n, h, step * np.arange(count + 1, dtype=float), subs))
 
 
 def _sample_level(grid: Grid, step: int, cells: int, hole: tuple, ring_radius: float,

@@ -1,6 +1,7 @@
 """Kernel values, the two operator routes, and the structural invariants
 shared by every kernel in the admissible class."""
 
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -41,6 +42,7 @@ from fracac._lattice import (
     _free_twin,
     continuum_symbol_constant,
     exterior_moments,
+    far_kernel_mass,
     get_operator,
     kernel_on_radii,
     periodized_weight_row,
@@ -49,6 +51,7 @@ from fracac._lattice import (
 )
 
 from conftest import (
+    _oracle_kernel_on_radii,
     compensated_reference_symbols,
     enlarged_lattice_moments,
     mode_field,
@@ -504,6 +507,72 @@ def test_pair_weight_table_is_the_kernel_over_the_cube(n, centered, kind):
     got = get_operator(g, spec).weights
     assert got[(p - 1,) * n] == 0.0
     assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("kind", ["unit", "perimeter"])
+@pytest.mark.parametrize("n, p", [(1, 16), (2, 8), (3, 4)])
+def test_periodized_row_is_the_image_sum_node_by_node(n, p, kind):
+    """Each torus-row entry k is h^n sum_m K(|h (k + p m)|) over the images
+    |m_i| <= M (M = 128, 6, 3 in 1D, 2D, 3D), each k_i taken in (-p/2, p/2]
+    with k_i = p/2 as +p/2, plus the far images' integral; the offsets
+    +-e_ax carry (1 + shell_correction) on the base image m = 0 only, and
+    the diagonal weighs 0.  Summed per node with math.fsum; 1e-13
+    relative per entry.  (Under the symmetric image cube, k_i = -p/2 would
+    give the same image radii: the p/2 rule fixes the summation order.)"""
+    s, h = 0.5, 0.125
+    spec = {"unit": KernelSpec.fractional_unit(s, n), "perimeter": KernelSpec.perimeter(s)}[kind]
+    g = Grid(n, h, p * h / 2, Periodic())
+    m_img = {1: 128, 2: 6, 3: 3}[n]
+    images = np.indices((2 * m_img + 1,) * n).reshape(n, -1).T - m_img
+    base = len(images) // 2
+    assert not images[base].any()
+    far = h ** n * far_kernel_mass(spec, n, (m_img + 0.5) * p * h) / (p * h) ** n
+    want = np.zeros(g.shape)
+    for k in np.ndindex(*g.shape):
+        rep = np.array([i if i <= p // 2 else i - p for i in k])
+        vals = h ** n * _oracle_kernel_on_radii(
+            spec, h * np.sqrt(((rep + p * images) ** 2).sum(axis=1)), n)
+        if np.abs(rep).sum() == 1:
+            vals[base] *= 1.0 + shell_correction(n, s)
+        want[k] = math.fsum(vals) + far
+    want[(0,) * n] = 0.0
+    got = periodized_weight_row(g, spec)
+    assert got.shape == want.shape and got[(0,) * n] == 0.0
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+
+def test_periodized_row_build_peak():
+    """A 256^2 torus row (0.5 MB) is summed one image at a time: after the
+    calibration pass (cached; 4.4 MB traced), the row's build peaks at
+    <= 4 MB traced.  Summing all 169 images at once peaked at 200 MB."""
+    s = 0.5
+    shell_correction(2, s)
+    spec = KernelSpec.fractional_unit(s, 2)
+    g = Grid(2, 1 / 32, 4.0, Periodic())
+    tracemalloc.start()
+    try:
+        periodized_weight_row(g, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+
+
+@pytest.mark.parametrize("n, count", [(1, 20), (2, 8), (3, 3)])
+def test_level_kernel_sums_the_sub_offsets_over_the_cube(n, count):
+    """The 3h-cell kernel at the cell offset J is h^n sum_e K(|h (3 J + e)|)
+    over the 3^n sub-offsets e in {-1, 0, 1}^n, here summed over the whole
+    cube |J_i| <= count from meshgrids, not over an orthant; rtol 1e-14."""
+    h = 0.125
+    spec = KernelSpec.fractional_unit(0.5, n)
+    J = 3.0 * np.arange(-count, count + 1)
+    want = np.zeros((2 * count + 1,) * n)
+    for e in np.ndindex(*(3,) * n):
+        meshes = np.meshgrid(*[h * (J + i - 1) for i in e], indexing="ij")
+        want += h ** n * _oracle_kernel_on_radii(spec, np.sqrt(sum(m * m for m in meshes)), n)
+    got = _lattice._level_kernel(spec, n, h, 3, count)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("centered", [False, True])
