@@ -105,10 +105,11 @@ def min_rayleigh(u: ScalarField, region: BallRegion, spec: KernelSpec,
     """Approximate minimum of Q(xi)/||xi||^2 over xi supported in the region.
 
     The returned value is recomputed from the witness, so it is always a
-    certified upper bound for the true minimum.  Every dimension runs one
-    matrix-free block eigensolver (LOBPCG) on `stability_apply`, whose
-    periodic grids use the free twin; `iterations` counts its block updates
-    and `converged` is read from its final residuals.
+    certified upper bound for the true minimum.  Every dimension runs LOBPCG
+    matrix-free on `stability_apply` (periodic grids: the free twin) from one
+    seeded random vector: a block stops only when all of its pairs converge,
+    and only the lowest is read.  `iterations` counts its updates and
+    `converged` is read from its final residuals.
     """
     g = u.grid
     mask = region.mask(g)
@@ -128,24 +129,22 @@ def min_rayleigh(u: ScalarField, region: BallRegion, spec: KernelSpec,
     linop = LinearOperator((ndof, ndof),
                            matvec=lambda v: apply_restricted(np.asarray(v).ravel()))
     rng = np.random.default_rng(0)
-    X = rng.normal(size=(ndof, 3))
+    X = rng.normal(size=(ndof, 1))
     tol = 1e-8
     res = lobpcg(linop, X, largest=False, maxiter=iterations, tol=tol,
                  retResidualNormsHistory=True)
     if len(res) == 2:
-        # below 5 dofs per block vector scipy solves densely and keeps no history
-        (vals, vecs), done, converged = res, 0, True
+        # below 5 dofs (5 per block vector) scipy solves densely, with no history
+        (_, vecs), done, converged = res, 0, True
     else:
-        vals, vecs, history = res
+        _, vecs, history = res
         # the history holds the residuals of iterates 0..k, k being the block
         # update that lobpcg returns (at most maxiter + 1), then one row of
         # post-processed residuals; so k = len(history) - 2
         done = min(len(history) - 2, iterations)
         converged = bool(np.all(np.asarray(history[-1]) <= tol))
-    order = np.argsort(vals)
-    v = vecs[:, order[0]]
     witness_vals = np.zeros(g.node_count)
-    witness_vals[flat_mask] = v
+    witness_vals[flat_mask] = vecs[:, 0]
     witness = ScalarField(g, witness_vals.reshape(g.shape))
     lam_cert = second_variation(u, witness, spec, W, epsilon) / \
         (g.cell_volume() * float((witness.values ** 2).sum()))

@@ -6,6 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fracac import (
     BallRegion,
@@ -14,6 +15,7 @@ from fracac import (
     Grid,
     IndicatorSet,
     KernelSpec,
+    Periodic,
     ScalarField,
     VectorFieldSpec,
     blowdown_convergence,
@@ -162,25 +164,71 @@ def test_min_rayleigh_reports_real_convergence(n, quartic):
 
 @pytest.mark.filterwarnings("ignore:The problem size")
 def test_min_rayleigh_2d_small_region_dense_oracle(quartic):
-    # 5 nodes: fewer than lobpcg needs for 3 block vectors, so it solves densely
+    """lobpcg solves densely below 5 unknowns per block vector, with no
+    residual history, so a 4-node region reports 0 iterations; 5 nodes is the
+    smallest region it iterates on.  Both against a dense eigensolve."""
     g = make_grid(2, 4.0, 0.25)
     u = ScalarField(g, np.tanh(g.coords()[:, 0]).reshape(g.shape))
     spec = KernelSpec.fractional_unit(0.5, 2)
-    region = BallRegion((0.0, 0.0), 0.3)
-    idx = np.flatnonzero(region.mask(g).ravel())
-    assert len(idx) == 5
-    rep = min_rayleigh(u, region, spec, quartic)
-    assert rep.converged is True and rep.iterations == 0
-
     op = get_operator(g, spec)
     diag = quartic.wpp(u.values)
-    cols = []
-    for i in idx:
-        e = np.zeros(g.node_count)
-        e[i] = 1.0
-        cols.append(op.stability_apply(e.reshape(g.shape), diag).ravel()[idx])
-    lam = np.linalg.eigvalsh(np.array(cols).T)[0]
-    assert rep.min_rayleigh == pytest.approx(lam, rel=1e-9, abs=1e-9)
+    for region, nodes in ((BallRegion((0.125, 0.125), 0.2), 4), (BallRegion((0.0, 0.0), 0.3), 5)):
+        idx = np.flatnonzero(region.mask(g).ravel())
+        assert len(idx) == nodes
+        rep = min_rayleigh(u, region, spec, quartic)
+        assert rep.converged is True and (rep.iterations == 0) is (nodes < 5)
+        cols = []
+        for i in idx:
+            e = np.zeros(g.node_count)
+            e[i] = 1.0
+            cols.append(op.stability_apply(e.reshape(g.shape), diag).ravel()[idx])
+        lam = np.linalg.eigvalsh(np.array(cols).T)[0]
+        assert rep.min_rayleigh == pytest.approx(lam, rel=1e-9, abs=1e-9)
+
+
+def _property_field(field, n, angle):
+    """A case's field as a callable on points: a tanh layer across the unit
+    direction at `angle` (1D: its sign), tanh x tanh y (1D: tanh x), or 0."""
+    if field == "layer":
+        d = np.array([np.cos(angle), np.sin(angle)])[:n]
+        d = d / np.linalg.norm(d)
+        return lambda p: np.tanh(p @ d)
+    if field == "saddle":
+        return lambda p: np.prod(np.tanh(p), axis=1)
+    return lambda p: np.zeros(len(p))
+
+
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(n=st.sampled_from([1, 2]), field=st.sampled_from(["layer", "saddle", "zero"]),
+       angle=st.floats(0.0, 2.0 * np.pi), centre=st.floats(-0.4, 0.4),
+       radius=st.floats(0.25, 0.5), turn=st.integers(0, 2))
+@example(n=2, field="zero", angle=0.0, centre=0.0, radius=0.5, turn=0)  # the 12 draws hold no zero field
+def test_min_rayleigh_matches_dense_oracle(quartic, n, field, angle, centre, radius, turn):
+    """min_rayleigh from its one-vector start against eigvalsh of the restricted
+    stability matrix, over dimension and field, on a constant, a field and a
+    periodic exterior, each at one of the orders 0.3, 0.5 and 0.8 (`turn`
+    rotates which): at most 24^2 nodes (1D: 128), the region's centre and
+    radius given as shares of the box radius (at most 150 nodes)."""
+    h, box = (0.125, 8.0) if n == 1 else (0.25, 3.0)
+    fn = _property_field(field, n, angle)
+    region = BallRegion((centre * box,) * n, radius * box)
+    boundaries = (ConstantExterior([(-1.0, 1.0)] * n), FieldExterior(fn), Periodic())
+    for k, boundary in enumerate(boundaries):
+        spec = KernelSpec.fractional_unit((0.3, 0.5, 0.8)[(k + turn) % 3], n)
+        g = Grid(n, h, box, boundary)
+        u = ScalarField(g, fn(g.coords()).reshape(g.shape))
+        idx = np.flatnonzero(region.mask(g).ravel())
+        assert 0 < len(idx) <= 150
+        rep = min_rayleigh(u, region, spec, quartic)
+        assert rep.converged
+
+        op = get_operator(g, spec)
+        # a periodic grid perturbs with zero extension: the free twin's matrix
+        if isinstance(boundary, Periodic):
+            op = _free_twin(op)
+        A = dense_matrix(op) + np.diag(quartic.wpp(u.values.ravel()))
+        lam = np.linalg.eigvalsh(A[np.ix_(idx, idx)])[0]
+        assert abs(rep.min_rayleigh - lam) <= 1e-8
 
 
 @pytest.fixture(scope="module")
