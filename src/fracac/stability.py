@@ -63,6 +63,15 @@ class VectorFieldSpec:
     support ball, since the others never move. `support_radius` must be a
     positive number or +inf.  A field is immutable and equal only to
     itself, so it hashes by identity and can key a memo.
+
+    A flow needs the lattice to resolve the field.  On a grid of spacing h
+    in R^n, |X| must stay at most M = (largest |X| over the nodes of the
+    support) + L sqrt(n) h / 2 at every point a flow visits, where L is
+    the largest difference quotient |X(x + h e_i) - X(x)| / h between
+    neighbouring nodes.  `flow_map` moves only the nodes within |t| M of
+    the interface, and raises a flow error when an RK4 stage sees a larger
+    |X|, so a field that varies between the nodes fails loudly instead of
+    giving a wrong set.
     """
 
     components: Callable[[np.ndarray], np.ndarray]
@@ -109,7 +118,8 @@ def min_rayleigh(u: ScalarField, region: BallRegion, spec: KernelSpec,
     matrix-free on `stability_apply` (periodic grids: the free twin) from one
     seeded random vector: a block stops only when all of its pairs converge,
     and only the lowest is read.  `iterations` counts its updates and
-    `converged` is read from its final residuals.
+    `converged` is read from its final residuals.  The witness's entry of
+    largest magnitude is positive.
     """
     g = u.grid
     mask = region.mask(g)
@@ -143,8 +153,11 @@ def min_rayleigh(u: ScalarField, region: BallRegion, spec: KernelSpec,
         # post-processed residuals; so k = len(history) - 2
         done = min(len(history) - 2, iterations)
         converged = bool(np.all(np.asarray(history[-1]) <= tol))
+    vec = vecs[:, 0]
+    if vec[np.argmax(np.abs(vec))] < 0.0:
+        vec = -vec                           # an eigenvector's sign is arbitrary: fix it
     witness_vals = np.zeros(g.node_count)
-    witness_vals[flat_mask] = vecs[:, 0]
+    witness_vals[flat_mask] = vec
     witness = ScalarField(g, witness_vals.reshape(g.shape))
     lam_cert = second_variation(u, witness, spec, W, epsilon) / \
         (g.cell_volume() * float((witness.values ** 2).sum()))
@@ -245,46 +258,125 @@ def signed_distance(E: IndicatorSet) -> np.ndarray:
     return np.where(inside, -d, d)
 
 
-def _in_support(pts: np.ndarray, X: VectorFieldSpec) -> np.ndarray:
-    """The rows inside the closed support ball of X, by squared radius."""
-    return np.einsum("ij,ij->i", pts, pts) <= X.support_radius ** 2
-
-
-def _rk4_backward(pts: np.ndarray, X: VectorFieldSpec, t: float, steps: int,
-                  inside: np.ndarray, start: np.ndarray | None = None,
-                  done: int = 0) -> np.ndarray:
-    """Integrate dx/dtau = -X(x) from 0 to t (the inverse flow map) in
-    `steps` RK4 steps of t/steps.
-
-    X is 0 outside its support ball, so points that start there never move:
-    only the rows `inside` are integrated, and the others are copied through.
-    X is not called when no row is inside.  `start`, if given, holds the
-    inside rows after the first `done` of the steps, taken at the same step
-    size; the integration continues from it, bit for bit as from 0.
-    """
-    out = pts.copy()
-    if not inside.any():
-        return out
-    y = pts[inside] if start is None else start
-    dt = t / steps
-    for _ in range(steps - done):
-        k1 = -X(y)
-        k2 = -X(y + 0.5 * dt * k1)
-        k3 = -X(y + 0.5 * dt * k2)
-        k4 = -X(y + dt * k3)
-        y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    out[inside] = y
+def _square_norms(v: np.ndarray) -> np.ndarray:
+    """The squared Euclidean norm of each row, summed in axis order, so
+    that a row's value depends on its entries alone (einsum's sum order
+    follows the memory layout: C and Fortran copies of one array can
+    differ in the last bit)."""
+    out = v[:, 0] * v[:, 0]
+    for c in range(1, v.shape[1]):
+        out += v[:, c] * v[:, c]
     return out
 
 
-# signed distances of memberships and flow states, keyed by value
+def _in_support(pts: np.ndarray, X: VectorFieldSpec) -> np.ndarray:
+    """The rows inside the closed support ball of X, by squared radius."""
+    return _square_norms(pts) <= X.support_radius ** 2
+
+
+def _rk4_backward(y: np.ndarray, X: VectorFieldSpec, dt: float, steps: int,
+                  bound: float = np.inf) -> np.ndarray:
+    """Take `steps` RK4 steps of dt along dx/dtau = -X(x) from the rows y:
+    the inverse flow map at time steps * dt.
+
+    Rows are independent, so any subset of the rows, or a run continued at
+    the same dt from an earlier step count, gives the bits of one run of
+    every row from 0.  X is not called for no rows or no steps.  A stage
+    value with |X| > `bound` raises a flow error.
+    """
+    if not (len(y) and steps):
+        return y.copy()
+    for _ in range(steps):
+        k1 = _stage(X, y, bound)
+        k2 = _stage(X, y + 0.5 * dt * k1, bound)
+        k3 = _stage(X, y + 0.5 * dt * k2, bound)
+        k4 = _stage(X, y + dt * k3, bound)
+        y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y
+
+
+def _speed(v: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row."""
+    return np.sqrt(_square_norms(v))
+
+
+def _stage(X: VectorFieldSpec, y: np.ndarray, bound: float) -> np.ndarray:
+    """-X at the rows y, unless some |X| there tops the bound."""
+    v = X(y)
+    if np.any(_speed(v) > bound):
+        raise FlowError("the vector field tops its speed bound between the nodes; "
+                        "the lattice does not resolve it")
+    return np.negative(v, out=v)
+
+
+def _dilate(mask: np.ndarray, r: int) -> np.ndarray:
+    """The nodes within r nodes of the mask in the infinity norm.  Along
+    each axis, a zero-padded copy is or-ed with itself shifted by 1, 2, 4,
+    ... nodes until each entry covers w nodes from its own on; two such
+    windows then cover the 2r + 1 nodes around each node."""
+    for ax in range(mask.ndim):
+        n, k = mask.shape[ax], min(r, mask.shape[ax])
+        lines = np.moveaxis(mask, ax, 0)
+        win = np.zeros((n + 2 * k,) + lines.shape[1:], dtype=bool)
+        win[k:k + n] = lines
+        w = 1
+        while 2 * w <= 2 * k + 1:
+            win[:-w] |= win[w:]
+            w *= 2
+        mask = np.moveaxis(win[:n] | win[2 * k + 1 - w:][:n], 0, ax)
+    return mask
+
+
+# signed distances, flow geometries, speed bounds and flow states, keyed by
+# what each depends on
 _flow_memo = LRUCache(32 << 20)
+_PROBE_EPS = 1e-5
 
 
-def _memo_put(key: tuple, value: np.ndarray) -> None:
-    """Store an array in the flow memo, weighing its bytes plus the key's."""
-    size = value.nbytes + sum(len(k) for k in key if isinstance(k, bytes))
-    _flow_memo.put(key, value, size)
+def _memo_put(key: tuple, value) -> None:
+    """Store an array, or a tuple of arrays, in the flow memo, weighing its
+    bytes plus the key's."""
+    size = sum(a.nbytes for a in (value if isinstance(value, tuple) else (value,)))
+    _flow_memo.put(key, value, size + sum(len(k) for k in key if isinstance(k, bytes)))
+
+
+def _flow_geometry(g: Grid, layout: tuple, X: VectorFieldSpec) -> tuple:
+    """The flat indices and points of the nodes inside the support ball of
+    X, the Jacobian probes (64 seeded nodes shifted by +eps e_ax, then by
+    -eps e_ax, axis by axis) and the probes inside the ball; memoized per
+    (layout, support radius)."""
+    key = ("geometry", layout, X.support_radius)
+    geo = _flow_memo.get(key)
+    if geo is None:
+        pts = g.coords()
+        rng = np.random.default_rng(0)
+        probe = pts[rng.integers(0, len(pts), min(64, len(pts)))]
+        shifts = _PROBE_EPS * np.eye(g.n)
+        probes = np.concatenate([probe + d for d in shifts] + [probe - d for d in shifts])
+        support = np.flatnonzero(_in_support(pts, X))
+        geo = (support, pts[support], probes, _in_support(probes, X))
+        _memo_put(key, geo)
+    return geo
+
+
+def _speed_bound(g: Grid, layout: tuple, X: VectorFieldSpec, support: np.ndarray,
+                 start: np.ndarray) -> float:
+    """M = max |X| over the support nodes (flat indices `support`, points
+    `start`) + L sqrt(n) h / 2, L the largest difference quotient of X
+    between neighbouring nodes, from one evaluation of X; memoized per
+    (layout, X)."""
+    key = ("bound", layout, X)
+    bound = _flow_memo.get(key)
+    if bound is None:
+        vals = np.zeros((g.node_count, g.n))
+        if len(start):
+            vals[support] = X(start)
+        lattice = vals.reshape(g.shape + (g.n,))
+        lip = max(_speed(np.diff(lattice, axis=ax).reshape(-1, g.n)).max(initial=0.0)
+                  for ax in range(g.n)) / g.h
+        bound = np.float64(_speed(vals).max() + lip * np.sqrt(g.n) * g.h / 2.0)
+        _memo_put(key, bound)
+    return float(bound)
 
 
 def flow_map(E: IndicatorSet, X: VectorFieldSpec, t: float) -> IndicatorSet:
@@ -294,23 +386,30 @@ def flow_map(E: IndicatorSet, X: VectorFieldSpec, t: float) -> IndicatorSet:
     band that decides membership) along fourth-order backward
     characteristics (max(4, ceil(|t|/0.02)) RK4 steps), interpolates it
     multilinearly at the flowed nodes (`fields._multilinear`, clamped to the
-    lattice) and re-thresholds at zero.  Only the nodes inside the support
-    ball of X are integrated and resampled; the rest keep their membership.
-    The Jacobian of the flow is probed by central differences at 64 nodes,
-    whose 2n shifted copies ride in the same RK4 pass; a non-positive
-    diagonal entry (a fold) raises a flow error.
+    lattice) and re-thresholds at zero.
 
-    One bounded memo holds two kinds of entries, each keyed by what it
-    depends on: the signed distance of a (layout, membership), and the
-    flow state (the flowed nodes and probes inside the support) of a
-    checked (layout, X, step size, step count).  The state does not depend
-    on the set, so every set of a layout reuses it, and a longer flow at
-    the same step size continues from the longest stored one (t = 0.16
-    from t = 0.08), bit for bit.  A state at the full step count skips the
-    RK4 pass and the probe check, which it passed when it was stored.  The
-    key holds X itself, so `components` is taken to be a pure function.
-    Nothing of a flow that fails its check is kept.  Every call returns a
-    set of its own.
+    A node changes membership only if its flowed point lands in a cell with
+    a corner of the other kind, and no point moves farther than |t| M, M
+    the speed bound of `VectorFieldSpec` (an RK4 stage above it raises a
+    flow error).  So only the support nodes within ceil(|t| M / h) + 1
+    nodes (infinity norm) of an interface node (|phi| < 2h) are integrated
+    and resampled: the band.  The rest keep their membership, bit for bit
+    as if they had been resampled.  The Jacobian of the flow is probed by
+    central differences at 64 nodes, whose 2n shifted copies inside the
+    support ride in the same RK4 pass; a non-positive diagonal entry (a
+    fold) raises a flow error.
+
+    One bounded memo holds, each keyed by what it depends on: the signed
+    distance of a (layout, membership); the support nodes and probes of a
+    (layout, support radius); the speed bound of a (layout, X); and the
+    flow state of a checked (layout, X, step size, step count): the flowed
+    probes and band nodes of the last flow stored under it, with the
+    nodes' indices.  A call takes its band nodes from the longest stored
+    state at its step size, integrates the nodes that state lacks from 0
+    up to its step count, and continues all of them to its own (t = 0.16
+    from t = 0.08), bit for bit as from 0.  The key holds X itself, so
+    `components` is taken to be a pure function.  No state of a flow that
+    fails a check is kept.  Every call returns a set of its own.
     """
     g = E.grid
     layout = (g.n, g.h, g.box_radius, g.centered)
@@ -319,39 +418,42 @@ def flow_map(E: IndicatorSet, X: VectorFieldSpec, t: float) -> IndicatorSet:
     if phi is None:
         phi = signed_distance(E)
         _memo_put(sd_key, phi)
-
-    # the nodes, then the probes +- eps e_ax stacked in that order
-    pts = g.coords()
-    rng = np.random.default_rng(0)
-    probe = pts[rng.integers(0, len(pts), min(64, len(pts)))]
-    eps = 1e-5
-    shifts = eps * np.eye(g.n)
-    rows = np.concatenate([pts] + [probe + d for d in shifts] + [probe - d for d in shifts])
-    inside = _in_support(rows, X)
+    support, start, probes, probe_in = _flow_geometry(g, layout, X)
+    bound = _speed_bound(g, layout, X, support, start)
     steps = max(4, int(np.ceil(abs(t) / 0.02)))
-    state_key = ("state", layout, X, t / steps)
-    done, state = 0, None
-    for k in range(steps, 0, -1):
-        state = _flow_memo.get(state_key + (k,))
-        if state is not None:
-            done = k
-            break
-    if done < steps:
-        flowed = _rk4_backward(rows, X, t, steps, inside, state, done)
-        # sampled Jacobian positivity: the diagonal of the central difference
-        probed = flowed[len(pts):].reshape(2, g.n, len(probe), g.n)
-        for ax in range(g.n):
-            jcol = (probed[0, ax] - probed[1, ax]) / (2 * eps)
-            if np.any(jcol[:, ax] <= 0.0):
-                raise FlowError("flow Jacobian lost positivity; reduce |t|")
-        state = flowed[inside]
-        _memo_put(state_key + (steps,), state)
+    reach = int(np.ceil(abs(t) * bound / g.h)) + 1
+    band = np.flatnonzero(_dilate(np.abs(phi) < 2.0 * g.h, reach).ravel()[support])
 
-    # the state's leading rows are the flowed nodes inside the support
-    moved = inside[:len(pts)]
-    idx = (state[:np.count_nonzero(moved)] - g.axis_coords()[0]) / g.h
+    # the longest stored state at this step size: its rows (positions in
+    # `support`, ascending), then the flowed rows and probes; at 0 steps, none
+    key = ("state", layout, X, t / steps)
+    done, held, state = 0, band[:0], probes[probe_in]
+    for k in range(steps, 0, -1):
+        entry = _flow_memo.get(key + (k,))
+        if entry is not None:
+            done, (held, state) = k, entry
+            break
+    have = np.isin(band, held, assume_unique=True)
+    lack = band[~have]
+    y = np.empty((len(band), g.n))
+    y[have] = state[np.searchsorted(held, band[have])]
+    y[~have] = _rk4_backward(start[lack], X, t / steps, done, bound)
+    y = _rk4_backward(np.concatenate([y, state[len(held):]]), X, t / steps, steps - done, bound)
+
+    # sampled Jacobian positivity: the diagonal of the central difference
+    flowed = probes.copy()
+    flowed[probe_in] = y[len(band):]
+    probed = flowed.reshape(2, g.n, -1, g.n)
+    for ax in range(g.n):
+        jcol = (probed[0, ax] - probed[1, ax]) / (2 * _PROBE_EPS)
+        if np.any(jcol[:, ax] <= 0.0):
+            raise FlowError("flow Jacobian lost positivity; reduce |t|")
+    if done < steps or len(lack):
+        _memo_put(key + (steps,), (band, y))
+
+    idx = (y[:len(band)] - g.axis_coords()[0]) / g.h
     member = E.membership.flatten()
-    member[moved] = _multilinear(phi, idx, wrap=False) <= 0.0
+    member[support[band]] = _multilinear(phi, idx, wrap=False) <= 0.0
     return IndicatorSet(g, member.reshape(g.shape))
 
 

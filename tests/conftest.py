@@ -17,7 +17,9 @@ from fracac import (
     rescale_blowdown,
     solve_layer_1d,
 )
+from fracac import stability
 from fracac._lattice import _THETAS, FFTConvolver, _lattice_sum_1d, _symbol_tail, far_kernel_mass
+from fracac.fields import _multilinear
 
 
 @pytest.fixture(scope="session")
@@ -88,6 +90,36 @@ def composed_quotients(E, X, region, s, t_list):
     err = np.abs(q_fine - q_coarse) + 1e-6 * max(1.0, float(np.max(np.abs(q_fine))))
     return {"t": list(t_list), "q": q_fine.tolist(), "error_bar": err.tolist(),
             "q_coarse": q_coarse.tolist()}
+
+
+def full_support_flow(E, X, t):
+    """Oracle for flow_map's memberships: RK4 from 0 (`_rk4_backward`, no
+    speed bound) on every node inside the support ball of X, each of them
+    resampled by `_multilinear` at its flowed position; the nodes outside
+    keep their membership."""
+    g = E.grid
+    pts = g.coords()
+    inside = stability._in_support(pts, X)
+    steps = max(4, int(np.ceil(abs(t) / 0.02)))
+    flowed = stability._rk4_backward(pts[inside], X, t / steps, steps)
+    member = E.membership.flatten()
+    member[inside] = _multilinear(stability.signed_distance(E),
+                                  (flowed - g.axis_coords()[0]) / g.h, wrap=False) <= 0.0
+    return member.reshape(g.shape)
+
+
+@pytest.fixture
+def rk4_points(monkeypatch):
+    """A one-element list that counts RK4 point evaluations: each call of
+    `stability._rk4_backward` adds 4 stages x its steps x its rows."""
+    count = [0]
+    rk4 = stability._rk4_backward
+
+    def counted(y, X, dt, steps, bound=np.inf):
+        count[0] += 4 * steps * len(y)
+        return rk4(y, X, dt, steps, bound)
+    monkeypatch.setattr(stability, "_rk4_backward", counted)
+    return count
 
 
 def dense_matrix(op):

@@ -28,11 +28,11 @@ from fracac import (
     perimeter_stability_quotients,
     second_variation,
 )
-from conftest import composed_quotients, dense_matrix
+from conftest import composed_quotients, dense_matrix, full_support_flow
 from fracac.errors import ConfigurationError, FlowError
 from fracac._lattice import LRUCache, _free_twin, get_operator
 from fracac import stability
-from fracac.stability import (_in_support, _rk4_backward, cone_set, cone_sweep,
+from fracac.stability import (_dilate, _in_support, _rk4_backward, cone_set, cone_sweep,
                               radial_bump_vector_field)
 
 
@@ -137,9 +137,11 @@ def test_min_rayleigh_witness_reproducible(quartic, layer_s05, spec1_unit):
     norm2 = layer_s05.grid.cell_volume() * float((rep.witness.values ** 2).sum())
     again = second_variation(layer_s05, rep.witness, spec1_unit, quartic) / norm2
     assert again == pytest.approx(rep.min_rayleigh, abs=1e-10)
-    # witness supported in the region
+    # witness supported in the region, its entry of largest magnitude positive
     outside = ~rep.region.mask(layer_s05.grid)
     assert np.all(rep.witness.values[outside] == 0.0)
+    w = rep.witness.values.ravel()
+    assert w[np.argmax(np.abs(w))] > 0.0
 
 
 def test_min_rayleigh_monotone_in_region(quartic, layer_s05, spec1_unit):
@@ -383,8 +385,9 @@ def test_flow_map_degeneracy_guard():
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("t", [0.3, -0.3])
 def test_rk4_backward_matches_full_array_reference(n, t):
-    """Integrating only the rows inside the support ball changes no bit
-    against RK4 on every row, for points inside, on the sphere and outside."""
+    """Integrating only the rows inside the support ball, any subset of
+    them, or a run continued at the same step size changes no bit against
+    RK4 on every row from 0, for points inside, on the sphere and outside."""
     radius = 0.75
 
     def comps(p):
@@ -409,18 +412,130 @@ def test_rk4_backward_matches_full_array_reference(n, t):
     pts = np.concatenate([rng.uniform(-1.2, 1.2, (200, n)), on_sphere])
     r = np.linalg.norm(pts, axis=1)
     assert (r < radius).any() and (r > radius).any()
+    inside = _in_support(pts, X)
     for steps in (4, 8):
-        got = _rk4_backward(pts, X, t, steps, _in_support(pts, X))
+        got = pts.copy()
+        got[inside] = _rk4_backward(pts[inside], X, t / steps, steps)
         assert np.array_equal(got, reference(pts, steps))
+    every = _rk4_backward(pts[inside], X, t / 8, 8)
+    assert np.array_equal(_rk4_backward(pts[inside][::3], X, t / 8, 8), every[::3])
+    assert np.array_equal(_rk4_backward(_rk4_backward(pts[inside], X, t / 8, 3), X, t / 8, 5),
+                          every)
 
-    # no row inside: a copy comes back and X is never evaluated
+    # no row or no step: a copy comes back and X is never evaluated
     def never(p):
-        raise AssertionError("X evaluated with no point in its support")
+        raise AssertionError("X evaluated with no row or no step")
 
-    outside = pts[r > radius]
     Y = VectorFieldSpec(never, support_radius=radius)
-    out = _rk4_backward(outside, Y, t, 4, _in_support(outside, Y))
-    assert np.array_equal(out, outside) and out is not outside
+    for rows, steps in ((pts[:0], 4), (pts, 0)):
+        out = _rk4_backward(rows, Y, t / 4, steps)
+        assert np.array_equal(out, rows) and out is not rows
+
+
+def test_square_norms_ignore_memory_layout():
+    """A row's squared norm depends on its entries alone: C and Fortran
+    copies of one array, and each row on its own, read the same bits (the
+    speed bound and the stage guard compare such norms across arrays)."""
+    rng = np.random.default_rng(944)
+    v = rng.normal(size=(2, 3))[1]
+    rows = np.asfortranarray(np.tile(rng.uniform(0.2, 1.5) * v / np.linalg.norm(v), (1728, 1)))
+    for a in (rows, np.ascontiguousarray(rows), rows[:1]):
+        assert np.all(stability._square_norms(a) == stability._square_norms(rows[:1])[0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dilate_is_the_cube_dilation(n):
+    """The band's dilation equals a running max over the (2r + 1)^n cube,
+    for radii from 0 to past the lattice's size."""
+    from scipy import ndimage
+    rng = np.random.default_rng(n)
+    shape = (23, 17, 9)[:n]
+    for r in (0, 1, 2, 3, 5, 8, 40):
+        m = rng.random(shape) < 0.03
+        want = ndimage.maximum_filter(m.astype(np.uint8), size=2 * r + 1, mode="constant")
+        assert np.array_equal(_dilate(m, r), want > 0)
+
+
+def _nd_bump(centre, width, speed, direction):
+    """speed exp(1 - 1/(1 - r^2)) direction, r = |x - centre| / width < 1,
+    and 0 elsewhere: supported in the ball of radius |centre| + width."""
+    def comps(p):
+        r2 = np.sum((p - centre) ** 2, axis=1) / width ** 2
+        amp = np.zeros(len(p))
+        ok = r2 < 1.0
+        amp[ok] = speed * np.exp(1.0 - 1.0 / (1.0 - r2[ok]))
+        return amp[:, None] * direction
+    return VectorFieldSpec(comps, support_radius=float(np.linalg.norm(centre)) + width)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(n=st.integers(1, 3), shape=st.sampled_from(["halfspace", "ball", "random", "empty", "full"]),
+       field=st.sampled_from(["bump", "constant"]), t=st.sampled_from([-0.3, -0.06, 0.06, 0.3]),
+       seed=st.integers(0, 2 ** 16))
+def test_band_flow_equals_the_full_support_oracle(n, shape, field, t, seed):
+    """flow_map integrates only the band of support nodes that can change
+    membership, yet gives bit for bit the memberships of RK4 on every
+    support node resampled at its flowed position (`full_support_flow`),
+    for sets with and without an interface, bump and constant fields and
+    both signs of t."""
+    rng = np.random.default_rng(seed)
+    g = Grid(n, 0.1, {1: 2.0, 2: 1.2, 3: 0.6}[n], ConstantExterior([(-1.0, 1.0)] * n))
+    pts = g.coords()
+    normal, v = rng.normal(size=(2, n))
+    normal, v = normal / np.linalg.norm(normal), v / np.linalg.norm(v)
+    member = {
+        "halfspace": lambda: pts @ normal <= rng.uniform(-0.3, 0.3),
+        "ball": lambda: np.sum((pts - rng.uniform(-0.3, 0.3, n)) ** 2, axis=1)
+        <= rng.uniform(0.1, 0.5) ** 2,
+        "random": lambda: rng.random(len(pts)) < rng.uniform(0.02, 0.98),
+        "empty": lambda: np.zeros(len(pts), dtype=bool),
+        "full": lambda: np.ones(len(pts), dtype=bool),
+    }[shape]()
+    E = IndicatorSet(g, member.reshape(g.shape))
+    speed = rng.uniform(0.2, 1.5)            # up to 4.5 nodes of motion
+    if field == "bump":
+        X = _nd_bump(rng.uniform(-0.2, 0.2, n), rng.uniform(0.4, 0.7), speed / 1.5, v)
+    else:
+        X = VectorFieldSpec(lambda p: np.broadcast_to(speed * v, p.shape), np.inf)
+    stability._flow_memo.clear()
+    assert np.array_equal(flow_map(E, X, t).membership, full_support_flow(E, X, t))
+
+
+def test_flow_map_refuses_a_field_the_lattice_does_not_resolve(monkeypatch):
+    """(e_1 + e_2)/sqrt(2) + A sin^2(pi x_1/h) sin^2(pi x_2/h) e_2 reads
+    (e_1 + e_2)/sqrt(2), up to round-off, at every node, so its speed bound
+    is 1; the first RK4 stage off the nodes (the second of the first step)
+    sees A, and the flow raises and keeps no state.  With A = 0 the same
+    flow goes through."""
+    memo, puts = _recording_memo(monkeypatch)
+    E = cone_set("halfplane")
+    g = E.grid
+    layout = (g.n, g.h, g.box_radius, g.centered)
+
+    def field(A):
+        def comps(p):
+            wiggle = A * np.sin(np.pi * p[:, 0] / g.h) ** 2 * np.sin(np.pi * p[:, 1] / g.h) ** 2
+            return np.stack([np.full(len(p), np.sqrt(0.5)), np.sqrt(0.5) + wiggle], axis=1)
+        return VectorFieldSpec(comps, support_radius=np.inf)
+
+    X = field(10.0)
+    with pytest.raises(FlowError, match="resolve"):
+        flow_map(E, X, 0.08)
+    assert memo.get(("bound", layout, X)) == pytest.approx(1.0, abs=1e-12)
+    assert "state" not in [k[0] for k in puts]
+    Y = field(0.0)
+    assert not np.array_equal(flow_map(E, Y, 0.08).membership, E.membership)
+    assert "state" in [k[0] for k in puts]
+
+
+def test_cone_sweep_rk4_point_count(rk4_points):
+    """RK4 point evaluations of one half-plane sweep on a cold flow memo
+    (two fields, t = 0.04, 0.08 and 0.16, h = 1/32 and its coarsening):
+    246,784, down from 714,624 when every support node was integrated."""
+    stability._flow_memo.clear()
+    cone_sweep(cone_set("halfplane"), [radial_bump_vector_field(k) for k in (3, 4)],
+               BallRegion((0.0, 0.0), 1.0), (0.9,), (0.04, 0.08, 0.16))
+    assert rk4_points[0] == 246_784
 
 
 def test_flow_map_tiny_support_never_evaluates_empty_arrays():
@@ -531,7 +646,7 @@ def test_flow_map_memberships_equal_the_exact_distance_route(monkeypatch, t):
     X = radial_bump_vector_field(4)
     inside = _in_support(pts, X)
     steps = max(4, int(np.ceil(abs(t) / 0.02)))
-    idx = (_rk4_backward(pts, X, t, steps, inside)[inside] - g.axis_coords()[0]) / g.h
+    idx = (_rk4_backward(pts[inside], X, t / steps, steps) - g.axis_coords()[0]) / g.h
     for m in _random_sets(rng, g.shape):
         _fresh_flow_memo(monkeypatch)
         got = flow_map(IndicatorSet(g, m), X, t).membership
@@ -545,14 +660,16 @@ def test_flow_map_memberships_equal_the_exact_distance_route(monkeypatch, t):
 
 
 def test_flow_memo_misses_on_changed_membership_and_new_field(monkeypatch):
-    """The signed distance is reused only for the same membership values, the
-    state only for the same field object and step size; every call is a set
-    of its own."""
+    """The signed distance is reused only for the same membership values;
+    the speed bound only for the same field object; the state only for the
+    same field object and step size, and only for the band rows it holds.
+    Every call is a set of its own."""
     memo, puts = _recording_memo(monkeypatch)
     E = cone_set("halfplane")
     X, evals = _counted(radial_bump_vector_field(3))
     first = flow_map(E, X, 0.08)
-    assert [k[0] for k in puts] == ["sd", "state"]
+    assert [k[0] for k in puts] == ["sd", "geometry", "bound", "state"]
+    assert len(evals) == 1 + 4 * 4           # the speed bound, then four RK4 steps
     del evals[:], puts[:]
     again = flow_map(IndicatorSet(E.grid, E.membership.copy()), X, 0.08)
     assert not evals and not puts and np.array_equal(again.membership, first.membership)
@@ -562,16 +679,22 @@ def test_flow_memo_misses_on_changed_membership_and_new_field(monkeypatch):
     assert not evals and not puts
     same_code, evals2 = _counted(radial_bump_vector_field(3))  # another object
     assert np.array_equal(flow_map(E, same_code, 0.08).membership, first.membership)
-    assert len(evals2) == 4 * 4 and [k[0] for k in puts] == ["state"]
+    assert len(evals2) == 1 + 4 * 4 and [k[0] for k in puts] == ["bound", "state"]
     del puts[:]
     flow_map(E, X, 0.04)                     # another step size: a new state
     assert len(evals) == 4 * 4 and [k[0] for k in puts] == ["state"]
     del evals[:], puts[:]
-    E.membership[:, :3] = ~E.membership[:, :3]   # in place: a new signed distance
-    changed = flow_map(E, X, 0.08).membership
+    E.membership[:, :3] = ~E.membership[:, :3]   # in place, away from the support:
+    changed = flow_map(E, X, 0.08).membership    # a new signed distance, the same band
     assert not evals and [k[0] for k in puts] == ["sd"]
+    del puts[:]
+    flipped, pts = E.membership.copy(), E.grid.coords()
+    E.membership[...] |= (np.abs(pts - [0.0, 0.5]).max(axis=1) <= 0.1).reshape(E.grid.shape)
+    grown = flow_map(E, X, 0.08).membership  # band rows the state lacks: 4 steps from 0
+    assert len(evals) == 4 * 4 and [k[0] for k in puts] == ["sd", "state"]
     memo.clear()
-    assert np.array_equal(changed, flow_map(E, X, 0.08).membership)
+    assert np.array_equal(grown, flow_map(E, X, 0.08).membership)
+    assert np.array_equal(changed, flow_map(IndicatorSet(E.grid, flipped), X, 0.08).membership)
 
 
 def _fold_field(amplitude):
@@ -608,35 +731,38 @@ def _recording_memo(monkeypatch, states=None):
 
 
 def test_flow_memo_keeps_no_failed_flow(monkeypatch):
-    """Only the signed distance is kept: the second failing flow hits it,
-    misses its 25 states and evaluates X as often as the first did."""
+    """Only the signed distance, the geometry and the speed bound are kept:
+    the second failing flow hits them, misses its 25 states and evaluates
+    X in its RK4 pass as often as the first did.  The band of t = 0.5
+    covers the whole support and takes the same route."""
     memo, puts = _recording_memo(monkeypatch)
     E = cone_set("halfplane")
     X, evals = _counted(_fold_field(30.0))
     counts = []
     for _ in range(2):
-        with pytest.raises(FlowError):
+        with pytest.raises(FlowError, match="Jacobian"):
             flow_map(E, X, 0.5)
         counts.append(len(evals))
-    assert counts == [4 * 25, 2 * 4 * 25]
-    assert [k[0] for k in puts] == ["sd"]
-    assert len(memo) == 1 and memo.hits == 1 and memo.misses == 1 + 2 * 25
+    assert counts == [1 + 4 * 25, 1 + 2 * 4 * 25]
+    assert [k[0] for k in puts] == ["sd", "geometry", "bound"]
+    assert len(memo) == 3 and memo.hits == 3 and memo.misses == 3 + 2 * 25
 
 
 def test_continued_flow_that_folds_keeps_nothing(monkeypatch):
     """t = 0.5 continues from the checked t = 0.32 state (both take steps of
-    0.02), folds, and leaves no state of its own."""
+    0.02; both bands cover the support), folds, and leaves no state of its
+    own."""
     memo, puts = _recording_memo(monkeypatch)
     E = cone_set("halfplane")
     X, evals = _counted(_fold_field(10.0))
     flow_map(E, X, 0.32)
-    assert [k[0] for k in puts] == ["sd", "state"] and memo.hits == 0
+    assert [k[0] for k in puts] == ["sd", "geometry", "bound", "state"] and memo.hits == 0
     del evals[:], puts[:]
-    with pytest.raises(FlowError):
+    with pytest.raises(FlowError, match="Jacobian"):
         flow_map(E, X, 0.5)
     assert len(evals) == 4 * (25 - 16)      # only the nine steps past t = 0.32
-    assert memo.hits == 2                   # the signed distance and the 16-step state
-    assert not puts and len(memo) == 2 and memo.evictions == 0
+    assert memo.hits == 4                   # the distance, geometry, bound and 16-step state
+    assert not puts and len(memo) == 4 and memo.evictions == 0
 
 
 @pytest.mark.parametrize("h, centered", [(1.0 / 16.0, False), (1.0 / 8.0, False),
@@ -644,9 +770,10 @@ def test_continued_flow_that_folds_keeps_nothing(monkeypatch):
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_continued_flow_equals_a_cold_one(monkeypatch, h, centered, sign):
     """+-0.16 continues from the +-0.08 state (0.16/8 and 0.08/4 are the same
-    double), flows half the steps and gives a cold flow's state and set bit
-    for bit, probes included; a third flow reads the 8-step state back and
-    evaluates X no more."""
+    double): the rows of its wider band that the state lacks take four
+    steps from 0, then every row four more.  That gives a cold flow's state
+    (rows and values, probes included) and set bit for bit; a third flow
+    reads the 8-step state back and evaluates X no more."""
     ext = FieldExterior(lambda p: np.where(p[:, 1] <= 0.0, 1.0, -1.0))
     g = Grid(2, h, 2.0, ext, centered)
     E = IndicatorSet(g, (g.coords()[:, 1] <= 0.0).reshape(g.shape))
@@ -657,28 +784,31 @@ def test_continued_flow_equals_a_cold_one(monkeypatch, h, centered, sign):
     cold_states = {}
     _recording_memo(monkeypatch, cold_states)
     cold = flow_map(E, X, t).membership
-    assert len(evals) == 4 * 8
+    assert len(evals) == 1 + 4 * 8
     states = {}
     memo, puts = _recording_memo(monkeypatch, states)
     flow_map(E, X, t / 2)
     del evals[:], puts[:]
     warm = flow_map(E, X, t).membership
-    assert len(evals) == 4 * 4 and [k[0] for k in puts] == ["state"]
-    assert memo.hits == 2                   # the signed distance and the 4-step state
+    assert len(evals) == 4 * 4 + 4 * 4 and [k[0] for k in puts] == ["state"]
+    assert memo.hits == 4                   # the distance, geometry, bound and 4-step state
     assert np.array_equal(warm, cold)
-    (key, state), = cold_states.items()
-    assert key[-1] == 8 and np.array_equal(states[key], state)
+    (key, (rows, state)), = cold_states.items()
+    (half_rows, _), = (v for k, v in states.items() if k[-1] == 4)
+    assert key[-1] == 8 and len(half_rows) < len(rows)
+    assert np.array_equal(states[key][0], rows) and np.array_equal(states[key][1], state)
     del puts[:]
     assert np.array_equal(flow_map(E, X, t).membership, cold)
-    assert len(evals) == 4 * 4 and not puts
+    assert len(evals) == 4 * 4 + 4 * 4 and not puts
 
 
 @pytest.mark.parametrize("centered", [False, True])
 def test_set_rebuilt_from_a_state_equals_a_cold_flow_on_inexact_nodes(monkeypatch, centered):
     """On h = 0.1 the node indices (x - x_0)/h are not exact integers.  A set
-    rebuilt from another set's stored state, with the nodes outside the
-    support keeping their membership, equals a cold flow and the resampling
-    of every node at its flowed position, bit for bit."""
+    rebuilt from another set's stored state, with the band rows the state
+    lacks flowed from 0 and the nodes off the band keeping their
+    membership, equals a cold flow and the resampling of every node at its
+    flowed position, bit for bit."""
     from scipy import ndimage
     ext = FieldExterior(lambda p: np.where(p[:, 1] <= 0.0, 1.0, -1.0))
     g = Grid(2, 0.1, 2.0, ext, centered)
@@ -690,10 +820,10 @@ def test_set_rebuilt_from_a_state_equals_a_cold_flow_on_inexact_nodes(monkeypatc
     flow_map(E, X, 0.16)
     del evals[:]
     warm = flow_map(F, X, 0.16).membership
-    assert not evals
+    assert len(evals) == 4 * 8               # the rows of F's band that E's lacks
     _fresh_flow_memo(monkeypatch)
     cold = flow_map(F, X, 0.16).membership
-    idx = (_rk4_backward(pts, X, 0.16, 8, _in_support(pts, X)) - g.axis_coords()[0]) / g.h
+    idx = (_rk4_backward(pts, X, 0.16 / 8, 8) - g.axis_coords()[0]) / g.h
     assert not np.array_equal(idx, np.round(idx))
     every = ndimage.map_coordinates(stability.signed_distance(F), idx.T, order=1,
                                     mode="nearest") <= 0.0
@@ -702,22 +832,31 @@ def test_set_rebuilt_from_a_state_equals_a_cold_flow_on_inexact_nodes(monkeypatc
 
 
 def test_flow_state_is_shared_by_the_sets_of_a_layout():
-    """The flow state depends on the layout, X and t, not on the set: a
-    second set is deformed without evaluating X and as a cold flow would."""
+    """A flow state depends on the layout, X and t, not on the set: a
+    second set flows only the rows of its band that the stored state
+    lacks, a set whose band the state holds flows none, and each gives
+    what a cold flow gives."""
     stability._flow_memo.clear()
     E, F = cone_set("halfplane"), cone_set("cross")
     X, evals = _counted(radial_bump_vector_field(2))
     flow_map(E, X, -0.08)
     del evals[:]
     warm = flow_map(F, X, -0.08).membership
+    assert len(evals) == 4 * 4
+    del evals[:]
+    G = IndicatorSet(E.grid, F.membership.copy())
+    G.membership[:3] = ~G.membership[:3]     # x_1 < -1.9: far off the support
+    shifted = flow_map(G, X, -0.08).membership
     assert not evals
     stability._flow_memo.clear()
     assert np.array_equal(warm, flow_map(F, X, -0.08).membership)
+    assert np.array_equal(shifted, flow_map(G, X, -0.08).membership)
 
 
 def test_flow_memo_holds_the_field_while_its_state_lives(monkeypatch):
-    """A state's key holds X itself, so X lives as long as the entry (and no
-    other field can take its identity meanwhile) and goes with it."""
+    """The keys of a speed bound and a state hold X itself, so X lives as
+    long as those entries (and no other field can take its identity
+    meanwhile) and goes with them."""
     memo = _fresh_flow_memo(monkeypatch)
     X = radial_bump_vector_field(3)
     ref = weakref.ref(X)
@@ -725,17 +864,19 @@ def test_flow_memo_holds_the_field_while_its_state_lives(monkeypatch):
     del X
     gc.collect()
     assert ref() is not None
-    memo.put("filler", None, memo.cap)       # evicts the distance and the state
+    memo.put("filler", None, memo.cap)       # evicts the distance, geometry, bound and state
     gc.collect()
-    assert ref() is None and memo.evictions == 2
+    assert ref() is None and memo.evictions == 4
 
 
 def test_flow_memo_stays_within_its_byte_cap(monkeypatch):
     """Six memberships make six signed distances of 8.3 kB each, of which the
-    20 kB cap keeps the latest; the one state, read back by every flow after
-    the first, is never evicted."""
+    24 kB cap keeps the latest beside the geometry (8.6 kB), the speed
+    bound and the one state (3.2 kB); those three, read back by every flow
+    after the first (the memberships change off the support), are never
+    evicted."""
     memo, puts = _recording_memo(monkeypatch)
-    monkeypatch.setattr(memo, "cap", 20_000)
+    monkeypatch.setattr(memo, "cap", 24_000)
     g = Grid(2, 1.0 / 8.0, 2.0, FieldExterior(lambda p: np.where(p[:, 1] <= 0.0, 1.0, -1.0)))
     E = IndicatorSet(g, (g.coords()[:, 1] <= 0.0).reshape(g.shape))  # 32^2: 8.3 kB distances
     X, evals = _counted(radial_bump_vector_field(3))
@@ -743,10 +884,10 @@ def test_flow_memo_stays_within_its_byte_cap(monkeypatch):
         E.membership[0, k] = not E.membership[0, k]
         flow_map(E, X, 0.04)
         assert memo.total <= memo.cap
-        assert len(evals) == 4 * 4           # only the first flow evaluates X
-    assert [k[0] for k in puts] == ["sd", "state"] + ["sd"] * 5
-    assert 2 <= len(memo) < 7 and any(k[0] == "state" for k in memo._items)
-    assert memo.evictions == 7 - len(memo)
+        assert len(evals) == 1 + 4 * 4       # only the first flow evaluates X
+    assert [k[0] for k in puts] == ["sd", "geometry", "bound", "state"] + ["sd"] * 5
+    assert [k[0] for k in memo._items] == ["sd", "geometry", "bound", "state"]
+    assert memo.evictions == 5
     small = LRUCache(1000)
     monkeypatch.setattr(stability, "_flow_memo", small)
     stability._memo_put(("sd", b"x"), np.zeros(125))   # 1,001 bytes with the key's
@@ -754,6 +895,9 @@ def test_flow_memo_stays_within_its_byte_cap(monkeypatch):
     for _ in range(2):                                  # a second put replaces the first
         stability._memo_put(("sd", b"x"), np.zeros(124))
     assert len(small) == 1 and small.total == 993
+    small.clear()
+    stability._memo_put(("t",), (np.zeros(3, np.intp), np.zeros((3, 2))))
+    assert small.total == 24 + 48                       # a tuple weighs all its arrays
 
 
 @pytest.mark.parametrize("kind", ["halfplane", "cross"])
