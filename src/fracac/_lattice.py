@@ -52,8 +52,7 @@ registry (64 operators); per operator, the windowed convolutions of its
 last two boolean masks, so perimeters of sets that share a pair family
 convolve it once, and the energies of up to 64 regions on its last field
 (one slot compared by value), so a radius sweep sums each region once; and
-`stability`'s flow memo of signed distances, flow geometries, speed
-bounds and flow states (32 MiB of array and key bytes).
+`stability`'s flow memo (32 MiB of array and key bytes).
 """
 
 from __future__ import annotations

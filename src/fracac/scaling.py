@@ -352,35 +352,36 @@ def blowdown_convergence(u: ScalarField, R_list: Sequence[float], c: float = 0.0
     }
 
 
-def _direction_set(n: int, count: int) -> np.ndarray:
+_C_LOW, _C_HIGH, _DIRECTIONS = -0.8, 0.8, 64    # flatness_profile's levels and sweep
+
+
+def _direction_set(n: int) -> np.ndarray:
     if n == 1:
         return np.array([[1.0], [-1.0]])
     if n == 2:
-        th = np.linspace(0.0, np.pi, count, endpoint=False)
+        th = np.linspace(0.0, np.pi, _DIRECTIONS, endpoint=False)
         return np.stack([np.cos(th), np.sin(th)], axis=1)
     # Fibonacci hemisphere
-    i = np.arange(count)
-    z = (i + 0.5) / count
+    i = np.arange(_DIRECTIONS)
+    z = (i + 0.5) / _DIRECTIONS
     phi = i * np.pi * (3.0 - np.sqrt(5.0))
     r = np.sqrt(1.0 - z ** 2)
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
-def _trap_width(pts, vals, e, c_low, c_high):
+def _trap_width(pts, vals, e):
     """Minimal one-sided width a*R for the two-sided level-set trapping."""
     t = pts @ e
-    not_low = vals > c_low          # must satisfy e.x > -aR
-    mid = vals <= c_high            # must satisfy e.x <= aR
+    not_low = vals > _C_LOW         # must satisfy e.x > -aR
+    mid = vals <= _C_HIGH           # must satisfy e.x <= aR
     a1 = -t[not_low].min() if not_low.any() else -np.inf
     a2 = t[mid].max() if mid.any() else -np.inf
     return max(a1, a2, 0.0)
 
 
-def flatness_profile(u: ScalarField, R_list: Sequence[float],
-                     c_low: float = -0.8, c_high: float = 0.8,
-                     directions: int = 64) -> dict:
+def flatness_profile(u: ScalarField, R_list: Sequence[float]) -> dict:
     """Per radius, the smallest slab fraction a and direction realizing
-    {e.x <= -aR} in {u <= c_low} in {u <= c_high} in {e.x <= aR} on B_R.
+    {e.x <= -aR} in {u <= -0.8} in {u <= 0.8} in {e.x <= aR} on B_R.
 
     Runs a direction sweep followed by a golden-section refinement in 2D;
     trapping that is impossible, or possible only within one grid cell of
@@ -393,31 +394,31 @@ def flatness_profile(u: ScalarField, R_list: Sequence[float],
     for R in R_list:
         sel = np.sum(pts_all ** 2, axis=1) <= R ** 2 + 1e-12
         pts, vals = pts_all[sel], vals_all[sel]
-        if not np.any(vals <= c_high) or not np.any(vals > c_low):
+        if not np.any(vals <= _C_HIGH) or not np.any(vals > _C_LOW):
             a_trace.append(1.0)
             e_trace.append(None)
             continue
-        dirs = _direction_set(g.n, directions)
-        widths = np.array([_trap_width(pts, vals, e, c_low, c_high) for e in dirs])
+        dirs = _direction_set(g.n)
+        widths = np.array([_trap_width(pts, vals, e) for e in dirs])
         best = int(np.argmin(widths))
         a_best, e_best = widths[best], dirs[best]
         if g.n == 2:
             th0 = np.arctan2(e_best[1], e_best[0])
-            span = np.pi / directions
+            span = np.pi / _DIRECTIONS
             lo, hi = th0 - span, th0 + span
             gr = (np.sqrt(5.0) - 1.0) / 2.0
             for _ in range(24):
                 m1 = hi - gr * (hi - lo)
                 m2 = lo + gr * (hi - lo)
-                w1 = _trap_width(pts, vals, np.array([np.cos(m1), np.sin(m1)]), c_low, c_high)
-                w2 = _trap_width(pts, vals, np.array([np.cos(m2), np.sin(m2)]), c_low, c_high)
+                w1 = _trap_width(pts, vals, np.array([np.cos(m1), np.sin(m1)]))
+                w2 = _trap_width(pts, vals, np.array([np.cos(m2), np.sin(m2)]))
                 if w1 < w2:
                     hi = m2
                 else:
                     lo = m1
             th = 0.5 * (lo + hi)
             e_best = np.array([np.cos(th), np.sin(th)])
-            a_best = min(a_best, _trap_width(pts, vals, e_best, c_low, c_high))
+            a_best = min(a_best, _trap_width(pts, vals, e_best))
         a_val = min(a_best / R, 1.0)
         if a_val >= 1.0 - np.sqrt(g.n) * g.h / R:
             a_val = 1.0

@@ -70,8 +70,8 @@ class VectorFieldSpec:
     the largest difference quotient |X(x + h e_i) - X(x)| / h between
     neighbouring nodes.  `flow_map` moves only the nodes within |t| M of
     the interface, and raises a flow error when an RK4 stage sees a larger
-    |X|, so a field that varies between the nodes fails loudly instead of
-    giving a wrong set.
+    or non-finite |X|, so a field that varies between the nodes fails
+    loudly instead of giving a wrong set.
     """
 
     components: Callable[[np.ndarray], np.ndarray]
@@ -301,11 +301,11 @@ def _speed(v: np.ndarray) -> np.ndarray:
 
 
 def _stage(X: VectorFieldSpec, y: np.ndarray, bound: float) -> np.ndarray:
-    """-X at the rows y, unless some |X| there tops the bound."""
+    """-X at the rows y, unless some |X| there tops the bound or is NaN."""
     v = X(y)
-    if np.any(_speed(v) > bound):
-        raise FlowError("the vector field tops its speed bound between the nodes; "
-                        "the lattice does not resolve it")
+    if not np.all(_speed(v) <= bound):
+        raise FlowError("the vector field tops its speed bound, or is not finite, between "
+                        "the nodes; the lattice does not resolve it")
     return np.negative(v, out=v)
 
 
@@ -327,8 +327,8 @@ def _dilate(mask: np.ndarray, r: int) -> np.ndarray:
     return mask
 
 
-# signed distances, flow geometries, speed bounds and flow states, keyed by
-# what each depends on
+# signed distances, flow geometries, speed bounds and deformed sets, keyed
+# by what each depends on
 _flow_memo = LRUCache(32 << 20)
 _PROBE_EPS = 1e-5
 
@@ -364,7 +364,7 @@ def _speed_bound(g: Grid, layout: tuple, X: VectorFieldSpec, support: np.ndarray
     """M = max |X| over the support nodes (flat indices `support`, points
     `start`) + L sqrt(n) h / 2, L the largest difference quotient of X
     between neighbouring nodes, from one evaluation of X; memoized per
-    (layout, X)."""
+    (layout, X).  A bound that is not finite raises a flow error."""
     key = ("bound", layout, X)
     bound = _flow_memo.get(key)
     if bound is None:
@@ -375,12 +375,14 @@ def _speed_bound(g: Grid, layout: tuple, X: VectorFieldSpec, support: np.ndarray
         lip = max(_speed(np.diff(lattice, axis=ax).reshape(-1, g.n)).max(initial=0.0)
                   for ax in range(g.n)) / g.h
         bound = np.float64(_speed(vals).max() + lip * np.sqrt(g.n) * g.h / 2.0)
+        if not np.isfinite(bound):
+            raise FlowError("the vector field is not finite at the support nodes")
         _memo_put(key, bound)
     return float(bound)
 
 
 def flow_map(E: IndicatorSet, X: VectorFieldSpec, t: float) -> IndicatorSet:
-    """Deform the set by the integral flow of X at time t.
+    """Deform the set by the integral flow of X at time t (finite).
 
     Advects a signed-distance sampling (`signed_distance`, exact in the
     band that decides membership) along fourth-order backward
@@ -390,71 +392,68 @@ def flow_map(E: IndicatorSet, X: VectorFieldSpec, t: float) -> IndicatorSet:
 
     A node changes membership only if its flowed point lands in a cell with
     a corner of the other kind, and no point moves farther than |t| M, M
-    the speed bound of `VectorFieldSpec` (an RK4 stage above it raises a
-    flow error).  So only the support nodes within ceil(|t| M / h) + 1
-    nodes (infinity norm) of an interface node (|phi| < 2h) are integrated
-    and resampled: the band.  The rest keep their membership, bit for bit
-    as if they had been resampled.  The Jacobian of the flow is probed by
-    central differences at 64 nodes, whose 2n shifted copies inside the
-    support ride in the same RK4 pass; a non-positive diagonal entry (a
-    fold) raises a flow error.
+    the speed bound of `VectorFieldSpec` (a stage above it, or a bound that
+    is not finite, raises a flow error).  So only the support nodes within
+    ceil(|t| M / h) + 1 nodes (infinity norm) of an interface node
+    (|phi| < 2h) are integrated and resampled: the band.  The rest keep
+    their membership, bit for bit as if resampled.  The flow's Jacobian is
+    probed by central differences at 64 nodes riding in the same RK4 pass;
+    a non-positive diagonal entry (a fold) raises a flow error.
 
     One bounded memo holds, each keyed by what it depends on: the signed
     distance of a (layout, membership); the support nodes and probes of a
-    (layout, support radius); the speed bound of a (layout, X); and the
-    flow state of a checked (layout, X, step size, step count): the flowed
-    probes and band nodes of the last flow stored under it, with the
-    nodes' indices.  A call takes its band nodes from the longest stored
-    state at its step size, integrates the nodes that state lacks from 0
-    up to its step count, and continues all of them to its own (t = 0.16
-    from t = 0.08), bit for bit as from 0.  The key holds X itself, so
-    `components` is taken to be a pure function.  No state of a flow that
-    fails a check is kept.  Every call returns a set of its own.
+    (layout, support radius); the speed bound of a (layout, X); and, once
+    its checks pass, the deformed set of a (layout, membership, X, t) as
+    packed bits.  The keys hold X itself, so `components` is taken to be a
+    pure function.  Every call returns a set of its own.
     """
+    return _flows(E, X, [t])[0]
+
+
+def _flows(E: IndicatorSet, X: VectorFieldSpec, times: list) -> list:
+    """flow_map(E, X, t) for each t of `times`.  The times the memo misses
+    share one RK4 pass per step size t/steps, over the band of the longest;
+    by step count, each time checks the probes, resamples and is stored."""
+    if not all(np.isfinite(t) for t in times):
+        raise ConfigurationError(f"flow times must be finite, got t = {times!r}")
     g = E.grid
     layout = (g.n, g.h, g.box_radius, g.centered)
-    sd_key = ("sd", layout, np.packbits(E.membership).tobytes())
-    phi = _flow_memo.get(sd_key)
-    if phi is None:
-        phi = signed_distance(E)
-        _memo_put(sd_key, phi)
-    support, start, probes, probe_in = _flow_geometry(g, layout, X)
-    bound = _speed_bound(g, layout, X, support, start)
-    steps = max(4, int(np.ceil(abs(t) / 0.02)))
-    reach = int(np.ceil(abs(t) * bound / g.h)) + 1
-    band = np.flatnonzero(_dilate(np.abs(phi) < 2.0 * g.h, reach).ravel()[support])
-
-    # the longest stored state at this step size: its rows (positions in
-    # `support`, ascending), then the flowed rows and probes; at 0 steps, none
-    key = ("state", layout, X, t / steps)
-    done, held, state = 0, band[:0], probes[probe_in]
-    for k in range(steps, 0, -1):
-        entry = _flow_memo.get(key + (k,))
-        if entry is not None:
-            done, (held, state) = k, entry
-            break
-    have = np.isin(band, held, assume_unique=True)
-    lack = band[~have]
-    y = np.empty((len(band), g.n))
-    y[have] = state[np.searchsorted(held, band[have])]
-    y[~have] = _rk4_backward(start[lack], X, t / steps, done, bound)
-    y = _rk4_backward(np.concatenate([y, state[len(held):]]), X, t / steps, steps - done, bound)
-
-    # sampled Jacobian positivity: the diagonal of the central difference
-    flowed = probes.copy()
-    flowed[probe_in] = y[len(band):]
-    probed = flowed.reshape(2, g.n, -1, g.n)
-    for ax in range(g.n):
-        jcol = (probed[0, ax] - probed[1, ax]) / (2 * _PROBE_EPS)
-        if np.any(jcol[:, ax] <= 0.0):
-            raise FlowError("flow Jacobian lost positivity; reduce |t|")
-    if done < steps or len(lack):
-        _memo_put(key + (steps,), (band, y))
-
-    idx = (y[:len(band)] - g.axis_coords()[0]) / g.h
-    member = E.membership.flatten()
-    member[support[band]] = _multilinear(phi, idx, wrap=False) <= 0.0
-    return IndicatorSet(g, member.reshape(g.shape))
+    bits = np.packbits(E.membership).tobytes()
+    sets, groups = {}, {}
+    for t in dict.fromkeys(times):
+        hit = _flow_memo.get(("set", layout, bits, X, t))
+        if hit is not None:
+            sets[t] = hit
+        else:
+            steps = max(4, int(np.ceil(abs(t) / 0.02)))
+            groups.setdefault(t / steps, []).append((steps, t))
+    if groups:
+        phi = _flow_memo.get(("sd", layout, bits))
+        if phi is None:
+            phi = signed_distance(E)
+            _memo_put(("sd", layout, bits), phi)
+        support, start, probes, probe_in = _flow_geometry(g, layout, X)
+        bound = _speed_bound(g, layout, X, support, start)
+    for dt, group in groups.items():
+        group.sort()
+        reach = int(np.ceil(abs(group[-1][1]) * bound / g.h)) + 1
+        band = np.flatnonzero(_dilate(np.abs(phi) < 2.0 * g.h, reach).ravel()[support])
+        y, done = np.concatenate([start[band], probes[probe_in]]), 0
+        for steps, t in group:
+            y, done = _rk4_backward(y, X, dt, steps - done, bound), steps
+            # sampled Jacobian positivity: the diagonal of the central difference
+            probed = probes.copy()
+            probed[probe_in] = y[len(band):]
+            probed = probed.reshape(2, g.n, -1, g.n)
+            if any(np.any(probed[0, ax, :, ax] <= probed[1, ax, :, ax]) for ax in range(g.n)):
+                raise FlowError("flow Jacobian lost positivity; reduce |t|")
+            member = E.membership.flatten()
+            idx = (y[:len(band)] - g.axis_coords()[0]) / g.h
+            member[support[band]] = _multilinear(phi, idx, wrap=False) <= 0.0
+            sets[t] = np.packbits(member)
+            _memo_put(("set", layout, bits, X, t), sets[t])
+    return [IndicatorSet(g, np.unpackbits(sets[t], count=g.node_count).astype(bool))
+            for t in times]
 
 
 def radial_bump_vector_field(seed: int) -> VectorFieldSpec:
@@ -505,9 +504,9 @@ def cone_sweep(E: IndicatorSet, fields, region: BallRegion, orders, t_list) -> d
     per order, one dict per field, in the order of `fields`.
 
     Each deformed set flow_map(., X, +-t), of E and of its 2x coarsening, is
-    built once and its perimeter read at every order; t is looped outside
-    the orders, so at most two deformed sets are alive.  Empty field, order
-    or time lists, and flow times that are 0 or not finite, are refused.
+    built once, by one `_flows` call per (set, field), and its perimeter
+    read at every order.  Empty field, order or time lists, and flow times
+    that are 0 or not finite, are refused.
     """
     fields, t_list = list(fields), list(t_list)
     if not (fields and orders and t_list) or not all(np.isfinite(t) and t != 0.0
@@ -523,8 +522,8 @@ def cone_sweep(E: IndicatorSet, fields, region: BallRegion, orders, t_list) -> d
         base = {s: fractional_perimeter(ind, region, s) for s in orders}
         rows = {s: np.empty((len(fields), len(t_list))) for s in base}
         for k, X in enumerate(fields):
-            for j, t in enumerate(t_list):
-                plus, minus = flow_map(ind, X, +t), flow_map(ind, X, -t)
+            flowed = _flows(ind, X, t_list + [-t for t in t_list])
+            for j, (t, plus, minus) in enumerate(zip(t_list, flowed, flowed[len(t_list):])):
                 for s, q in rows.items():
                     q[k, j] = (fractional_perimeter(plus, region, s)
                                + fractional_perimeter(minus, region, s) - 2.0 * base[s]) / t ** 2

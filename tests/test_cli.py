@@ -233,16 +233,19 @@ def test_cli_byte_identical_on_rerun(experiment, outputs, tmp_path):
 def test_cone_run_flows_once_for_all_orders_and_keeps_the_per_order_fold(monkeypatch,
                                                                           tmp_path):
     """With 2 fields, `cone` flows each deformed set once for all three cross
-    orders, and its cross sweep is the fold of the per-order composition of
-    flow_map and fractional_perimeter, one order and field at a time."""
+    orders, in one `_flows` call per set and field, and its cross sweep is
+    the fold of the per-order composition of flow_map and
+    fractional_perimeter, one order and field at a time."""
     import numpy as np
     from conftest import composed_quotients
     from fracac import BallRegion, stability
-    calls, fm = [], stability.flow_map
-    monkeypatch.setattr(stability, "flow_map", lambda *a: calls.append(1) or fm(*a))
+    calls, flows = [], stability._flows
+    monkeypatch.setattr(stability, "_flows",
+                        lambda E, X, times: calls.append(len(times)) or flows(E, X, times))
     run(RunConfig("cone", {"output_dir": str(tmp_path / "o"), "n_fields": 2}))
-    # (fine, coarse) x (+t, -t) x flow times, per half-plane and per cross field
-    assert len(calls) == 2 * 2 * 3 * 2 + 2 * 2 * 2 * 4
+    # one call per (fine, coarse) set and field, each at +-t for every flow
+    # time: 2 half-plane fields at 3 times, then 4 cross fields at 2
+    assert calls == [2 * 3] * (2 * 2) + [2 * 2] * (2 * 4)
     cross, region = stability.cone_set("cross"), BallRegion((0.0, 0.0), 1.0)
     fields = [stability.radial_bump_vector_field(k) for k in range(4)]
     rows = ["s,min_quotient"]

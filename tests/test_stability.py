@@ -32,8 +32,8 @@ from conftest import composed_quotients, dense_matrix, full_support_flow
 from fracac.errors import ConfigurationError, FlowError
 from fracac._lattice import LRUCache, _free_twin, get_operator
 from fracac import stability
-from fracac.stability import (_dilate, _in_support, _rk4_backward, cone_set, cone_sweep,
-                              radial_bump_vector_field)
+from fracac.stability import (_dilate, _flows, _in_support, _rk4_backward, cone_set,
+                              cone_sweep, radial_bump_vector_field)
 
 
 def compact_field(grid, rng, radius):
@@ -470,14 +470,20 @@ def _nd_bump(centre, width, speed, direction):
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(n=st.integers(1, 3), shape=st.sampled_from(["halfspace", "ball", "random", "empty", "full"]),
-       field=st.sampled_from(["bump", "constant"]), t=st.sampled_from([-0.3, -0.06, 0.06, 0.3]),
+       field=st.sampled_from(["bump", "constant"]),
+       times=st.lists(st.sampled_from([-0.3, -0.16, -0.08, -0.06, 0.0, 0.04, 0.06, 0.08, 0.16,
+                                       0.3]), min_size=1, max_size=5),
        seed=st.integers(0, 2 ** 16))
-def test_band_flow_equals_the_full_support_oracle(n, shape, field, t, seed):
-    """flow_map integrates only the band of support nodes that can change
-    membership, yet gives bit for bit the memberships of RK4 on every
-    support node resampled at its flowed position (`full_support_flow`),
-    for sets with and without an interface, bump and constant fields and
-    both signs of t."""
+@example(n=2, shape="halfspace", field="constant", times=[0.08, -0.5, 0.5, -0.08, 0.5], seed=727)
+def test_band_flow_equals_the_full_support_oracle(n, shape, field, times, seed):
+    """`_flows` integrates only the band of support nodes that can change
+    membership, in one RK4 pass per step size over the band of its longest
+    time, yet each set it returns has bit for bit the memberships of RK4 on
+    every support node resampled at its flowed position at its own time
+    (`full_support_flow`): for sets with and without an interface, bump and
+    constant fields, and time lists that mix signs, step sizes and repeats
+    (a one-time list is `flow_map`).  The example moves a half-plane 7.4
+    nodes at t = 0.5, past the band of 0.08 in the same pass."""
     rng = np.random.default_rng(seed)
     g = Grid(n, 0.1, {1: 2.0, 2: 1.2, 3: 0.6}[n], ConstantExterior([(-1.0, 1.0)] * n))
     pts = g.coords()
@@ -498,15 +504,18 @@ def test_band_flow_equals_the_full_support_oracle(n, shape, field, t, seed):
     else:
         X = VectorFieldSpec(lambda p: np.broadcast_to(speed * v, p.shape), np.inf)
     stability._flow_memo.clear()
-    assert np.array_equal(flow_map(E, X, t).membership, full_support_flow(E, X, t))
+    flowed = _flows(E, X, times)
+    assert len(flowed) == len(times)
+    for t, got in zip(times, flowed):
+        assert np.array_equal(got.membership, full_support_flow(E, X, t))
 
 
 def test_flow_map_refuses_a_field_the_lattice_does_not_resolve(monkeypatch):
     """(e_1 + e_2)/sqrt(2) + A sin^2(pi x_1/h) sin^2(pi x_2/h) e_2 reads
     (e_1 + e_2)/sqrt(2), up to round-off, at every node, so its speed bound
     is 1; the first RK4 stage off the nodes (the second of the first step)
-    sees A, and the flow raises and keeps no state.  With A = 0 the same
-    flow goes through."""
+    sees A, and the flow raises and keeps no set.  With A = 0 the same
+    flow goes through and its set is kept."""
     memo, puts = _recording_memo(monkeypatch)
     E = cone_set("halfplane")
     g = E.grid
@@ -522,10 +531,50 @@ def test_flow_map_refuses_a_field_the_lattice_does_not_resolve(monkeypatch):
     with pytest.raises(FlowError, match="resolve"):
         flow_map(E, X, 0.08)
     assert memo.get(("bound", layout, X)) == pytest.approx(1.0, abs=1e-12)
-    assert "state" not in [k[0] for k in puts]
+    assert "set" not in [k[0] for k in puts]
     Y = field(0.0)
     assert not np.array_equal(flow_map(E, Y, 0.08).membership, E.membership)
-    assert "state" in [k[0] for k in puts]
+    assert "set" in [k[0] for k in puts]
+
+
+def _lattice_field(g, at_nodes):
+    """(0, 0.1) at the nodes of g and NaN between them, or, if at_nodes, NaN
+    at the nodes near (0.5, 0) too."""
+    def comps(p):
+        on = np.all(np.abs(p / g.h - np.round(p / g.h)) < 1e-9, axis=1)
+        if at_nodes:
+            on &= np.abs(p - [0.5, 0.0]).max(axis=1) > 0.1
+        out = np.full(p.shape, np.nan)
+        out[on] = [0.0, 0.1]
+        return out
+    return VectorFieldSpec(comps, support_radius=1.0)
+
+
+@pytest.mark.parametrize("at_nodes", [False, True], ids=["between_nodes", "at_nodes"])
+def test_flow_map_refuses_a_field_that_is_not_finite(monkeypatch, at_nodes):
+    """NaN compares false, so a stage guard that tested |X| > M let a field
+    that is NaN between the nodes through (189 nodes flipped), and a NaN
+    at a node made the speed bound NaN.  Both raise a flow error; neither
+    stores a set, and the NaN bound is not stored either."""
+    memo, puts = _recording_memo(monkeypatch)
+    E = cone_set("halfplane")
+    X = _lattice_field(E.grid, at_nodes)
+    with pytest.raises(FlowError, match="resolve" if not at_nodes else "not finite"):
+        flow_map(E, X, 0.08)
+    assert [k[0] for k in puts] == ["sd", "geometry"] + ["bound"] * (not at_nodes)
+
+
+@pytest.mark.parametrize("t", [float("nan"), np.inf, -np.inf])
+def test_flow_map_refuses_a_time_that_is_not_finite(monkeypatch, t):
+    """A NaN or infinite t is refused before the memo is read (the step
+    count used to raise a ValueError or an OverflowError); t = 0 flows, and
+    leaves the set as it is."""
+    memo, puts = _recording_memo(monkeypatch)
+    E, X = cone_set("halfplane"), radial_bump_vector_field(1)
+    with pytest.raises(ConfigurationError, match="finite"):
+        flow_map(E, X, t)
+    assert not puts and memo.misses == 0
+    assert np.array_equal(flow_map(E, X, 0.0).membership, E.membership)
 
 
 def test_cone_sweep_rk4_point_count(rk4_points):
@@ -562,24 +611,27 @@ def _count_distances(monkeypatch):
     return calls
 
 
-def _count_flow_maps(monkeypatch):
+def _count_flows(monkeypatch):
+    """The time lists of the `_flows` calls, one per call."""
     calls = []
-    fm = stability.flow_map
-    monkeypatch.setattr(stability, "flow_map", lambda *a: calls.append(a[2]) or fm(*a))
+    flows = stability._flows
+    monkeypatch.setattr(stability, "_flows", lambda E, X, times: calls.append(list(times))
+                        or flows(E, X, times))
     return calls
 
 
 @pytest.mark.parametrize("orders", [(0.9,), (0.5, 0.7, 0.9)])
 def test_quotients_compute_each_signed_distance_once(monkeypatch, orders):
-    """A sweep flows the set and its coarsening 2 len(t) times per field,
-    whatever the number of orders (a negative t is a flow time like any),
-    but computes each set's signed distance once."""
+    """A sweep flows the set and its coarsening in one `_flows` call per
+    field, at +t then -t for every t, whatever the number of orders (a
+    negative t is a flow time like any), and computes each set's signed
+    distance once."""
     stability._flow_memo.clear()
-    distances, flows = _count_distances(monkeypatch), _count_flow_maps(monkeypatch)
+    distances, flows = _count_distances(monkeypatch), _count_flows(monkeypatch)
     cone_sweep(cone_set("halfplane"), [radial_bump_vector_field(k) for k in (3, 4)],
                BallRegion((0.0, 0.0), 1.0), orders, (0.04, -0.08, 0.16))
-    assert len(distances) == 2 and len(flows) == 2 * 2 * 3 * 2
-    assert sorted(set(flows)) == [-0.16, -0.08, -0.04, 0.04, 0.08, 0.16]
+    assert len(distances) == 2
+    assert flows == [[0.04, -0.08, 0.16, -0.04, 0.08, -0.16]] * (2 * 2)
 
 
 def test_flow_map_recomputes_distance_after_membership_change(monkeypatch):
@@ -661,14 +713,14 @@ def test_flow_map_memberships_equal_the_exact_distance_route(monkeypatch, t):
 
 def test_flow_memo_misses_on_changed_membership_and_new_field(monkeypatch):
     """The signed distance is reused only for the same membership values;
-    the speed bound only for the same field object; the state only for the
-    same field object and step size, and only for the band rows it holds.
-    Every call is a set of its own."""
+    the speed bound only for the same field object; a deformed set only for
+    the same membership values, field object and t.  Every call is a set of
+    its own."""
     memo, puts = _recording_memo(monkeypatch)
     E = cone_set("halfplane")
     X, evals = _counted(radial_bump_vector_field(3))
     first = flow_map(E, X, 0.08)
-    assert [k[0] for k in puts] == ["sd", "geometry", "bound", "state"]
+    assert [k[0] for k in puts] == ["sd", "geometry", "bound", "set"]
     assert len(evals) == 1 + 4 * 4           # the speed bound, then four RK4 steps
     del evals[:], puts[:]
     again = flow_map(IndicatorSet(E.grid, E.membership.copy()), X, 0.08)
@@ -679,22 +731,17 @@ def test_flow_memo_misses_on_changed_membership_and_new_field(monkeypatch):
     assert not evals and not puts
     same_code, evals2 = _counted(radial_bump_vector_field(3))  # another object
     assert np.array_equal(flow_map(E, same_code, 0.08).membership, first.membership)
-    assert len(evals2) == 1 + 4 * 4 and [k[0] for k in puts] == ["bound", "state"]
+    assert len(evals2) == 1 + 4 * 4 and [k[0] for k in puts] == ["bound", "set"]
     del puts[:]
-    flow_map(E, X, 0.04)                     # another step size: a new state
-    assert len(evals) == 4 * 4 and [k[0] for k in puts] == ["state"]
+    flow_map(E, X, 0.04)                     # another time: a new set
+    assert len(evals) == 4 * 4 and [k[0] for k in puts] == ["set"]
     del evals[:], puts[:]
     E.membership[:, :3] = ~E.membership[:, :3]   # in place, away from the support:
-    changed = flow_map(E, X, 0.08).membership    # a new signed distance, the same band
-    assert not evals and [k[0] for k in puts] == ["sd"]
-    del puts[:]
-    flipped, pts = E.membership.copy(), E.grid.coords()
-    E.membership[...] |= (np.abs(pts - [0.0, 0.5]).max(axis=1) <= 0.1).reshape(E.grid.shape)
-    grown = flow_map(E, X, 0.08).membership  # band rows the state lacks: 4 steps from 0
-    assert len(evals) == 4 * 4 and [k[0] for k in puts] == ["sd", "state"]
+    changed = flow_map(E, X, 0.08).membership    # a new distance and a new set
+    assert len(evals) == 4 * 4 and [k[0] for k in puts] == ["sd", "set"]
     memo.clear()
-    assert np.array_equal(grown, flow_map(E, X, 0.08).membership)
-    assert np.array_equal(changed, flow_map(IndicatorSet(E.grid, flipped), X, 0.08).membership)
+    assert np.array_equal(changed, flow_map(IndicatorSet(E.grid, E.membership.copy()), X,
+                                            0.08).membership)
 
 
 def _fold_field(amplitude):
@@ -715,16 +762,13 @@ def _fresh_flow_memo(monkeypatch):
     return memo
 
 
-def _recording_memo(monkeypatch, states=None):
-    """A fresh flow memo and the keys put into it, in order; the values of
-    the states put go to `states`, by key, if given."""
+def _recording_memo(monkeypatch):
+    """A fresh flow memo and the keys put into it, in order."""
     memo, puts = _fresh_flow_memo(monkeypatch), []
     put = memo.put
 
     def record(key, value, size=1):
         puts.append(key)
-        if states is not None and key[0] == "state":
-            states[key] = value
         put(key, value, size)
     monkeypatch.setattr(memo, "put", record)
     return memo, puts
@@ -732,9 +776,9 @@ def _recording_memo(monkeypatch, states=None):
 
 def test_flow_memo_keeps_no_failed_flow(monkeypatch):
     """Only the signed distance, the geometry and the speed bound are kept:
-    the second failing flow hits them, misses its 25 states and evaluates
-    X in its RK4 pass as often as the first did.  The band of t = 0.5
-    covers the whole support and takes the same route."""
+    the second failing flow misses its set, hits them and evaluates X in
+    its RK4 pass as often as the first did.  The band of t = 0.5 covers the
+    whole support."""
     memo, puts = _recording_memo(monkeypatch)
     E = cone_set("halfplane")
     X, evals = _counted(_fold_field(30.0))
@@ -745,117 +789,92 @@ def test_flow_memo_keeps_no_failed_flow(monkeypatch):
         counts.append(len(evals))
     assert counts == [1 + 4 * 25, 1 + 2 * 4 * 25]
     assert [k[0] for k in puts] == ["sd", "geometry", "bound"]
-    assert len(memo) == 3 and memo.hits == 3 and memo.misses == 3 + 2 * 25
+    assert len(memo) == 3 and memo.hits == 3 and memo.misses == 4 + 1
 
 
 def test_continued_flow_that_folds_keeps_nothing(monkeypatch):
-    """t = 0.5 continues from the checked t = 0.32 state (both take steps of
-    0.02; both bands cover the support), folds, and leaves no state of its
-    own."""
+    """One call at t = 0.5 and 0.32 (both steps of 0.02; both bands cover the
+    support) checks and stores the set of 0.32 after 16 steps, continues
+    nine steps to 0.5, folds and stores no set of its own; flow_map at 0.32
+    then reads the stored set, which equals a cold flow's."""
     memo, puts = _recording_memo(monkeypatch)
     E = cone_set("halfplane")
     X, evals = _counted(_fold_field(10.0))
-    flow_map(E, X, 0.32)
-    assert [k[0] for k in puts] == ["sd", "geometry", "bound", "state"] and memo.hits == 0
-    del evals[:], puts[:]
     with pytest.raises(FlowError, match="Jacobian"):
-        flow_map(E, X, 0.5)
-    assert len(evals) == 4 * (25 - 16)      # only the nine steps past t = 0.32
-    assert memo.hits == 4                   # the distance, geometry, bound and 16-step state
-    assert not puts and len(memo) == 4 and memo.evictions == 0
+        _flows(E, X, [0.5, 0.32])
+    assert len(evals) == 1 + 4 * 25
+    assert [k[0] for k in puts] == ["sd", "geometry", "bound", "set"] and puts[-1][-1] == 0.32
+    del evals[:], puts[:]
+    warm = flow_map(E, X, 0.32).membership
+    assert not evals and not puts
+    memo.clear()
+    assert np.array_equal(warm, flow_map(E, X, 0.32).membership)
 
 
 @pytest.mark.parametrize("h, centered", [(1.0 / 16.0, False), (1.0 / 8.0, False),
                                          (1.0 / 16.0, True)])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_continued_flow_equals_a_cold_one(monkeypatch, h, centered, sign):
-    """+-0.16 continues from the +-0.08 state (0.16/8 and 0.08/4 are the same
-    double): the rows of its wider band that the state lacks take four
-    steps from 0, then every row four more.  That gives a cold flow's state
-    (rows and values, probes included) and set bit for bit; a third flow
-    reads the 8-step state back and evaluates X no more."""
+def test_continued_flow_equals_a_cold_one(monkeypatch, rk4_points, h, centered, sign):
+    """One call at +-0.16 and +-0.08 (0.16/8 and 0.08/4 are the same double)
+    takes eight RK4 steps over the band of 0.16 alone, wider than that of
+    0.08, and resamples it after four steps and after eight, continuing
+    the pass of 0.08 to 0.16.  Each set equals a cold flow_map at its own
+    time bit for bit; a second call reads both sets back and evaluates X
+    no more."""
     ext = FieldExterior(lambda p: np.where(p[:, 1] <= 0.0, 1.0, -1.0))
     g = Grid(2, h, 2.0, ext, centered)
     E = IndicatorSet(g, (g.coords()[:, 1] <= 0.0).reshape(g.shape))
     X, evals = _counted(radial_bump_vector_field(5))
     t = sign * 0.16
     assert t / 8 == (t / 2) / 4
-
-    cold_states = {}
-    _recording_memo(monkeypatch, cold_states)
-    cold = flow_map(E, X, t).membership
-    assert len(evals) == 1 + 4 * 8
-    states = {}
-    memo, puts = _recording_memo(monkeypatch, states)
-    flow_map(E, X, t / 2)
+    cold, rows = [], []
+    for time, steps in ((t, 8), (t / 2, 4)):
+        _fresh_flow_memo(monkeypatch)
+        rk4_points[0] = 0
+        cold.append(flow_map(E, X, time).membership)
+        rows.append(rk4_points[0] // (4 * steps))
+    assert rows[1] < rows[0]                 # band and probe rows of each cold flow
+    del evals[:]
+    memo, puts = _recording_memo(monkeypatch)
+    rk4_points[0] = 0
+    grouped = _flows(E, X, [t, t / 2])
+    assert len(evals) == 1 + 4 * 8 and rk4_points[0] == 4 * 8 * rows[0]
+    assert [k[0] for k in puts] == ["sd", "geometry", "bound", "set", "set"]
+    assert [k[-1] for k in puts[3:]] == [t / 2, t]
+    assert all(np.array_equal(got.membership, want) for got, want in zip(grouped, cold))
     del evals[:], puts[:]
-    warm = flow_map(E, X, t).membership
-    assert len(evals) == 4 * 4 + 4 * 4 and [k[0] for k in puts] == ["state"]
-    assert memo.hits == 4                   # the distance, geometry, bound and 4-step state
-    assert np.array_equal(warm, cold)
-    (key, (rows, state)), = cold_states.items()
-    (half_rows, _), = (v for k, v in states.items() if k[-1] == 4)
-    assert key[-1] == 8 and len(half_rows) < len(rows)
-    assert np.array_equal(states[key][0], rows) and np.array_equal(states[key][1], state)
-    del puts[:]
-    assert np.array_equal(flow_map(E, X, t).membership, cold)
-    assert len(evals) == 4 * 4 + 4 * 4 and not puts
+    again = _flows(E, X, [t / 2, t, t / 2])
+    assert not evals and not puts and memo.hits == 2
+    assert all(np.array_equal(got.membership, want)
+               for got, want in zip(again, [cold[1], cold[0], cold[1]]))
 
 
 @pytest.mark.parametrize("centered", [False, True])
-def test_set_rebuilt_from_a_state_equals_a_cold_flow_on_inexact_nodes(monkeypatch, centered):
-    """On h = 0.1 the node indices (x - x_0)/h are not exact integers.  A set
-    rebuilt from another set's stored state, with the band rows the state
-    lacks flowed from 0 and the nodes off the band keeping their
-    membership, equals a cold flow and the resampling of every node at its
-    flowed position, bit for bit."""
+def test_grouped_flows_on_inexact_nodes_equal_the_resampling_of_every_node(monkeypatch,
+                                                                            centered):
+    """On h = 0.1 the node indices (x - x_0)/h are not exact integers.  The
+    sets of one call at 0.08 and 0.16, which resamples the band of 0.16 at
+    both times, equal bit for bit the resampling (scipy's map_coordinates)
+    of every node at its flowed position at each time."""
     from scipy import ndimage
     ext = FieldExterior(lambda p: np.where(p[:, 1] <= 0.0, 1.0, -1.0))
     g = Grid(2, 0.1, 2.0, ext, centered)
     pts = g.coords()
-    E = IndicatorSet(g, (pts[:, 1] <= 0.0).reshape(g.shape))
     F = IndicatorSet(g, (pts[:, 0] * pts[:, 1] > 0.0).reshape(g.shape))
-    X, evals = _counted(radial_bump_vector_field(2))
+    X = radial_bump_vector_field(4)          # flips 4 nodes at 0.08 and 5 at 0.16
     _fresh_flow_memo(monkeypatch)
-    flow_map(E, X, 0.16)
-    del evals[:]
-    warm = flow_map(F, X, 0.16).membership
-    assert len(evals) == 4 * 8               # the rows of F's band that E's lacks
-    _fresh_flow_memo(monkeypatch)
-    cold = flow_map(F, X, 0.16).membership
-    idx = (_rk4_backward(pts, X, 0.16 / 8, 8) - g.axis_coords()[0]) / g.h
-    assert not np.array_equal(idx, np.round(idx))
-    every = ndimage.map_coordinates(stability.signed_distance(F), idx.T, order=1,
-                                    mode="nearest") <= 0.0
-    assert np.array_equal(warm, cold) and np.array_equal(warm.ravel(), every)
-    assert not np.array_equal(warm, F.membership)
+    for (t, steps), got in zip(((0.08, 4), (0.16, 8)), _flows(F, X, [0.08, 0.16])):
+        idx = (_rk4_backward(pts, X, t / steps, steps) - g.axis_coords()[0]) / g.h
+        assert not np.array_equal(idx, np.round(idx))
+        every = ndimage.map_coordinates(stability.signed_distance(F), idx.T, order=1,
+                                        mode="nearest") <= 0.0
+        assert np.array_equal(got.membership.ravel(), every)
+        assert not np.array_equal(got.membership, F.membership)
 
 
-def test_flow_state_is_shared_by_the_sets_of_a_layout():
-    """A flow state depends on the layout, X and t, not on the set: a
-    second set flows only the rows of its band that the stored state
-    lacks, a set whose band the state holds flows none, and each gives
-    what a cold flow gives."""
-    stability._flow_memo.clear()
-    E, F = cone_set("halfplane"), cone_set("cross")
-    X, evals = _counted(radial_bump_vector_field(2))
-    flow_map(E, X, -0.08)
-    del evals[:]
-    warm = flow_map(F, X, -0.08).membership
-    assert len(evals) == 4 * 4
-    del evals[:]
-    G = IndicatorSet(E.grid, F.membership.copy())
-    G.membership[:3] = ~G.membership[:3]     # x_1 < -1.9: far off the support
-    shifted = flow_map(G, X, -0.08).membership
-    assert not evals
-    stability._flow_memo.clear()
-    assert np.array_equal(warm, flow_map(F, X, -0.08).membership)
-    assert np.array_equal(shifted, flow_map(G, X, -0.08).membership)
-
-
-def test_flow_memo_holds_the_field_while_its_state_lives(monkeypatch):
-    """The keys of a speed bound and a state hold X itself, so X lives as
-    long as those entries (and no other field can take its identity
+def test_flow_memo_holds_the_field_while_its_set_lives(monkeypatch):
+    """The keys of a speed bound and a deformed set hold X itself, so X lives
+    as long as those entries (and no other field can take its identity
     meanwhile) and goes with them."""
     memo = _fresh_flow_memo(monkeypatch)
     X = radial_bump_vector_field(3)
@@ -864,17 +883,17 @@ def test_flow_memo_holds_the_field_while_its_state_lives(monkeypatch):
     del X
     gc.collect()
     assert ref() is not None
-    memo.put("filler", None, memo.cap)       # evicts the distance, geometry, bound and state
+    memo.put("filler", None, memo.cap)       # evicts the distance, geometry, bound and set
     gc.collect()
     assert ref() is None and memo.evictions == 4
 
 
 def test_flow_memo_stays_within_its_byte_cap(monkeypatch):
-    """Six memberships make six signed distances of 8.3 kB each, of which the
-    24 kB cap keeps the latest beside the geometry (8.6 kB), the speed
-    bound and the one state (3.2 kB); those three, read back by every flow
-    after the first (the memberships change off the support), are never
-    evicted."""
+    """Six memberships make six signed distances of 8.3 kB each and six sets
+    of 256 bytes (packed bits and key), of which the 24 kB cap keeps the
+    latest distance and the two latest sets beside the geometry (8.6 kB)
+    and the speed bound; those two, read back by every flow after the
+    first (the memberships change off the support), are never evicted."""
     memo, puts = _recording_memo(monkeypatch)
     monkeypatch.setattr(memo, "cap", 24_000)
     g = Grid(2, 1.0 / 8.0, 2.0, FieldExterior(lambda p: np.where(p[:, 1] <= 0.0, 1.0, -1.0)))
@@ -884,10 +903,10 @@ def test_flow_memo_stays_within_its_byte_cap(monkeypatch):
         E.membership[0, k] = not E.membership[0, k]
         flow_map(E, X, 0.04)
         assert memo.total <= memo.cap
-        assert len(evals) == 1 + 4 * 4       # only the first flow evaluates X
-    assert [k[0] for k in puts] == ["sd", "geometry", "bound", "state"] + ["sd"] * 5
-    assert [k[0] for k in memo._items] == ["sd", "geometry", "bound", "state"]
-    assert memo.evictions == 5
+        assert len(evals) == 1 + 4 * 4 * (k + 1)   # one speed bound, a set per flow
+    assert [k[0] for k in puts] == ["sd", "geometry", "bound", "set"] + ["sd", "set"] * 5
+    assert [k[0] for k in memo._items] == ["set", "sd", "geometry", "bound", "set"]
+    assert memo.evictions == 5 + 4
     small = LRUCache(1000)
     monkeypatch.setattr(stability, "_flow_memo", small)
     stability._memo_put(("sd", b"x"), np.zeros(125))   # 1,001 bytes with the key's
@@ -927,7 +946,7 @@ def test_cone_sweep_refuses_empty_lists_and_bad_flow_times(monkeypatch, n_fields
                                                            t_list):
     """A flow time of 0 would give q = 0/0 = nan, which a min() fold drops;
     every refusal comes before the first flow."""
-    calls = _count_flow_maps(monkeypatch)
+    calls = _count_flows(monkeypatch)
     with pytest.raises(ConfigurationError, match="cone sweep"):
         cone_sweep(cone_set("halfplane"), [radial_bump_vector_field(1)] * n_fields,
                    BallRegion((0.0, 0.0), 1.0), orders, t_list)
